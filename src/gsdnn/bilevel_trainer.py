@@ -571,6 +571,10 @@ def _split_masks(
     return train, val, test
 
 
+# Uniforms drawn per block of rows in sbm_generate (8 MiB of float64).
+_SBM_DRAW_ENTRIES = 1 << 20
+
+
 def sbm_generate(
     n: int,
     blocks: int,
@@ -597,10 +601,16 @@ def sbm_generate(
         raise ValueError(f"feature width {d} cannot hold {blocks} class means")
     rng = np.random.default_rng(seed)
     labels = (np.arange(n) * blocks) // n
-    prob = np.where(labels[:, None] == labels[None, :], p_in, p_out)
-    upper = np.triu(rng.random((n, n)) < prob, k=1)
-    edges = tuple((int(u), int(v)) for u, v in zip(*np.nonzero(upper)))
-    graph = add_self_loops(Graph(num_nodes=n, edges=edges))
+    # The n x n uniform draw is taken a block of rows at a time: the same
+    # stream as one full draw, without an n x n array.
+    step = max(1, _SBM_DRAW_ENTRIES // n)
+    edges = []
+    for r0 in range(0, n, step):
+        rows = labels[r0 : r0 + step, None]
+        prob = np.where(rows == labels[None, :], p_in, p_out)
+        upper = np.triu(rng.random(prob.shape) < prob, k=r0 + 1)
+        edges.append(np.argwhere(upper) + (r0, 0))
+    graph = add_self_loops(Graph(num_nodes=n, edges=np.concatenate(edges)))
     means = np.zeros((blocks, d))
     means[np.arange(blocks), np.arange(blocks)] = 1.0 / math.sqrt(2.0)
     x = means[labels] + noise_sigma * rng.standard_normal((n, d))
@@ -662,10 +672,7 @@ def karate_dataset() -> Dataset:
     )
     n = 34
     graph_plain = Graph(num_nodes=n, edges=edges)
-    degrees = np.zeros(n, dtype=np.int64)
-    for u, v in graph_plain.edges:
-        degrees[u] += 1
-        degrees[v] += 1
+    degrees = np.bincount(np.concatenate((graph_plain.us, graph_plain.vs)), minlength=n)
     x = np.zeros((n, int(degrees.max()) + 1))
     x[np.arange(n), degrees] = 1.0
     labels = np.asarray(_KARATE_LABELS, dtype=np.int64)

@@ -22,6 +22,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -158,10 +159,8 @@ def _out_dir(args) -> Path:
 
 
 def _random_er_ops(rng: np.random.Generator, n: int, p: float = 0.2):
-    mask = rng.random((n, n)) < p
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
-    g = add_self_loops(Graph(num_nodes=n, edges=tuple(edges)))
-    return normalize(g)
+    upper = np.triu(rng.random((n, n)) < p, k=1)
+    return normalize(add_self_loops(Graph(num_nodes=n, edges=np.argwhere(upper))))
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +201,18 @@ def cmd_denoise(args) -> int:
             raise UsageError(str(exc))
         runner = gd_run if args.solver == "gd" else proxgd_run
         try:
-            report = runner(spec, x, x, ops, cfg)
+            # a divergent run overflows on its last step; it is reported below
+            with np.errstate(over="ignore", invalid="ignore"):
+                report = runner(spec, x, x, ops, cfg)
         except (ValueError, np.linalg.LinAlgError) as exc:
             print(f"solver error: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        if not math.isfinite(report.objective_trace[-1]):
+            print(
+                f"solver error: objective diverged at iteration {report.iterations_used}; "
+                "try a smaller --stepsize",
+                file=sys.stderr,
+            )
             return EXIT_NUMERIC
         final = report.final
         report_doc = {"solver": args.solver, **report.to_json_dict()}

@@ -9,7 +9,8 @@ regularizer's proximal map after the gradient step on the smooth part:
 
 Objective traces always include the nonsmooth part, so the documented
 descent guarantee at stepsize 1/Lambda is about the true composite
-objective, not just its smooth half.
+objective, not just its smooth half. A run stops, unconverged, at the first
+step whose objective is not finite: the iteration has diverged.
 """
 
 from __future__ import annotations
@@ -151,6 +152,8 @@ def gd_run(
         trace.append(f)
         if traj is not None:
             traj.append(h.copy())
+        if not math.isfinite(f):
+            break  # diverged (an inf trace[0], from an infeasible h0, is not)
         prev = trace[-2]
         if math.isfinite(prev) and abs(f - prev) <= cfg.rel_tol * max(1.0, abs(prev)):
             converged = True
@@ -191,6 +194,8 @@ def proxgd_run(
         trace.append(f)
         if traj is not None:
             traj.append(h.copy())
+        if not math.isfinite(f):
+            break  # diverged (an inf trace[0], from an infeasible h0, is not)
         prev = trace[-2]
         if math.isfinite(prev) and abs(f - prev) <= cfg.rel_tol * max(1.0, abs(prev)):
             converged = True

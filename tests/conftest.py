@@ -13,8 +13,7 @@ from gsdnn.graph_core import Graph, add_self_loops, normalize
 def er_graph(rng: np.random.Generator, n: int, p: float = 0.25) -> Graph:
     """Erdos-Renyi graph on n nodes with self-loops added."""
     upper = np.triu(rng.random((n, n)) < p, k=1)
-    edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(upper))]
-    return add_self_loops(Graph(num_nodes=n, edges=tuple(edges)))
+    return add_self_loops(Graph(num_nodes=n, edges=np.argwhere(upper)))
 
 
 def er_ops(rng: np.random.Generator, n: int, p: float = 0.25):

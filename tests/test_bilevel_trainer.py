@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import er_ops
+from gsdnn import bilevel_trainer
 from gsdnn.bilevel_trainer import (
     AdamState,
     Dataset,
     Grads,
     TrainConfig,
     UgdgnnParams,
+    _split_masks,
     accuracy,
     adam_step,
     adam_update,
@@ -400,6 +402,31 @@ def test_sbm_deterministic_given_seed():
     assert a.graph.edges == b.graph.edges
     np.testing.assert_array_equal(a.x, b.x)
     np.testing.assert_array_equal(a.train_mask, b.train_mask)
+
+
+def test_sbm_row_blocks_match_one_full_draw(monkeypatch):
+    # Reference: the whole n x n uniform draw taken at once. Seven rows per
+    # block gives 43 blocks, the last one short.
+    n, blocks, p_in, p_out, d, sigma, seed = 300, 3, 0.1, 0.01, 3, 1.0, 4
+    rng = np.random.default_rng(seed)
+    labels = (np.arange(n) * blocks) // n
+    prob = np.where(labels[:, None] == labels[None, :], p_in, p_out)
+    upper = np.triu(rng.random((n, n)) < prob, k=1)
+    pairs = {(int(u), int(v)) for u, v in zip(*np.nonzero(upper))}
+    want_edges = tuple(sorted(pairs | {(i, i) for i in range(n)}))
+    means = np.zeros((blocks, d))
+    means[np.arange(blocks), np.arange(blocks)] = 1.0 / math.sqrt(2.0)
+    want_x = means[labels] + sigma * rng.standard_normal((n, d))
+
+    monkeypatch.setattr(bilevel_trainer, "_SBM_DRAW_ENTRIES", 7 * n)
+    ds = sbm_generate(n=n, blocks=blocks, p_in=p_in, p_out=p_out, d=d,
+                      noise_sigma=sigma, seed=seed)
+    assert ds.graph.edges == want_edges
+    np.testing.assert_array_equal(ds.x, want_x)
+    np.testing.assert_array_equal(ds.labels, labels)
+    for got, want in zip((ds.train_mask, ds.val_mask, ds.test_mask),
+                         _split_masks(labels, 20, 30)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_sbm_edge_density_within_three_sigma():

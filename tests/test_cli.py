@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface via main()."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,34 @@ def test_denoise_solver_spec_mismatch_is_numeric_error(workdir, capsys):
         ]
     )
     assert code == 3
+
+
+def test_denoise_diverging_gd_exits_numeric_without_outputs(tmp_path, capsys):
+    # a 4-cycle at stepsize 10, far above the 1/Lambda bound: the iterates
+    # overflow, so the run must end with exit 3 and no output files
+    (tmp_path / "cycle.txt").write_text("0 1\n1 2\n2 3\n3 0\n")
+    (tmp_path / "feats.csv").write_text("1,2\n-1,0.5\n0.3,-2\n1.5,1\n")
+    spec = {"alpha": 0.2, "beta": 1.0, "t_alpha": np.eye(2).tolist(),
+            "t_beta": np.eye(2).tolist(), "regularizer": None}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warnings either
+        code = main(
+            [
+                "denoise",
+                "--graph", str(tmp_path / "cycle.txt"),
+                "--features", str(tmp_path / "feats.csv"),
+                "--solver", "gd",
+                "--spec", str(tmp_path / "spec.json"),
+                "--stepsize", "10",
+                "--out", str(out),
+            ]
+        )
+    assert code == 3
+    assert "diverged" in capsys.readouterr().err
+    assert not (out / "denoised.csv").exists()
+    assert not (out / "solve_report.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,11 +47,52 @@ class TestLoadEdgeList:
         with pytest.raises(ValueError, match="line 1"):
             load_edge_list("-1 0")
 
+    def test_layout_does_not_change_the_graph(self):
+        # comments, blank lines, CRLF endings, tabs and the optional header
+        # are all layout; every variant parses to the same graph
+        variants = [
+            "0 1\n2 1\n1 0\n3 3\n",
+            "# a comment\n\n0 1\n\n# another\n2 1\n1 0\n   \n3 3\n",
+            "0 1\r\n2 1\r\n1 0\r\n3 3\r\n",
+            "nodes 4\n0 1\n2 1\n1 0\n3 3",
+            "# c\r\n\r\nnodes 4\r\n0 1\r\n  2\t1 \r\n1 0\r\n3 3",
+        ]
+        for text in variants:
+            g = load_edge_list(text)
+            assert (g.num_nodes, g.edges) == (4, ((0, 1), (1, 2), (3, 3))), text
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1\n1", "line 2: expected 'u v'"),
+            ("# c\n\n0 1\n1 2 3", "line 4: expected 'u v'"),
+            ("0 1\r\n\r\n2 x\r\n3 -1", "line 3: expected two integers"),
+            ("0 1\n-1 0", "line 2: negative node index"),
+            ("# c\nnodes x\n0 1", "line 2: malformed node-count header"),
+            ("nodes 0\n0 1", "line 1: node count must be positive"),
+            ("nodes 3\n0 1\nnodes 3", "line 3: expected two integers"),
+            ("0 1\n1 99999999999999999999", "line 2: node index too large"),
+        ],
+    )
+    def test_malformed_line_error_names_its_line(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_edge_list(text)
+
 
 class TestGraph:
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph(num_nodes=2, edges=((0, 3),))
+
+    def test_rejects_array_that_is_not_pairs(self):
+        with pytest.raises(ValueError, match="pairs"):
+            Graph(num_nodes=3, edges=np.zeros((2, 3), dtype=np.int64))
+
+    def test_edge_arrays_are_read_only(self):
+        g = Graph(num_nodes=3, edges=np.array([[2, 1], [0, 1]]))
+        assert g.edges == ((0, 1), (1, 2))
+        with pytest.raises(ValueError):
+            g.us[0] = 2
 
     def test_add_self_loops_two_node_path(self):
         g = add_self_loops(load_edge_list("0 1"))
@@ -134,6 +177,28 @@ class TestSignalValidation:
 
     def test_promotes_1d(self):
         assert as_signal(np.arange(3.0)).shape == (3, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 12), data=st.data())
+def test_graph_matches_reference_canonicalization(n, data):
+    # Pairs with repeats, both orientations and self-loops, sometimes one on
+    # every node; the reference is the set-and-sort canonical form.
+    node = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(node, node), max_size=60))
+    if data.draw(st.booleans()):
+        pairs += [(i, i) for i in range(n)]
+    pairs = data.draw(st.permutations(pairs))
+    want = tuple(sorted({(min(u, v), max(u, v)) for u, v in pairs}))
+    want_loops = len({u for u, v in want if u == v}) == n
+    for edges in (tuple(pairs), np.array(pairs, dtype=np.int64).reshape(-1, 2)):
+        g = Graph(num_nodes=n, edges=edges)
+        assert g.edges == want
+        assert g.num_edges == len(want)
+        assert g.has_self_loops == want_loops
+    looped = add_self_loops(Graph(num_nodes=n, edges=tuple(pairs)))
+    assert looped.edges == tuple(sorted(set(want) | {(i, i) for i in range(n)}))
+    assert looped.has_self_loops
 
 
 @settings(max_examples=60, deadline=None)

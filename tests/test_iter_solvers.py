@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from gsdnn.graph_core import add_self_loops, load_edge_list, normalize
 from gsdnn.gsd_problem import (
     GsdSpec,
     NonNegIndicator,
@@ -210,6 +213,44 @@ class TestProxGdRun:
                             SolveConfig(max_iters=50, rel_tol=0.0))
         trace = np.array(report.objective_trace)
         assert np.all(np.diff(trace) <= 1e-12)
+
+
+class TestDivergence:
+    # A 4-cycle at stepsize 10, far above 1/Lambda: every step multiplies
+    # the error, and the objective overflows after about a hundred steps.
+    def setup_method(self):
+        self.ops = normalize(add_self_loops(load_edge_list("0 1\n1 2\n2 3\n3 0")))
+        self.x = np.array([[1.0, 2.0], [-1.0, 0.5], [0.3, -2.0], [1.5, 1.0]])
+        self.cfg = SolveConfig(max_iters=2000, stepsize=10.0, rel_tol=0.0)
+
+    def check_stopped_at_first_overflow(self, report):
+        assert not report.converged
+        assert report.iterations_used < self.cfg.max_iters
+        assert len(report.objective_trace) == report.iterations_used + 1
+        assert not math.isfinite(report.objective_trace[-1])
+        assert all(math.isfinite(v) for v in report.objective_trace[:-1])
+
+    def test_gd_stops_at_first_nonfinite_objective(self):
+        spec = eye_spec(2, alpha=0.2, beta=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = gd_run(spec, self.x, self.x, self.ops, self.cfg)
+        self.check_stopped_at_first_overflow(report)
+
+    def test_proxgd_stops_at_first_nonfinite_objective(self):
+        spec = eye_spec(2, alpha=0.2, beta=1.0, reg=RowL21(weight=0.05))
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = proxgd_run(spec, self.x, self.x, self.ops, self.cfg)
+        self.check_stopped_at_first_overflow(report)
+
+    def test_infeasible_start_is_not_divergence(self):
+        # x has negative entries, so the nonnegativity indicator makes the
+        # starting objective inf; the run goes on from the feasible iterates
+        spec = eye_spec(2, alpha=0.2, beta=1.0, reg=NonNegIndicator())
+        cfg = SolveConfig(max_iters=10, rel_tol=0.0)
+        report = proxgd_run(spec, self.x, self.x, self.ops, cfg)
+        assert report.objective_trace[0] == math.inf
+        assert report.iterations_used == 10
+        assert all(math.isfinite(v) for v in report.objective_trace[1:])
 
 
 @settings(max_examples=40, deadline=None)
