@@ -5,7 +5,7 @@ Trains the hop-coefficient model at several propagation depths, ten
 seeds each, and writes sweep.csv + manifest.json under artifacts/sweep.
 Extra flags go straight to `gsdnn sweep`:
 
-    GSDNN_THREADS=4 python scripts/run_depth_sweep.py --ks 1,2,3,4
+    python scripts/run_depth_sweep.py --ks 1,2,3,4
 """
 
 import sys

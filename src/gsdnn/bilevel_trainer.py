@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -698,29 +697,13 @@ def depth_sweep(
     cfg: TrainConfig,
     ks: Sequence[int],
     n_seeds: int = 10,
-    max_workers: int | None = None,
 ) -> list[dict]:
-    """Train at each depth over n_seeds seeds; rows of (K, mean, std, accs).
-
-    Cells are independent (each gets its own config), so they run on a
-    thread pool when max_workers > 1; results are reassembled in (K, seed)
-    order either way.
-    """
-    cells = [
-        (k, replace(cfg, k=k, seed=cfg.seed + s))
+    """Train at each depth over n_seeds seeds; rows of (K, mean, std, accs)."""
+    accs = [
+        train(ds, replace(cfg, k=k, seed=cfg.seed + s)).test_acc_at_best
         for k in ks
         for s in range(n_seeds)
     ]
-
-    def run(cell):
-        _, cell_cfg = cell
-        return train(ds, cell_cfg).test_acc_at_best
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            accs = list(pool.map(run, cells))
-    else:
-        accs = [run(cell) for cell in cells]
 
     rows = []
     for i, k in enumerate(ks):

@@ -11,9 +11,6 @@ Exit codes: 0 success, 1 a requested check failed, 2 usage or input
 error, 3 numeric/solver error. All outputs are byte-identical across
 reruns with the same inputs and seeds, except the timestamp and timing
 fields inside the manifest.
-
-Set GSDNN_THREADS to an integer to run independent trials (equiv) or
-sweep cells (sweep) in a thread pool. Results do not depend on it.
 """
 
 from __future__ import annotations
@@ -23,10 +20,8 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -81,19 +76,6 @@ class UsageError(Exception):
 
 # ---------------------------------------------------------------------------
 # shared plumbing
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("GSDNN_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"GSDNN_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise UsageError("GSDNN_THREADS must be at least 1")
-    return n
 
 
 def _read_text(path: str) -> str:
@@ -153,6 +135,8 @@ def _write_manifest(
 
 
 def _out_dir(args) -> Path:
+    """Create --out; called just before a command's first write, so a command
+    that fails on its inputs or its solve leaves no empty directory behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -168,7 +152,6 @@ def _random_er_ops(rng: np.random.Generator, n: int, p: float = 0.2):
 
 
 def cmd_denoise(args) -> int:
-    out = _out_dir(args)
     inputs = [args.graph, args.features]
     ops = normalize(_load_graph(args.graph))
     x = _load_features(args.features, num_nodes=ops.num_nodes)
@@ -217,6 +200,7 @@ def cmd_denoise(args) -> int:
         final = report.final
         report_doc = {"solver": args.solver, **report.to_json_dict()}
 
+    out = _out_dir(args)
     np.savetxt(out / "denoised.csv", final, delimiter=",", fmt="%.17g")
     _dump_json(out / "solve_report.json", report_doc)
     _write_manifest(
@@ -250,24 +234,14 @@ def _equiv_cell(name: str, model_index: int, trial: int, seed: int, tol: float) 
 
 
 def cmd_equiv(args) -> int:
-    out = _out_dir(args)
     names = list(MODEL_KINDS) if args.model == "all" else [args.model]
     cells = [
         (name, mi, t)
         for mi, name in enumerate(names)
         for t in range(args.trials)
     ]
-    threads = _thread_count()
     started = time.perf_counter()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            checks = list(
-                pool.map(
-                    lambda c: _equiv_cell(c[0], c[1], c[2], args.seed, args.tol), cells
-                )
-            )
-    else:
-        checks = [_equiv_cell(name, mi, t, args.seed, args.tol) for name, mi, t in cells]
+    checks = [_equiv_cell(name, mi, t, args.seed, args.tol) for name, mi, t in cells]
     elapsed = time.perf_counter() - started
 
     results = []
@@ -282,6 +256,7 @@ def cmd_equiv(args) -> int:
             }
         )
     all_pass = all(r["pass"] for r in results)
+    out = _out_dir(args)
     _dump_json(
         out / "equiv_report.json",
         {"seed": args.seed, "tol": args.tol, "results": results, "all_pass": all_pass},
@@ -321,7 +296,6 @@ def _parse_theta(raw: str) -> tuple[float, ...]:
 
 
 def cmd_filter(args) -> int:
-    out = _out_dir(args)
     theta = _parse_theta(args.theta)
     try:
         model = theta_to_ugdgnn(theta)
@@ -344,6 +318,7 @@ def cmd_filter(args) -> int:
     )
 
     outputs = ["filter_report.json"]
+    lines = None
     if args.graph is not None:
         try:
             table = frequency_response(theta, ops)
@@ -351,6 +326,8 @@ def cmd_filter(args) -> int:
             raise UsageError(str(exc))
         lines = ["lambda,response"]
         lines += [f"{lam:.17g},{resp:.17g}" for lam, resp in table]
+    out = _out_dir(args)
+    if lines is not None:
         (out / "response.csv").write_text("\n".join(lines) + "\n")
         outputs.append("response.csv")
 
@@ -460,13 +437,13 @@ def _dataset_config(args) -> dict:
 
 
 def cmd_train(args) -> int:
-    out = _out_dir(args)
     ds, inputs = _load_dataset(args)
     cfg = _train_config(args)
     try:
         report = train(ds, cfg)
     except ValueError as exc:
         raise UsageError(str(exc))
+    out = _out_dir(args)
     _dump_json(out / "train_report.json", report.to_json_dict())
     _write_manifest(
         out,
@@ -497,18 +474,15 @@ def _parse_ks(raw: str) -> tuple[int, ...]:
 
 
 def cmd_sweep(args) -> int:
-    out = _out_dir(args)
     ds, inputs = _load_dataset(args)
     cfg = _train_config(args)
     ks = _parse_ks(args.ks)
-    threads = _thread_count()
     started = time.perf_counter()
-    rows = depth_sweep(
-        ds, cfg, ks=ks, n_seeds=args.n_seeds, max_workers=threads if threads > 1 else None
-    )
+    rows = depth_sweep(ds, cfg, ks=ks, n_seeds=args.n_seeds)
     elapsed = time.perf_counter() - started
     lines = ["k,mean_acc,std_acc"]
     lines += [f"{r['k']},{r['mean_acc']:.17g},{r['std_acc']:.17g}" for r in rows]
+    out = _out_dir(args)
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     _write_manifest(
         out,

@@ -17,7 +17,13 @@ materialized. The regularizer r is one of:
 The gradient of the smooth part is
 
     grad L = 2 alpha (H - X) T_alpha + 2 beta (I - A_hat) H T_beta
-             [+ 2 beta H (I - T_beta) under RidgeComplement].
+             [+ 2 beta (H - H T_beta) under RidgeComplement].
+
+That formula is written once, for a given (I - A_hat) H: ``gradient_smooth``
+evaluates it, and so does the one layer step in ``iter_solvers`` that both
+the solvers and the unrolled plans of ``unrolled_gnn`` run. The solver loop
+likewise passes the same (I - A_hat) H to the objective evaluator, so an
+iterate costs one A_hat product.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ __all__ = [
     "objective",
     "gradient_smooth",
     "closed_form_ppnp",
+    "DENSE_MAX_NODES",
     "smoothness_bound",
 ]
 
@@ -69,6 +76,11 @@ class _Infeasible:
 INFEASIBLE = _Infeasible()
 
 ObjectiveValue = Union[float, _Infeasible]
+
+# closed_form_ppnp solves densely up to this many nodes and by conjugate
+# gradients above it: dense takes 0.1-0.4 ms against 0.5-3.3 ms for CG at
+# n <= 128, while CG wins at every n >= 384 (d in {1, 4}, gamma in {0.1, 0.5}).
+DENSE_MAX_NODES = 256
 
 
 @dataclass(frozen=True)
@@ -186,20 +198,23 @@ def weighted_norm_sq(m: np.ndarray, t: np.ndarray) -> float:
     return float(np.sum((m @ t) * m))
 
 
-def objective(
-    spec: GsdSpec,
-    h: np.ndarray,
-    x: np.ndarray,
-    ops: NormalizedOperators,
-) -> ObjectiveValue:
-    """Evaluate L(H). Returns INFEASIBLE when the indicator is violated."""
-    h = np.asarray(h, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
+def _check_signal(spec: GsdSpec, h: np.ndarray, x: np.ndarray) -> None:
     if h.shape != x.shape:
         raise ValueError(f"h has shape {h.shape} but x has shape {x.shape}")
     if h.shape[1] != spec.dim:
         raise ValueError(f"signal width {h.shape[1]} does not match spec dim {spec.dim}")
 
+
+def _laplacian(h: np.ndarray, ops: NormalizedOperators, beta: float) -> np.ndarray | None:
+    """(I - A_hat) H, the one A_hat product both L(H) and its gradient read;
+    None when beta = 0 and neither needs it."""
+    return h - spmm(ops, h) if beta != 0.0 else None
+
+
+def _objective_value(
+    spec: GsdSpec, h: np.ndarray, x: np.ndarray, lap_h: np.ndarray | None
+) -> ObjectiveValue:
+    """L(H), given lap_h = (I - A_hat) H."""
     if isinstance(spec.regularizer, NonNegIndicator) and np.any(h < 0):
         return INFEASIBLE
 
@@ -207,7 +222,6 @@ def objective(
     if spec.alpha != 0.0:
         value += spec.alpha * weighted_norm_sq(h - x, spec.t_alpha)
     if spec.beta != 0.0:
-        lap_h = h - spmm(ops, h)  # (I - A_hat) H
         value += spec.beta * float(np.sum((h @ spec.t_beta) * lap_h))
     if isinstance(spec.regularizer, RidgeComplement):
         eye = np.eye(spec.dim)
@@ -217,6 +231,49 @@ def objective(
             np.sum(np.linalg.norm(h - x, axis=1))
         )
     return value
+
+
+def objective(
+    spec: GsdSpec,
+    h: np.ndarray,
+    x: np.ndarray,
+    ops: NormalizedOperators,
+) -> ObjectiveValue:
+    """Evaluate L(H). Returns INFEASIBLE when the indicator is violated."""
+    h = np.asarray(h, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    _check_signal(spec, h, x)
+    return _objective_value(spec, h, x, _laplacian(h, ops, spec.beta))
+
+
+def _times(m: np.ndarray, t: np.ndarray | None) -> np.ndarray:
+    return m if t is None else m @ t
+
+
+def _smooth_grad(
+    h: np.ndarray,
+    x: np.ndarray,
+    lap_h: np.ndarray | None,
+    alpha: float,
+    beta: float,
+    t_alpha: np.ndarray | None,
+    t_beta: np.ndarray | None,
+    ridge: float,
+) -> np.ndarray:
+    """2 alpha (H - X) T_alpha + 2 beta lap_h T_beta + 2 ridge (H - H T_beta).
+
+    The one gradient formula: gradient_smooth and every unrolled layer
+    evaluate it. A T of None is the identity (and then the ridge term
+    vanishes); lap_h = (I - A_hat) H is read only when beta != 0.
+    """
+    grad = np.zeros_like(h)
+    if alpha != 0.0:
+        grad += 2.0 * alpha * _times(h - x, t_alpha)
+    if beta != 0.0:
+        grad += 2.0 * beta * _times(lap_h, t_beta)
+    if ridge != 0.0 and t_beta is not None:
+        grad += 2.0 * ridge * (h - h @ t_beta)
+    return grad
 
 
 def gradient_smooth(
@@ -232,33 +289,19 @@ def gradient_smooth(
     """
     h = np.asarray(h, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    if h.shape != x.shape:
-        raise ValueError(f"h has shape {h.shape} but x has shape {x.shape}")
-    grad = np.zeros_like(h)
-    if spec.alpha != 0.0:
-        grad += 2.0 * spec.alpha * ((h - x) @ spec.t_alpha)
-    if spec.beta != 0.0:
-        lap_h = h - spmm(ops, h)
-        grad += 2.0 * spec.beta * (lap_h @ spec.t_beta)
-    if isinstance(spec.regularizer, RidgeComplement):
-        eye = np.eye(spec.dim)
-        grad += 2.0 * spec.beta * (h @ (eye - spec.t_beta))
-    return grad
+    _check_signal(spec, h, x)
+    lap_h = _laplacian(h, ops, spec.beta)
+    ridge = spec.beta if isinstance(spec.regularizer, RidgeComplement) else 0.0
+    return _smooth_grad(h, x, lap_h, spec.alpha, spec.beta, spec.t_alpha, spec.t_beta, ridge)
 
 
-def closed_form_ppnp(
-    ops: NormalizedOperators,
-    x: np.ndarray,
-    gamma: float,
-    cg_max_iters: int | None = None,
-    dense_threshold: int = 4096,
-) -> np.ndarray:
+def closed_form_ppnp(ops: NormalizedOperators, x: np.ndarray, gamma: float) -> np.ndarray:
     """Solve (I - (1-gamma) A_hat) Xbar = gamma X.
 
     The system matrix is symmetric positive definite (its eigenvalues are
     1 - (1-gamma) lambda with lambda in [-1, 1], hence >= gamma), so a
-    direct dense solve is used up to ``dense_threshold`` nodes and
-    conjugate gradients beyond that.
+    direct dense solve is used up to DENSE_MAX_NODES nodes and conjugate
+    gradients, one column at a time, beyond that.
     """
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in (0, 1]")
@@ -269,28 +312,27 @@ def closed_form_ppnp(
     if gamma == 1.0:
         return x.copy()
 
-    if n <= dense_threshold:
+    if n <= DENSE_MAX_NODES:
         system = np.eye(n) - (1.0 - gamma) * ops.a_hat.toarray()
-        out = np.linalg.solve(system, gamma * x)
-    else:
-        def matvec(v):
-            return v - (1.0 - gamma) * (ops.a_hat @ v)
+        return np.linalg.solve(system, gamma * x)
 
-        lin = spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-        maxiter = cg_max_iters if cg_max_iters is not None else 20 * n
-        cols = []
-        for j in range(x.shape[1]):
-            b = gamma * x[:, j]
-            sol, info = spla.cg(lin, b, rtol=1e-14, atol=1e-13, maxiter=maxiter)
-            if info != 0:
-                resid = float(np.linalg.norm(matvec(sol) - b))
-                raise RuntimeError(
-                    f"conjugate gradients did not converge on column {j}; "
-                    f"residual {resid:.3e} after {maxiter} iterations"
-                )
-            cols.append(sol)
-        out = np.stack(cols, axis=1)
-    return out
+    def matvec(v):
+        return v - (1.0 - gamma) * spmm(ops, v)
+
+    lin = spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    maxiter = 20 * n
+    cols = []
+    for j in range(x.shape[1]):
+        b = gamma * x[:, j]
+        sol, info = spla.cg(lin, b, rtol=1e-14, atol=1e-13, maxiter=maxiter)
+        if info != 0:
+            resid = float(np.linalg.norm(matvec(sol) - b))
+            raise RuntimeError(
+                f"conjugate gradients did not converge on column {j}; "
+                f"residual {resid:.3e} after {maxiter} iterations"
+            )
+        cols.append(sol)
+    return np.stack(cols, axis=1)
 
 
 def _spectral_norm_ub(m: np.ndarray, iters: int = 1000, tol: float = 1e-14) -> float:

@@ -1,16 +1,21 @@
 """Gradient and proximal-gradient solvers for GSD objectives.
 
-One GD step is H <- H - eta * grad L(H); one ProxGD step applies the
-regularizer's proximal map after the gradient step on the smooth part:
+One solver iteration is one unrolled layer (``LayerParams``), and one
+private layer step serves both the solvers here and the unrolled plans of
+``unrolled_gnn``: a gradient step H <- H - eta * grad on the smooth part,
+then the layer's proximal map,
 
     prox of the nonnegativity indicator  = elementwise ReLU,
     prox of t * ||. - X||_{2,1} (row-wise) = shrink each row of V toward
         the matching row of X by max(0, 1 - t / ||v_i - x_i||).
 
-Objective traces always include the nonsmooth part, so the documented
-descent guarantee at stepsize 1/Lambda is about the true composite
-objective, not just its smooth half. A run stops, unconverged, at the first
-step whose objective is not finite: the iteration has diverged.
+``gd_run`` and ``proxgd_run`` map a ``GsdSpec`` to its layer and repeat it
+in one loop, which computes A_hat H once per iterate for both the next
+gradient and the objective trace. Objective traces always include the
+nonsmooth part, so the documented descent guarantee at stepsize 1/Lambda is
+about the true composite objective, not just its smooth half. A run stops,
+unconverged, at the first step whose objective is not finite: the iteration
+has diverged.
 """
 
 from __future__ import annotations
@@ -26,13 +31,17 @@ from .gsd_problem import (
     GsdSpec,
     INFEASIBLE,
     NonNegIndicator,
+    RidgeComplement,
     RowL21,
-    gradient_smooth,
-    objective,
+    _check_signal,
+    _laplacian,
+    _objective_value,
+    _smooth_grad,
     smoothness_bound,
 )
 
 __all__ = [
+    "LayerParams",
     "SolveConfig",
     "SolveReport",
     "gd_run",
@@ -41,6 +50,43 @@ __all__ = [
     "prox_row_l21",
     "row_shrink",
 ]
+
+
+def _as_matrix(w, name: str) -> np.ndarray:
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 2:
+        raise ValueError(f"{name} must be a matrix, got shape {w.shape}")
+    return w
+
+
+@dataclass(frozen=True)
+class LayerParams:
+    """Parameters of one unrolled layer, which is one solver iteration.
+
+    ``t_alpha`` / ``t_beta`` equal to None mean the identity. They are not
+    required to be symmetric: the scheme builders put raw weight matrices
+    here, and the layer algebra never needs symmetry. ``prox`` is the
+    regularizer whose proximal map ends the layer; a ``RowL21`` shrinks
+    rows toward X with threshold eta * weight.
+    """
+
+    eta: float
+    alpha: float
+    beta: float
+    t_alpha: np.ndarray | None = None
+    t_beta: np.ndarray | None = None
+    ridge: float = 0.0
+    prox: Union[None, NonNegIndicator, RowL21] = None
+
+    def __post_init__(self):
+        if self.eta <= 0:
+            raise ValueError("eta must be positive")
+        if self.alpha < 0 or self.beta < 0:
+            raise ValueError("alpha and beta must be nonnegative")
+        for name in ("t_alpha", "t_beta"):
+            t = getattr(self, name)
+            if t is not None:
+                object.__setattr__(self, name, _as_matrix(t, name))
 
 
 @dataclass(frozen=True)
@@ -89,8 +135,8 @@ def _resolve_stepsize(spec: GsdSpec, cfg: SolveConfig) -> float:
     return float(cfg.stepsize)
 
 
-def _trace_value(spec, h, x, ops) -> float:
-    val = objective(spec, h, x, ops)
+def _trace_value(spec, h, x, lap_h) -> float:
+    val = _objective_value(spec, h, x, lap_h)
     return float("inf") if val is INFEASIBLE else float(val)
 
 
@@ -130,6 +176,69 @@ def prox_row_l21(v: np.ndarray, x_anchor: np.ndarray, beta: float) -> np.ndarray
     return row_shrink(v, x_anchor, (1.0 - beta) / (2.0 * beta))
 
 
+def _layer_step(
+    layer: LayerParams, h: np.ndarray, x: np.ndarray, lap_h: np.ndarray | None
+) -> np.ndarray:
+    """One unrolled layer, which is one solver iteration: a gradient step on
+    the smooth part at H, given lap_h = (I - A_hat) H, then the layer's prox."""
+    v = h - layer.eta * _smooth_grad(
+        h, x, lap_h, layer.alpha, layer.beta, layer.t_alpha, layer.t_beta, layer.ridge
+    )
+    if isinstance(layer.prox, NonNegIndicator):
+        return prox_nonneg(v)
+    if isinstance(layer.prox, RowL21):
+        return row_shrink(v, x, layer.eta * layer.prox.weight)
+    return v
+
+
+def _descend(
+    spec: GsdSpec,
+    x: np.ndarray,
+    h0: np.ndarray,
+    ops: NormalizedOperators,
+    cfg: SolveConfig,
+) -> SolveReport:
+    """Repeat the spec's layer from h0 until the objective plateaus or diverges."""
+    reg = spec.regularizer
+    layer = LayerParams(
+        eta=_resolve_stepsize(spec, cfg),
+        alpha=spec.alpha,
+        beta=spec.beta,
+        t_alpha=spec.t_alpha,
+        t_beta=spec.t_beta,
+        ridge=spec.beta if isinstance(reg, RidgeComplement) else 0.0,
+        prox=reg if isinstance(reg, (NonNegIndicator, RowL21)) else None,
+    )
+    h = np.array(h0, dtype=np.float64, copy=True)
+    x = np.asarray(x, dtype=np.float64)
+    _check_signal(spec, h, x)
+    lap_h = _laplacian(h, ops, spec.beta)
+    trace = [_trace_value(spec, h, x, lap_h)]
+    traj = [h.copy()] if cfg.capture_trajectory else None
+    converged = False
+    it = 0
+    for it in range(1, cfg.max_iters + 1):
+        h = _layer_step(layer, h, x, lap_h)
+        lap_h = _laplacian(h, ops, spec.beta)  # for this trace entry and the next step
+        f = _trace_value(spec, h, x, lap_h)
+        trace.append(f)
+        if traj is not None:
+            traj.append(h.copy())
+        if not math.isfinite(f):
+            break  # diverged (an inf trace[0], from an infeasible h0, is not)
+        prev = trace[-2]
+        if math.isfinite(prev) and abs(f - prev) <= cfg.rel_tol * max(1.0, abs(prev)):
+            converged = True
+            break
+    return SolveReport(
+        final=h,
+        objective_trace=trace,
+        iterations_used=it,
+        converged=converged,
+        trajectory=traj,
+    )
+
+
 def gd_run(
     spec: GsdSpec,
     x: np.ndarray,
@@ -140,31 +249,7 @@ def gd_run(
     """Plain gradient descent; requires a smooth objective."""
     if isinstance(spec.regularizer, (NonNegIndicator, RowL21)):
         raise ValueError("spec has a nonsmooth regularizer; use proxgd_run")
-    eta = _resolve_stepsize(spec, cfg)
-    h = np.array(h0, dtype=np.float64, copy=True)
-    trace = [_trace_value(spec, h, x, ops)]
-    traj = [h.copy()] if cfg.capture_trajectory else None
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        h = h - eta * gradient_smooth(spec, h, x, ops)
-        f = _trace_value(spec, h, x, ops)
-        trace.append(f)
-        if traj is not None:
-            traj.append(h.copy())
-        if not math.isfinite(f):
-            break  # diverged (an inf trace[0], from an infeasible h0, is not)
-        prev = trace[-2]
-        if math.isfinite(prev) and abs(f - prev) <= cfg.rel_tol * max(1.0, abs(prev)):
-            converged = True
-            break
-    return SolveReport(
-        final=h,
-        objective_trace=trace,
-        iterations_used=it,
-        converged=converged,
-        trajectory=traj,
-    )
+    return _descend(spec, x, h0, ops, cfg)
 
 
 def proxgd_run(
@@ -175,35 +260,6 @@ def proxgd_run(
     cfg: SolveConfig,
 ) -> SolveReport:
     """Proximal gradient descent for indicator or row-l21 regularizers."""
-    reg = spec.regularizer
-    if not isinstance(reg, (NonNegIndicator, RowL21)):
+    if not isinstance(spec.regularizer, (NonNegIndicator, RowL21)):
         raise ValueError("spec has no nonsmooth regularizer; use gd_run")
-    eta = _resolve_stepsize(spec, cfg)
-    h = np.array(h0, dtype=np.float64, copy=True)
-    trace = [_trace_value(spec, h, x, ops)]
-    traj = [h.copy()] if cfg.capture_trajectory else None
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        v = h - eta * gradient_smooth(spec, h, x, ops)
-        if isinstance(reg, NonNegIndicator):
-            h = prox_nonneg(v)
-        else:
-            h = row_shrink(v, x, eta * reg.weight)
-        f = _trace_value(spec, h, x, ops)
-        trace.append(f)
-        if traj is not None:
-            traj.append(h.copy())
-        if not math.isfinite(f):
-            break  # diverged (an inf trace[0], from an infeasible h0, is not)
-        prev = trace[-2]
-        if math.isfinite(prev) and abs(f - prev) <= cfg.rel_tol * max(1.0, abs(prev)):
-            converged = True
-            break
-    return SolveReport(
-        final=h,
-        objective_trace=trace,
-        iterations_used=it,
-        converged=converged,
-        trajectory=traj,
-    )
+    return _descend(spec, x, h0, ops, cfg)

@@ -12,6 +12,11 @@ initial-residual scheme (the two-mixing-scalar model below) cancel their
 identity component exactly, since a plain gradient step always carries an
 H(I - ...) passthrough.
 
+A layer is an ``iter_solvers.LayerParams`` and ``run_unrolled`` applies it
+with the same private layer step that ``gd_run`` and ``proxgd_run`` repeat:
+a solver iteration on a GSD objective and an unrolled layer are one
+computation, with one A_hat product each.
+
 Every `to_unroll_plan` builder is checked by `equivalence_check`, which
 compares the scheme's literal forward pass against running the plan. For
 the two schemes whose native weights are products of per-layer matrices
@@ -29,8 +34,8 @@ from typing import Literal, Union
 import numpy as np
 
 from .graph_core import NormalizedOperators, spmm
-from .gsd_problem import closed_form_ppnp
-from .iter_solvers import prox_nonneg, row_shrink
+from .gsd_problem import NonNegIndicator, RowL21, _laplacian, closed_form_ppnp
+from .iter_solvers import LayerParams, _as_matrix, _layer_step, prox_nonneg, row_shrink
 
 __all__ = [
     "Sgc",
@@ -45,8 +50,6 @@ __all__ = [
     "ModelSpec",
     "LayerParams",
     "UnrollPlan",
-    "NonNegProx",
-    "AirGnnRowL21",
     "forward",
     "run_unrolled",
     "to_unroll_plan",
@@ -62,13 +65,6 @@ __all__ = [
 # Power-iteration horizon used when certifying the closed-form solve
 # against its iterative scheme: (1 - gamma)^400 is ~1e-18 at gamma = 0.1.
 PPNP_HORIZON = 400
-
-
-def _as_matrix(w, name: str) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise ValueError(f"{name} must be a matrix, got shape {w.shape}")
-    return w
 
 
 @dataclass(frozen=True)
@@ -253,49 +249,6 @@ MODEL_KINDS = ("sgc", "appnp", "jknet", "gprgnn", "gcn", "gcnii", "airgnn")
 
 
 @dataclass(frozen=True)
-class NonNegProx:
-    pass
-
-
-@dataclass(frozen=True)
-class AirGnnRowL21:
-    """Row shrinkage toward X; the applied threshold is eta * (1 - beta)."""
-
-    beta: float
-
-
-ProxChoice = Union[None, NonNegProx, AirGnnRowL21]
-
-
-@dataclass(frozen=True)
-class LayerParams:
-    """Parameters of one unrolled layer.
-
-    ``t_alpha`` / ``t_beta`` equal to None mean the identity. They are not
-    required to be symmetric: the builders below put raw weight matrices
-    here, and the layer algebra never needs symmetry.
-    """
-
-    eta: float
-    alpha: float
-    beta: float
-    t_alpha: np.ndarray | None = None
-    t_beta: np.ndarray | None = None
-    ridge: float = 0.0
-    prox: ProxChoice = None
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be nonnegative")
-        for name in ("t_alpha", "t_beta"):
-            t = getattr(self, name)
-            if t is not None:
-                object.__setattr__(self, name, _as_matrix(t, name))
-
-
-@dataclass(frozen=True)
 class UnrollPlan:
     layers: tuple[LayerParams, ...]
     h0_policy: Literal["input", "zero"] = "input"
@@ -310,29 +263,12 @@ class UnrollPlan:
             )
 
 
-def _mul(m: np.ndarray, t: np.ndarray | None) -> np.ndarray:
-    return m if t is None else m @ t
-
-
 def run_unrolled(plan: UnrollPlan, ops: NormalizedOperators, x: np.ndarray) -> np.ndarray:
     """Run the unrolled GD/ProxGD layers of a plan on signal x."""
     x = np.asarray(x, dtype=np.float64)
     h = x.copy() if plan.h0_policy == "input" else np.zeros_like(x)
-    for idx, layer in enumerate(plan.layers):
-        grad = np.zeros_like(h)
-        if layer.alpha != 0.0:
-            grad += 2.0 * layer.alpha * _mul(h - x, layer.t_alpha)
-        if layer.beta != 0.0:
-            grad += 2.0 * layer.beta * _mul(h - spmm(ops, h), layer.t_beta)
-        if layer.ridge != 0.0 and layer.t_beta is not None:
-            grad += 2.0 * layer.ridge * (h - h @ layer.t_beta)
-        h = h - layer.eta * grad
-        if isinstance(layer.prox, NonNegProx):
-            h = prox_nonneg(h)
-        elif isinstance(layer.prox, AirGnnRowL21):
-            if h.shape != x.shape:
-                raise ValueError(f"layer {idx}: row shrinkage needs the input width")
-            h = row_shrink(h, x, layer.eta * (1.0 - layer.prox.beta))
+    for layer in plan.layers:
+        h = _layer_step(layer, h, x, _laplacian(h, ops, layer.beta))
     if plan.post_transform is not None:
         h = h @ plan.post_transform
     return h
@@ -540,7 +476,7 @@ def to_unroll_plan(model: ModelSpec) -> UnrollPlan:
 
     if isinstance(model, Gcn):
         layers = tuple(
-            LayerParams(eta=0.5, alpha=0.0, beta=1.0, t_beta=w, ridge=1.0, prox=NonNegProx())
+            LayerParams(eta=0.5, alpha=0.0, beta=1.0, t_beta=w, ridge=1.0, prox=NonNegIndicator())
             for w in model.weights
         )
         return UnrollPlan(layers=layers)
@@ -559,7 +495,7 @@ def to_unroll_plan(model: ModelSpec) -> UnrollPlan:
                     t_alpha=t,
                     t_beta=t,
                     ridge=1.0,
-                    prox=NonNegProx(),
+                    prox=NonNegIndicator(),
                 )
             )
         return UnrollPlan(layers=tuple(layers))
@@ -569,7 +505,7 @@ def to_unroll_plan(model: ModelSpec) -> UnrollPlan:
             eta=1.0 / (2.0 * model.gamma),
             alpha=0.0,
             beta=model.gamma,
-            prox=AirGnnRowL21(beta=model.gamma),
+            prox=RowL21(weight=1.0 - model.gamma),
         )
         return UnrollPlan(layers=(layer,) * model.k)
 

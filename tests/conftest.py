@@ -5,8 +5,12 @@ failures reproduce; hypothesis-driven tests derive graphs from drawn seeds
 through the same helpers.
 """
 
-import numpy as np
+import sys
 
+import numpy as np
+import pytest
+
+from gsdnn import graph_core
 from gsdnn.graph_core import Graph, add_self_loops, normalize
 
 
@@ -32,3 +36,20 @@ def random_symmetric(rng: np.random.Generator, d: int, scale: float = 1.0) -> np
 def random_spd(rng: np.random.Generator, d: int) -> np.ndarray:
     m = rng.standard_normal((d, d))
     return m @ m.T + d * np.eye(d)
+
+
+@pytest.fixture
+def spmm_calls(monkeypatch):
+    """List that gets one entry per A_hat product: spmm is wrapped wherever
+    a gsdnn module bound it."""
+    calls = []
+    real = graph_core.spmm
+
+    def counting(ops, x):
+        calls.append(np.shape(x))
+        return real(ops, x)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("gsdnn") and getattr(mod, "spmm", None) is real:
+            monkeypatch.setattr(mod, "spmm", counting)
+    return calls

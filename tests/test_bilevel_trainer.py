@@ -587,14 +587,6 @@ def test_depth_sweep_shape_and_baseline():
     assert rows[1]["mean_acc"] >= rows[0]["mean_acc"] - 0.05
 
 
-def test_depth_sweep_parallel_matches_sequential():
-    ds = small_sbm(seed=9)
-    cfg = TrainConfig(epochs=40, patience=40)
-    seq = depth_sweep(ds, cfg, ks=(1, 3), n_seeds=2, max_workers=None)
-    par = depth_sweep(ds, cfg, ks=(1, 3), n_seeds=2, max_workers=4)
-    assert seq == par
-
-
 def test_accuracy_empty_mask_rejected():
     with pytest.raises(ValueError, match="no rows"):
         accuracy(np.zeros((3, 2)), np.zeros(3, dtype=np.int64), np.zeros(3, dtype=bool))

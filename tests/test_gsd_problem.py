@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsdnn.gsd_problem import (
+    DENSE_MAX_NODES,
     GsdSpec,
     INFEASIBLE,
     NonNegIndicator,
@@ -181,10 +182,11 @@ class TestClosedFormPpnp:
 
     def test_cg_path_matches_dense(self):
         rng = np.random.default_rng(11)
-        ops = er_ops(rng, 40)
-        x = random_signal(rng, 40, 2)
-        dense = closed_form_ppnp(ops, x, 0.1)
-        via_cg = closed_form_ppnp(ops, x, 0.1, dense_threshold=0)
+        n = DENSE_MAX_NODES + 44  # above the constant: the CG path
+        ops = er_ops(rng, n, p=0.03)
+        x = random_signal(rng, n, 2)
+        via_cg = closed_form_ppnp(ops, x, 0.1)
+        dense = np.linalg.solve(np.eye(n) - 0.9 * ops.a_hat.toarray(), 0.1 * x)
         assert np.max(np.abs(dense - via_cg)) < 1e-9
 
     def test_gamma_out_of_range(self):

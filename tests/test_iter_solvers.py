@@ -215,6 +215,30 @@ class TestProxGdRun:
         assert np.all(np.diff(trace) <= 1e-12)
 
 
+class TestSharedWork:
+    """A solver iteration is one unrolled layer: one A_hat product per
+    iterate, shared by the objective trace and the next gradient."""
+
+    @pytest.mark.parametrize(
+        "reg", [None, RidgeComplement(), NonNegIndicator(), RowL21(weight=0.3)]
+    )
+    def test_one_spmm_per_iterate(self, spmm_calls, reg):
+        rng = np.random.default_rng(21)
+        ops = er_ops(rng, 12)
+        x = random_signal(rng, 12, 2)
+        spec = GsdSpec(
+            alpha=0.5,
+            beta=0.8,
+            t_alpha=random_spd(rng, 2) / 4.0,
+            t_beta=random_symmetric(rng, 2, 0.3) + np.eye(2),
+            regularizer=reg,
+        )
+        run = proxgd_run if isinstance(reg, (NonNegIndicator, RowL21)) else gd_run
+        report = run(spec, x, x, ops, SolveConfig(max_iters=30, rel_tol=1e-12))
+        assert report.iterations_used > 1
+        assert len(spmm_calls) == report.iterations_used + 1
+
+
 class TestDivergence:
     # A 4-cycle at stepsize 10, far above 1/Lambda: every step multiplies
     # the error, and the objective overflows after about a hundred steps.

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import er_ops, random_signal
+from conftest import er_ops, random_signal, random_symmetric
 from gsdnn.graph_core import Graph, add_self_loops, normalize, spmm
-from gsdnn.gsd_problem import GsdSpec, RowL21
-from gsdnn.iter_solvers import SolveConfig, proxgd_run
+from gsdnn.gsd_problem import GsdSpec, NonNegIndicator, RidgeComplement, RowL21
+from gsdnn.iter_solvers import SolveConfig, gd_run, proxgd_run
 from gsdnn.unrolled_gnn import (
     MODEL_KINDS,
     AirGnn,
@@ -136,6 +136,53 @@ def test_sgc_identity_weight_plan_is_two_hop_aggregation():
     plan = to_unroll_plan(Sgc(k=2, w=np.eye(2)))
     a = np.full((2, 2), 0.5)
     np.testing.assert_allclose(run_unrolled(plan, ops, x), a @ a @ x, atol=1e-14)
+
+
+def test_one_spmm_per_layer_with_smoothness_term(spmm_calls):
+    rng = np.random.default_rng(31)
+    ops = er_ops(rng, 15)
+    x = random_signal(rng, 15, 3)
+    smooth = LayerParams(eta=0.5, alpha=0.3, beta=0.7, t_beta=np.eye(3) / 2.0)
+    fidelity_only = LayerParams(eta=0.5, alpha=1.0, beta=0.0)
+    plan = UnrollPlan(layers=(smooth, fidelity_only, smooth, smooth))
+    run_unrolled(plan, ops, x)
+    assert len(spmm_calls) == 3
+    spmm_calls.clear()
+    run_unrolled(to_unroll_plan(Appnp(k=6, gamma=0.2)), ops, x)
+    assert len(spmm_calls) == 6
+
+
+@pytest.mark.parametrize(
+    "reg", [None, RidgeComplement(), NonNegIndicator(), RowL21(weight=0.4)]
+)
+def test_solver_iterations_are_the_plan_layers(reg):
+    # the same layer step: bit-identical, not just close
+    rng = np.random.default_rng(32)
+    ops = er_ops(rng, 20)
+    x = random_signal(rng, 20, 3)
+    spec = GsdSpec(
+        alpha=0.6,
+        beta=0.9,
+        t_alpha=random_symmetric(rng, 3, 0.2) + np.eye(3),
+        t_beta=random_symmetric(rng, 3, 0.2) + 0.5 * np.eye(3),
+        regularizer=reg,
+    )
+    eta = 0.1
+    layer = LayerParams(
+        eta=eta,
+        alpha=spec.alpha,
+        beta=spec.beta,
+        t_alpha=spec.t_alpha,
+        t_beta=spec.t_beta,
+        ridge=spec.beta if isinstance(reg, RidgeComplement) else 0.0,
+        prox=reg if isinstance(reg, (NonNegIndicator, RowL21)) else None,
+    )
+    run = proxgd_run if layer.prox is not None else gd_run
+    report = run(spec, x, x, ops, SolveConfig(max_iters=4, stepsize=eta, rel_tol=0.0))
+    assert report.iterations_used == 4
+    np.testing.assert_array_equal(
+        report.final, run_unrolled(UnrollPlan(layers=(layer,) * 4), ops, x)
+    )
 
 
 def test_gprgnn_inversion_hand_case():
