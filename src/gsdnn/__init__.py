@@ -34,7 +34,6 @@ from .iter_solvers import (
     SolveReport,
     gd_run,
     prox_nonneg,
-    prox_row_l21,
     proxgd_run,
     row_shrink,
 )

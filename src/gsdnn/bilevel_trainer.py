@@ -6,10 +6,16 @@ masked cross-entropy over softmax outputs. Gradients are written out by
 hand: the model is linear in every parameter block, so reverse mode is a
 handful of inner products plus one reverse Horner recursion for the
 optional input projection.
+
+Parameters, gradients and Adam moments share one flat float64 layout
+(``UgdgnnParams.flat``): the undecayed hop coefficients and mixing scalars
+first, then the weight-decayed tail of per-hop weights and projection, so
+one Adam step is one elementwise update over the whole vector.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, replace
@@ -25,7 +31,6 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "PropagationCache",
-    "Grads",
     "AdamState",
     "softmax_rows",
     "cross_entropy_masked",
@@ -79,9 +84,21 @@ class Dataset:
         return int(self.labels.max()) + 1
 
 
+_BLOCKS = ("flat", "gammas", "zetas", "xis", "w", "pre_w", "pre_b")
+
+
 @dataclass
 class UgdgnnParams:
     """Learnable state: hop coefficients, mixing scalars, per-hop weights.
+
+    Everything lives in one float64 vector ``flat``; each named block is a
+    view into it, in this order: ``gammas``, ``zetas``, ``xis`` (K+1 each),
+    the stacked per-hop weights ``w`` of shape (K+1, c, c), then the
+    optional input projection ``pre_w`` (d_in x c) and ``pre_b`` (c). The
+    blocks after the first 3(K+1) entries, ``flat[decay_start:]``, are the
+    weight-decayed ones. Gradients (``zeros_like``) and Adam moments use
+    the same layout. Write through a view (``params.gammas[:] = ...``);
+    rebinding a block name raises rather than detaching it from ``flat``.
 
     ``pre_w``/``pre_b`` form an optional linear input projection; it must
     land on the class dimension because the identity mixing branch adds
@@ -92,40 +109,75 @@ class UgdgnnParams:
     gammas: np.ndarray
     zetas: np.ndarray
     xis: np.ndarray
-    w: list[np.ndarray]
+    w: Sequence[np.ndarray]
     pre_w: np.ndarray | None = None
     pre_b: np.ndarray | None = None
     tie_xi: bool = True
     cache_tag: int = 0
 
     def __post_init__(self):
-        self.gammas = np.asarray(self.gammas, dtype=np.float64)
-        self.zetas = np.asarray(self.zetas, dtype=np.float64)
-        self.xis = np.asarray(self.xis, dtype=np.float64)
-        kp1 = self.gammas.shape[0]
-        if not (self.zetas.shape == self.xis.shape == (kp1,)):
+        gammas = np.asarray(self.gammas, dtype=np.float64)
+        zetas = np.asarray(self.zetas, dtype=np.float64)
+        xis = np.asarray(self.xis, dtype=np.float64)
+        kp1 = gammas.shape[0]
+        if not (zetas.shape == xis.shape == (kp1,)):
             raise ValueError("gammas, zetas, xis must share length K+1")
-        self.w = [np.asarray(w, dtype=np.float64) for w in self.w]
-        if len(self.w) != kp1:
-            raise ValueError(f"need {kp1} weight matrices, got {len(self.w)}")
-        c = self.w[0].shape[1]
-        for i, w in enumerate(self.w):
-            if w.shape != (c, c):
+        w = [np.asarray(wk, dtype=np.float64) for wk in self.w]
+        if len(w) != kp1:
+            raise ValueError(f"need {kp1} weight matrices, got {len(w)}")
+        c = w[0].shape[1]
+        for i, wk in enumerate(w):
+            if wk.shape != (c, c):
                 raise ValueError(
-                    f"w[{i}] must be {c}x{c} (identity branch forces square), got {w.shape}"
+                    f"w[{i}] must be {c}x{c} (identity branch forces square), got {wk.shape}"
                 )
+        blocks = [gammas, zetas, xis, *w]
+        d_in = None
         if self.pre_w is not None:
-            self.pre_w = np.asarray(self.pre_w, dtype=np.float64)
-            if self.pre_w.shape[1] != c:
+            pre_w = np.asarray(self.pre_w, dtype=np.float64)
+            if pre_w.shape[1] != c:
                 raise ValueError(
-                    f"projection must map onto the class width {c}, "
-                    f"got {self.pre_w.shape}"
+                    f"projection must map onto the class width {c}, got {pre_w.shape}"
                 )
-            if self.pre_b is None:
-                self.pre_b = np.zeros(c)
-            self.pre_b = np.asarray(self.pre_b, dtype=np.float64)
-            if self.pre_b.shape != (c,):
+            pre_b = np.zeros(c) if self.pre_b is None else self.pre_b
+            pre_b = np.asarray(pre_b, dtype=np.float64)
+            if pre_b.shape != (c,):
                 raise ValueError("projection bias width mismatch")
+            d_in = pre_w.shape[0]
+            blocks += [pre_w, pre_b]
+        self._bind(np.concatenate([blk.ravel() for blk in blocks]), kp1, c, d_in)
+
+    def _bind(self, flat: np.ndarray, kp1: int, c: int, d_in: int | None) -> None:
+        """Point every block name at its slice of ``flat``."""
+        gammas, zetas, xis = flat[: 3 * kp1].reshape(3, kp1)
+        end = 3 * kp1 + kp1 * c * c
+        pre_w = pre_b = None
+        if d_in is not None:
+            pre_w = flat[end : end + d_in * c].reshape(d_in, c)
+            pre_b = flat[end + d_in * c :]
+        self.__dict__.update(
+            flat=flat, gammas=gammas, zetas=zetas, xis=xis,
+            w=flat[3 * kp1 : end].reshape(kp1, c, c), pre_w=pre_w, pre_b=pre_b,
+        )
+
+    def __setattr__(self, name, value):
+        if name in _BLOCKS and "flat" in self.__dict__:
+            raise AttributeError(
+                f"{name} is a view into flat; write through it ({name}[:] = ...)"
+            )
+        super().__setattr__(name, value)
+
+    def zeros_like(self) -> "UgdgnnParams":
+        """A zero-filled instance with this layout: the shape of a gradient."""
+        new = copy.copy(self)
+        d_in = None if self.pre_w is None else self.pre_w.shape[0]
+        new._bind(np.zeros_like(self.flat), self.k + 1, self.w.shape[1], d_in)
+        return new
+
+    @property
+    def decay_start(self) -> int:
+        """Offset of the weight-decayed tail (w, pre_w, pre_b) in ``flat``."""
+        return 3 * (self.k + 1)
 
     @property
     def k(self) -> int:
@@ -298,20 +350,12 @@ def forward_logits(
     return logits, cache
 
 
-@dataclass
-class Grads:
-    gammas: np.ndarray
-    zetas: np.ndarray
-    xis: np.ndarray
-    w: list[np.ndarray]
-    pre_w: np.ndarray | None = None
-    pre_b: np.ndarray | None = None
-
-
 def backward(
     params: UgdgnnParams, cache: PropagationCache, grad_logits: np.ndarray
-) -> Grads:
+) -> UgdgnnParams:
     """Hand-written reverse mode through the hop-sum forward pass.
+
+    The gradient comes back as a ``UgdgnnParams`` with the same flat layout.
 
     With G the logit gradient and P_k the cached powers:
       dW_k    = gamma_k xi_k P_k^T G
@@ -324,27 +368,20 @@ def backward(
     if cache.tag != params.cache_tag:
         raise ValueError("cache is stale: projection changed since it was built")
     g = np.asarray(grad_logits, dtype=np.float64)
-    kp1 = params.k + 1
     xis = params.effective_xis()
-    d_gam = np.zeros(kp1)
-    d_zeta = np.zeros(kp1)
-    d_xi = np.zeros(kp1)
-    d_w = []
-    for k in range(kp1):
+    grads = params.zeros_like()
+    for k in range(params.k + 1):
         pk = cache.p[k]
         pg = float(np.sum(pk * g))
         pwg = float(np.sum((pk @ params.w[k]) * g))
         if xis[k] != 0.0:
-            d_w.append(params.gammas[k] * xis[k] * (pk.T @ g))
-        else:
-            d_w.append(np.zeros_like(params.w[k]))
-        d_gam[k] = params.zetas[k] * pg + xis[k] * pwg
+            grads.w[k] = params.gammas[k] * xis[k] * (pk.T @ g)
+        grads.gammas[k] = params.zetas[k] * pg + xis[k] * pwg
         if params.tie_xi:
-            d_zeta[k] = params.gammas[k] * (pg - pwg)
+            grads.zetas[k] = params.gammas[k] * (pg - pwg)
         else:
-            d_zeta[k] = params.gammas[k] * pg
-            d_xi[k] = params.gammas[k] * pwg
-    grads = Grads(gammas=d_gam, zetas=d_zeta, xis=d_xi, w=d_w)
+            grads.zetas[k] = params.gammas[k] * pg
+            grads.xis[k] = params.gammas[k] * pwg
     if params.pre_w is not None:
         # S = sum_k gamma_k A_hat^k (G M_k^T) by reverse Horner, using that
         # A_hat is symmetric; then the projection gradients are X^T S and
@@ -357,8 +394,8 @@ def backward(
             if xis[k] != 0.0:
                 mk_t_g = mk_t_g + xis[k] * (g @ params.w[k].T)
             s = s + params.gammas[k] * mk_t_g
-        grads.pre_w = cache.x_raw.T @ s
-        grads.pre_b = s.sum(axis=0)
+        grads.pre_w[:] = cache.x_raw.T @ s
+        grads.pre_b[:] = s.sum(axis=0)
     return grads
 
 
@@ -399,68 +436,40 @@ def adam_update(
     return param - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
 
 
-def _leaves(params: UgdgnnParams) -> list[tuple[str, bool]]:
-    """(leaf name, weight-decay applies) in a fixed order."""
-    names: list[tuple[str, bool]] = [("gammas", False), ("zetas", False)]
-    if not params.tie_xi:
-        names.append(("xis", False))
-    for i in range(len(params.w)):
-        names.append((f"w{i}", True))
-    if params.pre_w is not None:
-        names.append(("pre_w", True))
-        names.append(("pre_b", True))
-    return names
-
-
-def _get_leaf(obj, name: str) -> np.ndarray:
-    if name.startswith("w") and name[1:].isdigit():
-        return obj.w[int(name[1:])]
-    return getattr(obj, name)
-
-
-def _set_leaf(params: UgdgnnParams, name: str, value: np.ndarray) -> None:
-    if name.startswith("w") and name[1:].isdigit():
-        params.w[int(name[1:])] = value
-    else:
-        setattr(params, name, value)
-
-
 @dataclass
 class AdamState:
+    """Step count and the two moment vectors, laid out like ``params.flat``."""
+
     t: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
     def init(cls, params: UgdgnnParams) -> "AdamState":
-        m = {name: np.zeros_like(_get_leaf(params, name)) for name, _ in _leaves(params)}
-        v = {name: np.zeros_like(arr) for name, arr in m.items()}
-        return cls(t=0, m=m, v=v)
+        return cls(t=0, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def adam_step(
     params: UgdgnnParams,
-    grads: Grads,
+    grads: UgdgnnParams,
     state: AdamState,
     lr: float,
     weight_decay: float,
 ) -> None:
-    """Update every parameter leaf in place; decay touches weights only.
+    """One Adam update of ``params.flat`` in place; decay touches the tail only.
 
     The hop coefficients and mixing scalars stay undecayed: they are
     filter coefficients, and pulling them toward zero would bias the
     learned filter rather than regularize capacity.
     """
     state.t += 1
-    for name, decays in _leaves(params):
-        p = _get_leaf(params, name)
-        g = _get_leaf(grads, name)
-        if decays and weight_decay != 0.0:
-            g = g + weight_decay * p
-        new_p, state.m[name], state.v[name] = adam_update(
-            p, g, state.m[name], state.v[name], state.t, lr
-        )
-        _set_leaf(params, name, new_p)
+    g = grads.flat
+    if weight_decay != 0.0:
+        tail = slice(params.decay_start, None)
+        g = g.copy()
+        g[tail] += weight_decay * params.flat[tail]
+    new_flat, state.m, state.v = adam_update(params.flat, g, state.m, state.v, state.t, lr)
+    params.flat[:] = new_flat
     if params.pre_w is not None:
         params.cache_tag += 1
 

@@ -47,7 +47,6 @@ __all__ = [
     "gd_run",
     "proxgd_run",
     "prox_nonneg",
-    "prox_row_l21",
     "row_shrink",
 ]
 
@@ -162,18 +161,6 @@ def row_shrink(v: np.ndarray, anchor: np.ndarray, threshold: float) -> np.ndarra
     active = norms > 0.0
     factor[active] = np.maximum(0.0, 1.0 - threshold / norms[active])
     return anchor + factor[:, None] * resid
-
-
-def prox_row_l21(v: np.ndarray, x_anchor: np.ndarray, beta: float) -> np.ndarray:
-    """Row-wise shrinkage toward the anchor with threshold (1-beta)/(2 beta).
-
-    This is the proximal map arising from one smoothing step of the
-    row-sparse objective at stepsize 1/(2 beta); equivalently it solves
-    min_y (1-beta) ||y - x_i|| + beta ||y - v_i||^2 per row.
-    """
-    if not (0.0 < beta < 1.0):
-        raise ValueError("beta must lie strictly between 0 and 1")
-    return row_shrink(v, x_anchor, (1.0 - beta) / (2.0 * beta))
 
 
 def _layer_step(

@@ -32,7 +32,7 @@ from gsdnn.gsd_problem import (
     gradient_smooth,
     objective,
 )
-from gsdnn.iter_solvers import SolveConfig, gd_run, prox_row_l21, proxgd_run
+from gsdnn.iter_solvers import SolveConfig, gd_run, proxgd_run, row_shrink
 from gsdnn.spectral_filters import (
     appnp_exact_expansion,
     apply_polynomial_filter,
@@ -214,9 +214,9 @@ def _trainer_fd_worst(seed: int, tie: bool, with_pre: bool, h_step=1e-6) -> floa
     labels[:c] = np.arange(c)
     mask = np.array([True, True, True, False, True])
     params = UgdgnnParams.init(rng, k=2, d_in=d_in, num_classes=c, alpha0=0.3, tie_xi=tie)
-    params.gammas = rng.uniform(-0.5, 1.0, size=3)
-    params.zetas = rng.uniform(0.2, 0.8, size=3)
-    params.xis = rng.uniform(0.1, 0.9, size=3)
+    params.gammas[:] = rng.uniform(-0.5, 1.0, size=3)
+    params.zetas[:] = rng.uniform(0.2, 0.8, size=3)
+    params.xis[:] = rng.uniform(0.1, 0.9, size=3)
     logits, cache = trainer_forward(params, ops, x)
     _, glog = cross_entropy_masked(softmax_rows(logits), labels, mask)
     grads = backward(params, cache, glog)
@@ -331,7 +331,7 @@ def test_criterion_6_solver_properties():
             f, best, method="Nelder-Mead",
             options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000},
         )
-        got = prox_row_l21(v, x, beta)[0]
+        got = row_shrink(v, x, (1 - beta) / (2 * beta))[0]
         worst_prox = max(worst_prox, float(np.linalg.norm(got - refined.x)))
     assert worst_prox < 1e-6
 

@@ -10,7 +10,6 @@ from gsdnn import bilevel_trainer
 from gsdnn.bilevel_trainer import (
     AdamState,
     Dataset,
-    Grads,
     TrainConfig,
     UgdgnnParams,
     _split_masks,
@@ -28,6 +27,7 @@ from gsdnn.bilevel_trainer import (
     train,
 )
 from gsdnn.graph_core import spmm
+from gsdnn.unrolled_gnn import Ugdgnn, forward
 
 # mpmath-computed at 50 digits: softmax of [1.5, -0.25, 0, 2.125]
 SOFTMAX_ORACLE_ROW = [1.5, -0.25, 0.0, 2.125]
@@ -127,9 +127,9 @@ def test_prediction_tie_breaks_to_lowest_class():
 
 def make_params(rng, k, d_in, c, tie_xi=True):
     params = UgdgnnParams.init(rng, k, d_in, c, alpha0=0.3, tie_xi=tie_xi)
-    params.gammas = rng.uniform(-0.5, 1.0, size=k + 1)
-    params.zetas = rng.uniform(0.2, 0.8, size=k + 1)
-    params.xis = rng.uniform(0.1, 0.9, size=k + 1)
+    params.gammas[:] = rng.uniform(-0.5, 1.0, size=k + 1)
+    params.zetas[:] = rng.uniform(0.2, 0.8, size=k + 1)
+    params.xis[:] = rng.uniform(0.1, 0.9, size=k + 1)
     return params
 
 
@@ -153,7 +153,7 @@ def test_forward_tied_identity_mixing_is_hop_sum():
     ops = er_ops(rng, 9)
     x = rng.standard_normal((9, 2))
     params = UgdgnnParams.init(rng, k=3, d_in=2, num_classes=2, alpha0=0.2)
-    params.gammas = rng.uniform(-1, 1, size=4)
+    params.gammas[:] = rng.uniform(-1, 1, size=4)
     logits, _ = forward_logits(params, ops, x)
     expected = np.zeros_like(x)
     p = x
@@ -181,6 +181,39 @@ def test_forward_matches_bruteforce_recomputation():
         assert float(np.max(np.abs(logits - brute))) < 1e-12
 
 
+@pytest.mark.parametrize("tie", [True, False])
+def test_forward_matches_literal_ugdgnn_oracle(tie):
+    # the trainer's model is the paper's general unrolled form: the literal
+    # left-to-right evaluation of UGDGNN gives the same logits
+    rng = np.random.default_rng(19)
+    ops = er_ops(rng, 9)
+    x = rng.standard_normal((9, 3))
+    params = make_params(rng, k=4, d_in=3, c=3, tie_xi=tie)
+    logits, _ = forward_logits(params, ops, x)
+    model = Ugdgnn(params.gammas, params.zetas, params.xis, tuple(params.w), tie_xi=tie)
+    assert float(np.max(np.abs(logits - forward(model, ops, x)))) <= 1e-12
+
+
+def test_blocks_are_views_into_one_flat_vector():
+    rng = np.random.default_rng(20)
+    params = UgdgnnParams.init(rng, k=2, d_in=4, num_classes=3, alpha0=0.3, tie_xi=False)
+    blocks = [params.gammas, params.zetas, params.xis, params.w, params.pre_w, params.pre_b]
+    assert [b.shape for b in blocks] == [(3,), (3,), (3,), (3, 3, 3), (4, 3), (3,)]
+    np.testing.assert_array_equal(params.flat, np.concatenate([b.ravel() for b in blocks]))
+    assert all(np.shares_memory(b, params.flat) for b in blocks)
+    assert params.decay_start == 9
+    grads = params.zeros_like()
+    assert grads.flat.shape == params.flat.shape and not grads.flat.any()
+    assert grads.pre_w.shape == (4, 3) and grads.tie_xi is False
+    before = params.flat.copy()
+    for name in ("flat", "gammas", "zetas", "xis", "w", "pre_w", "pre_b"):
+        with pytest.raises(AttributeError, match="view into flat"):
+            setattr(params, name, getattr(params, name).copy())
+    np.testing.assert_array_equal(params.flat, before)
+    params.gammas[:] = 2.0
+    assert np.all(params.flat[:3] == 2.0)
+
+
 def test_projection_must_land_on_class_width():
     rng = np.random.default_rng(6)
     with pytest.raises(ValueError, match="class width"):
@@ -205,6 +238,22 @@ def test_cache_reuse_and_rebuild():
     params.cache_tag += 1
     _, cache3 = forward_logits(params, ops, x, cache)
     assert cache3 is not cache
+
+
+def test_propagation_is_built_once_without_projection(spmm_calls):
+    # d = c: no projection, so the K propagated powers survive every epoch
+    ds = small_sbm()
+    train(ds, TrainConfig(k=3, epochs=40, patience=40))
+    assert len(spmm_calls) == 3
+
+
+def test_projection_rebuilds_powers_once_per_epoch(spmm_calls):
+    # each epoch: K products to rebuild the powers after the projection
+    # moved, K more in the backward reverse Horner recursion
+    ds = sbm_generate(n=140, blocks=2, p_in=0.15, p_out=0.01, d=5, noise_sigma=1.0, seed=0)
+    rep = train(ds, TrainConfig(k=3, epochs=40, patience=40))
+    assert len(rep.train_losses) == 40
+    assert len(spmm_calls) == 2 * 3 * 40
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +351,7 @@ def test_restricted_hop_coefficient_gradients():
     labels[:2] = [0, 1]
     mask = np.ones(7, dtype=bool)
     params = UgdgnnParams.init(rng, k=3, d_in=2, num_classes=2, alpha0=0.2)
-    params.w = [np.zeros((2, 2)) for _ in range(4)]
+    params.w[:] = 0.0
     logits, cache = forward_logits(params, ops, x)
     _, glog = cross_entropy_masked(softmax_rows(logits), labels, mask)
     grads = backward(params, cache, glog)
@@ -329,13 +378,7 @@ def test_adam_zero_gradient_leaves_params_unchanged():
     params = UgdgnnParams.init(rng, k=1, d_in=2, num_classes=2, alpha0=0.2)
     before = [params.gammas.copy(), params.zetas.copy()] + [w.copy() for w in params.w]
     state = AdamState.init(params)
-    grads = Grads(
-        gammas=np.zeros(2),
-        zetas=np.zeros(2),
-        xis=np.zeros(2),
-        w=[np.zeros((2, 2)), np.zeros((2, 2))],
-    )
-    adam_step(params, grads, state, lr=0.1, weight_decay=0.0)
+    adam_step(params, params.zeros_like(), state, lr=0.1, weight_decay=0.0)
     np.testing.assert_array_equal(params.gammas, before[0])
     np.testing.assert_array_equal(params.zetas, before[1])
     for w, orig in zip(params.w, before[2:]):
@@ -358,12 +401,10 @@ def test_adam_steps_are_deterministic():
         params = UgdgnnParams.init(rng, k=2, d_in=2, num_classes=2, alpha0=0.3)
         state = AdamState.init(params)
         for step in range(5):
-            grads = Grads(
-                gammas=np.full(3, 0.1 * (step + 1)),
-                zetas=np.full(3, -0.2),
-                xis=np.zeros(3),
-                w=[np.full((2, 2), 0.05)] * 3,
-            )
+            grads = params.zeros_like()
+            grads.gammas[:] = 0.1 * (step + 1)
+            grads.zetas[:] = -0.2
+            grads.w[:] = 0.05
             adam_step(params, grads, state, lr=0.01, weight_decay=5e-4)
         return params
 
@@ -380,10 +421,55 @@ def test_adam_decay_applies_to_weights_only():
     gam0 = params.gammas.copy()
     w0 = params.w[0].copy()
     state = AdamState.init(params)
-    zero = Grads(gammas=np.zeros(1), zetas=np.zeros(1), xis=np.zeros(1), w=[np.zeros((2, 2))])
-    adam_step(params, zero, state, lr=0.01, weight_decay=0.1)
+    adam_step(params, params.zeros_like(), state, lr=0.01, weight_decay=0.1)
     np.testing.assert_array_equal(params.gammas, gam0)  # no decay on coefficients
     assert np.any(params.w[0] != w0)  # decay moved the weights
+
+
+def test_flat_adam_step_matches_per_block_reference(monkeypatch):
+    rng = np.random.default_rng(21)
+    params = UgdgnnParams.init(rng, k=2, d_in=4, num_classes=3, alpha0=0.3, tie_xi=False)
+    params.pre_b[:] = rng.uniform(-0.5, 0.5, size=3)
+
+    def named_blocks(p):
+        out = {"gammas": p.gammas, "zetas": p.zetas, "xis": p.xis,
+               "pre_w": p.pre_w, "pre_b": p.pre_b}
+        out.update({f"w{i}": w for i, w in enumerate(p.w)})
+        return out
+
+    # reference: one adam_update per block, decay added to the weights only
+    ref = {name: b.copy() for name, b in named_blocks(params).items()}
+    decays = {name: name not in ("gammas", "zetas", "xis") for name in ref}
+    m = {name: np.zeros_like(p) for name, p in ref.items()}
+    v = {name: np.zeros_like(p) for name, p in ref.items()}
+
+    updates = []
+
+    def counting_update(*args, **kwargs):
+        updates.append(1)
+        return adam_update(*args, **kwargs)
+
+    monkeypatch.setattr(bilevel_trainer, "adam_update", counting_update)
+    state = AdamState.init(params)
+    for t in range(1, 6):
+        grads = params.zeros_like()
+        grads.flat[:] = rng.standard_normal(grads.flat.shape)
+        block_grads = named_blocks(grads)
+        adam_step(params, grads, state, lr=0.01, weight_decay=5e-4)
+        for name, p in ref.items():
+            g = block_grads[name] + 5e-4 * p if decays[name] else block_grads[name]
+            ref[name], m[name], v[name] = adam_update(p, g, m[name], v[name], t, 0.01)
+        assert len(updates) == t
+    got = named_blocks(params)
+    for name, p in ref.items():
+        np.testing.assert_array_equal(got[name], p, err_msg=name)
+
+    # zero gradients: only decay can move a block
+    coeffs = params.flat[: params.decay_start].copy()
+    tail = params.flat[params.decay_start :].copy()
+    adam_step(params, params.zeros_like(), AdamState.init(params), lr=0.01, weight_decay=5e-4)
+    np.testing.assert_array_equal(params.flat[: params.decay_start], coeffs)
+    assert np.all(params.flat[params.decay_start :] != tail)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +615,21 @@ def test_training_is_deterministic():
     a = train(ds, cfg).to_json_dict()
     b = train(ds, cfg).to_json_dict()
     assert a == b
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_feature_dropout_is_seeded_and_skipped_at_evaluation(d):
+    ds = sbm_generate(n=140, blocks=2, p_in=0.15, p_out=0.01, d=d, noise_sigma=1.0, seed=9)
+    cfg = TrainConfig(k=3, epochs=30, patience=30, seed=4, feature_dropout=0.3)
+    a = train(ds, cfg)
+    assert a.to_json_dict() == train(ds, cfg).to_json_dict()
+    # validation accuracy at epoch 0 is that of the initial model on clean
+    # features, while the training loss saw the dropout mask
+    params = UgdgnnParams.init(np.random.default_rng(cfg.seed), cfg.k, d, 2, cfg.alpha0)
+    logits, _ = forward_logits(params, ds.ops, ds.x)
+    assert a.val_accs[0] == accuracy(logits, ds.labels, ds.val_mask)
+    clean_loss = cross_entropy_masked(softmax_rows(logits), ds.labels, ds.train_mask)[0]
+    assert a.train_losses[0] != clean_loss
 
 
 def test_divergence_is_reported_not_raised():

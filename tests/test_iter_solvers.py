@@ -20,8 +20,8 @@ from gsdnn.iter_solvers import (
     SolveReport,
     gd_run,
     prox_nonneg,
-    prox_row_l21,
     proxgd_run,
+    row_shrink,
 )
 
 from conftest import er_ops, random_signal, random_spd, random_symmetric
@@ -123,14 +123,14 @@ class TestProxNonneg:
 class TestProxRowL21:
     def test_zero_residual_returns_anchor(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(prox_row_l21(x.copy(), x, 0.5), x)
+        np.testing.assert_array_equal(row_shrink(x.copy(), x, (1 - 0.5) / (2 * 0.5)), x)
 
     def test_small_residual_fully_shrunk(self):
         # Threshold is (1-beta)/(2 beta) = 0.5 at beta = 0.5; a residual of
         # norm 0.3 sits inside it, so the row collapses onto the anchor.
         x = np.array([[1.0, 1.0]])
         v = x + np.array([[0.3, 0.0]])
-        np.testing.assert_allclose(prox_row_l21(v, x, 0.5), x)
+        np.testing.assert_allclose(row_shrink(v, x, (1 - 0.5) / (2 * 0.5)), x)
 
     def test_matches_numeric_prox_oracle(self):
         # Oracle: brute-force minimization of
@@ -157,15 +157,8 @@ class TestProxRowL21:
                         best, best_val = np.array([a, b]), val
             refined = minimize(f, best, method="Nelder-Mead",
                                options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000})
-            got = prox_row_l21(v, x, beta)[0]
+            got = row_shrink(v, x, (1 - beta) / (2 * beta))[0]
             assert np.linalg.norm(got - refined.x) < 1e-6
-
-    def test_beta_range_enforced(self):
-        x = np.zeros((1, 2))
-        with pytest.raises(ValueError):
-            prox_row_l21(x, x, 0.0)
-        with pytest.raises(ValueError):
-            prox_row_l21(x, x, 1.0)
 
 
 class TestProxGdRun:
@@ -287,8 +280,8 @@ def test_prox_operators_nonexpansive(seed):
     assert np.linalg.norm(prox_nonneg(a) - prox_nonneg(b)) <= np.linalg.norm(a - b) + 1e-12
     anchor = rng.standard_normal((n, d))
     beta = float(rng.uniform(0.05, 0.95))
-    pa = prox_row_l21(a, anchor, beta)
-    pb = prox_row_l21(b, anchor, beta)
+    pa = row_shrink(a, anchor, (1 - beta) / (2 * beta))
+    pb = row_shrink(b, anchor, (1 - beta) / (2 * beta))
     assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
 
