@@ -11,6 +11,13 @@ Parameters, gradients and Adam moments share one flat float64 layout
 (``UgdgnnParams.flat``): the undecayed hop coefficients and mixing scalars
 first, then the weight-decayed tail of per-hop weights and projection, so
 one Adam step is one elementwise update over the whole vector.
+
+A stack of models, one per seed, puts a leading seed axis on that layout:
+``flat`` has shape (S, P) and every named block gains the axis. The forward
+pass, the loss, ``backward`` and ``adam_step`` are written once over that
+axis, and every seed's numbers are bit-identical to a run of that seed
+alone. ``depth_sweep`` trains all seeds of one depth as one stack; without
+a projection or feature dropout they share one set of propagated powers.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 import copy
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -100,6 +107,11 @@ class UgdgnnParams:
     the same layout. Write through a view (``params.gammas[:] = ...``);
     rebinding a block name raises rather than detaching it from ``flat``.
 
+    ``stack`` puts models of one layout on a leading seed axis: ``flat``
+    becomes (S, P) and each view gains the axis (``gammas`` is (S, K+1),
+    ``w`` is (S, K+1, c, c), and so on); ``flat[..., decay_start:]`` is still
+    the decayed tail.
+
     ``pre_w``/``pre_b`` form an optional linear input projection; it must
     land on the class dimension because the identity mixing branch adds
     propagated features straight into the logits. ``cache_tag`` counts
@@ -148,16 +160,18 @@ class UgdgnnParams:
         self._bind(np.concatenate([blk.ravel() for blk in blocks]), kp1, c, d_in)
 
     def _bind(self, flat: np.ndarray, kp1: int, c: int, d_in: int | None) -> None:
-        """Point every block name at its slice of ``flat``."""
-        gammas, zetas, xis = flat[: 3 * kp1].reshape(3, kp1)
+        """Point every block name at its slice of ``flat`` (last axis)."""
+        lead = flat.shape[:-1]
+        coeffs = flat[..., : 3 * kp1].reshape(*lead, 3, kp1)
         end = 3 * kp1 + kp1 * c * c
         pre_w = pre_b = None
         if d_in is not None:
-            pre_w = flat[end : end + d_in * c].reshape(d_in, c)
-            pre_b = flat[end + d_in * c :]
+            pre_w = flat[..., end : end + d_in * c].reshape(*lead, d_in, c)
+            pre_b = flat[..., end + d_in * c :]
         self.__dict__.update(
-            flat=flat, gammas=gammas, zetas=zetas, xis=xis,
-            w=flat[3 * kp1 : end].reshape(kp1, c, c), pre_w=pre_w, pre_b=pre_b,
+            flat=flat, gammas=coeffs[..., 0, :], zetas=coeffs[..., 1, :],
+            xis=coeffs[..., 2, :], w=flat[..., 3 * kp1 : end].reshape(*lead, kp1, c, c),
+            pre_w=pre_w, pre_b=pre_b,
         )
 
     def __setattr__(self, name, value):
@@ -167,12 +181,26 @@ class UgdgnnParams:
             )
         super().__setattr__(name, value)
 
+    def _rebound(self, flat: np.ndarray) -> "UgdgnnParams":
+        """A copy of this instance whose blocks are views into ``flat``."""
+        new = copy.copy(self)
+        d_in = None if self.pre_w is None else self.pre_w.shape[-2]
+        new._bind(flat, self.k + 1, self.w.shape[-1], d_in)
+        return new
+
     def zeros_like(self) -> "UgdgnnParams":
         """A zero-filled instance with this layout: the shape of a gradient."""
-        new = copy.copy(self)
-        d_in = None if self.pre_w is None else self.pre_w.shape[0]
-        new._bind(np.zeros_like(self.flat), self.k + 1, self.w.shape[1], d_in)
-        return new
+        return self._rebound(np.zeros_like(self.flat))
+
+    @classmethod
+    def stack(cls, members: Sequence["UgdgnnParams"]) -> "UgdgnnParams":
+        """Models of one layout on a leading seed axis, in the given order."""
+        layouts = {
+            (m.w.shape, None if m.pre_w is None else m.pre_w.shape, m.tie_xi) for m in members
+        }
+        if len(layouts) != 1:
+            raise ValueError("stacked models must share one layout")
+        return members[0]._rebound(np.stack([m.flat for m in members]))
 
     @property
     def decay_start(self) -> int:
@@ -181,7 +209,7 @@ class UgdgnnParams:
 
     @property
     def k(self) -> int:
-        return self.gammas.shape[0] - 1
+        return self.gammas.shape[-1] - 1
 
     def effective_xis(self) -> np.ndarray:
         return 1.0 - self.zetas if self.tie_xi else self.xis
@@ -281,33 +309,43 @@ class TrainReport:
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _masked_rows(mask: np.ndarray) -> np.ndarray:
+    rows = np.flatnonzero(np.asarray(mask, dtype=bool))
+    if rows.size == 0:
+        raise ValueError("mask selects no rows")
+    return rows
+
+
+def _mean_nll(probs: np.ndarray, labels: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Mean negative log-likelihood over ``rows``, one value per seed."""
+    # a stack's picked entries come back in a transposed layout; summing
+    # them contiguous keeps each seed's sum in the order of a lone seed
+    picked = np.ascontiguousarray(probs[..., rows, labels[rows]])
+    with np.errstate(divide="ignore"):
+        return -np.log(picked).sum(axis=-1) / rows.size
 
 
 def cross_entropy_masked(
     probs: np.ndarray, labels: np.ndarray, mask: np.ndarray
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean negative log-likelihood over masked rows, plus the logit gradient.
 
     The returned gradient is with respect to the logits that produced
     ``probs`` (softmax and loss fused): (probs - onehot) / count on masked
-    rows, zero elsewhere.
+    rows, zero elsewhere. With a leading seed axis on ``probs`` the loss
+    has one entry per seed.
     """
-    mask = np.asarray(mask, dtype=bool)
-    count = int(mask.sum())
-    if count == 0:
-        raise ValueError("mask selects no rows")
-    rows = np.flatnonzero(mask)
-    picked = probs[rows, labels[rows]]
-    with np.errstate(divide="ignore"):
-        loss = float(-np.log(picked).sum() / count)
+    rows = _masked_rows(mask)
     grad = np.zeros_like(probs)
-    grad[rows] = probs[rows]
-    grad[rows, labels[rows]] -= 1.0
-    grad[rows] /= count
-    return loss, grad
+    grad[..., rows, :] = probs[..., rows, :]
+    grad[..., rows, labels[rows]] -= 1.0
+    grad[..., rows, :] /= rows.size
+    return _mean_nll(probs, labels, rows), grad
 
 
 # ---------------------------------------------------------------------------
@@ -316,18 +354,56 @@ def cross_entropy_masked(
 
 @dataclass
 class PropagationCache:
-    p: list[np.ndarray]  # P_k = A_hat^k x', k = 0..K
+    # P_k = A_hat^k x' stacked on a hop axis: (K+1, n, c) when every seed
+    # shares the powers, (S, K+1, n, c) when each seed has its own
+    p: np.ndarray
     x_raw: np.ndarray
     ops: NormalizedOperators
     tag: int
 
+    def take(self, seeds: np.ndarray) -> "PropagationCache":
+        """The cache of a smaller stack; arrays shared by every seed stay shared."""
+        p = self.p[seeds] if self.p.ndim == 4 else self.p
+        x_raw = self.x_raw[seeds] if self.x_raw.ndim == 3 else self.x_raw
+        return replace(self, p=p, x_raw=x_raw)
+
+
+def _propagate(ops: NormalizedOperators, x: np.ndarray) -> np.ndarray:
+    """A_hat times x, or times each seed's block of a stack in one spmm."""
+    if x.ndim == 2:
+        return spmm(ops, x)
+    # the blocks sit side by side as columns; each column of a sparse
+    # product is summed in the same order whatever the column count
+    s, n, c = x.shape
+    out = spmm(ops, x.transpose(1, 0, 2).reshape(n, s * c))
+    return np.ascontiguousarray(out.reshape(n, s, c).transpose(1, 0, 2))
+
 
 def _build_cache(params: UgdgnnParams, ops: NormalizedOperators, x: np.ndarray) -> PropagationCache:
-    xp = x if params.pre_w is None else x @ params.pre_w + params.pre_b
+    xp = x if params.pre_w is None else x @ params.pre_w + params.pre_b[..., None, :]
     p = [xp]
     for _ in range(params.k):
-        p.append(spmm(ops, p[-1]))
-    return PropagationCache(p=p, x_raw=x, ops=ops, tag=params.cache_tag)
+        p.append(_propagate(ops, p[-1]))
+    return PropagationCache(p=np.stack(p, axis=-3), x_raw=x, ops=ops, tag=params.cache_tag)
+
+
+# The hop axis is handled whole: every (n, c) block is multiplied, reduced
+# and summed over hops in the order of a loop over k, so results are
+# bit-identical to one seed and one hop at a time.
+
+
+def _blocks(a: np.ndarray) -> np.ndarray:
+    """Per-hop coefficients (..., K+1) shaped to scale (..., K+1, n, c) blocks."""
+    return a[..., None, None]
+
+
+def _gate(on: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """``term`` where a hop's weight branch is on (xi_k != 0), exactly 0 elsewhere.
+
+    A lone seed skips the branch where xi_k == 0; zeroing the product before
+    it is scaled keeps that hop exact even where the product overflows.
+    """
+    return term if on.all() else np.where(_blocks(on), term, 0.0)
 
 
 def forward_logits(
@@ -336,18 +412,23 @@ def forward_logits(
     x: np.ndarray,
     cache: PropagationCache | None = None,
 ) -> tuple[np.ndarray, PropagationCache]:
-    """Hop-sum logits; rebuilds the propagated powers if the cache is stale."""
+    """Hop-sum logits; rebuilds the propagated powers if the cache is stale.
+
+    A stack of S seeds gives (S, n, c) logits; ``x`` is shared (n, d) or
+    per seed (S, n, d).
+    """
     if cache is None or cache.tag != params.cache_tag or cache.x_raw is not x:
         cache = _build_cache(params, ops, x)
     xis = params.effective_xis()
-    logits = np.zeros_like(cache.p[0])
-    for k in range(params.k + 1):
-        pk = cache.p[k]
-        term = params.zetas[k] * pk
-        if xis[k] != 0.0:
-            term = term + xis[k] * (pk @ params.w[k])
-        logits += params.gammas[k] * term
-    return logits, cache
+    on = xis != 0.0
+    # in-place updates keep few (K+1)-block temporaries alive at once
+    terms = _blocks(params.zetas) * cache.p
+    if on.any():
+        branch = _gate(on, cache.p @ params.w)
+        branch *= _blocks(xis)
+        terms += branch
+    terms *= _blocks(params.gammas)
+    return terms.sum(axis=-3), cache
 
 
 def backward(
@@ -355,7 +436,8 @@ def backward(
 ) -> UgdgnnParams:
     """Hand-written reverse mode through the hop-sum forward pass.
 
-    The gradient comes back as a ``UgdgnnParams`` with the same flat layout.
+    The gradient comes back as a ``UgdgnnParams`` with the same flat layout
+    (seed axis included).
 
     With G the logit gradient and P_k the cached powers:
       dW_k    = gamma_k xi_k P_k^T G
@@ -368,48 +450,57 @@ def backward(
     if cache.tag != params.cache_tag:
         raise ValueError("cache is stale: projection changed since it was built")
     g = np.asarray(grad_logits, dtype=np.float64)
+    g_hops = g[..., None, :, :]  # the same G against every hop
+    p = cache.p
+    gammas, zetas = params.gammas, params.zetas
     xis = params.effective_xis()
+    on = xis != 0.0
     grads = params.zeros_like()
-    for k in range(params.k + 1):
-        pk = cache.p[k]
-        pg = float(np.sum(pk * g))
-        pwg = float(np.sum((pk @ params.w[k]) * g))
-        if xis[k] != 0.0:
-            grads.w[k] = params.gammas[k] * xis[k] * (pk.T @ g)
-        grads.gammas[k] = params.zetas[k] * pg + xis[k] * pwg
-        if params.tie_xi:
-            grads.zetas[k] = params.gammas[k] * (pg - pwg)
-        else:
-            grads.zetas[k] = params.gammas[k] * pg
-            grads.xis[k] = params.gammas[k] * pwg
+    pg = (p * g_hops).sum(axis=(-2, -1))
+    pw_g = p @ params.w
+    pw_g *= g_hops
+    pwg = pw_g.sum(axis=(-2, -1))
+    if on.any():
+        gx = _blocks(gammas) * _blocks(xis)
+        grads.w[:] = gx * _gate(on, np.swapaxes(p, -1, -2) @ g_hops)
+    grads.gammas[:] = zetas * pg + xis * pwg
+    if params.tie_xi:
+        grads.zetas[:] = gammas * (pg - pwg)
+    else:
+        grads.zetas[:] = gammas * pg
+        grads.xis[:] = gammas * pwg
     if params.pre_w is not None:
         # S = sum_k gamma_k A_hat^k (G M_k^T) by reverse Horner, using that
         # A_hat is symmetric; then the projection gradients are X^T S and
         # the column sums of S.
+        hop_terms = _blocks(zetas) * g_hops  # becomes gamma_k G M_k^T
+        if on.any():
+            branch = _gate(on, g_hops @ np.swapaxes(params.w, -1, -2))
+            branch *= _blocks(xis)
+            hop_terms += branch
+        hop_terms *= _blocks(gammas)
         s = np.zeros_like(g)
         for k in range(params.k, -1, -1):
             if k < params.k:
-                s = spmm(cache.ops, s)
-            mk_t_g = params.zetas[k] * g
-            if xis[k] != 0.0:
-                mk_t_g = mk_t_g + xis[k] * (g @ params.w[k].T)
-            s = s + params.gammas[k] * mk_t_g
-        grads.pre_w[:] = cache.x_raw.T @ s
-        grads.pre_b[:] = s.sum(axis=0)
+                s = _propagate(cache.ops, s)
+            s = s + hop_terms[..., k, :, :]
+        grads.pre_w[:] = np.swapaxes(cache.x_raw, -1, -2) @ s
+        grads.pre_b[:] = s.sum(axis=-2)
     return grads
 
 
 def predict(logits: np.ndarray) -> np.ndarray:
     """Class prediction; ties break toward the lowest class index."""
-    return np.argmax(logits, axis=1)
+    return np.argmax(logits, axis=-1)
 
 
-def accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
+def accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float | np.ndarray:
+    """Fraction of masked rows predicted right; one value per seed of a stack."""
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ValueError("mask selects no rows")
-    pred = predict(logits[mask])
-    return float(np.mean(pred == labels[mask]))
+    pred = predict(logits[..., mask, :])
+    return np.mean(pred == labels[mask], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +549,8 @@ def adam_step(
 ) -> None:
     """One Adam update of ``params.flat`` in place; decay touches the tail only.
 
+    A stack's seeds share the step count and are updated elementwise.
+
     The hop coefficients and mixing scalars stay undecayed: they are
     filter coefficients, and pulling them toward zero would bias the
     learned filter rather than regularize capacity.
@@ -465,7 +558,7 @@ def adam_step(
     state.t += 1
     g = grads.flat
     if weight_decay != 0.0:
-        tail = slice(params.decay_start, None)
+        tail = (..., slice(params.decay_start, None))
         g = g.copy()
         g[tail] += weight_decay * params.flat[tail]
     new_flat, state.m, state.v = adam_update(params.flat, g, state.m, state.v, state.t, lr)
@@ -478,79 +571,128 @@ def adam_step(
 # training
 
 
-def train(ds: Dataset, cfg: TrainConfig) -> TrainReport:
-    """Fit the hop-sum model with Adam and validation-accuracy early stopping.
+@dataclass
+class _SeedRun:
+    """One seed's history and early-stopping state inside a training stack."""
 
-    Initialization follows the restart-style coefficient profile from
-    alpha0, identity mixing (tied), and Glorot weights; the projection is
-    added only when the input width differs from the class count.
+    rng: np.random.Generator
+    train_losses: list[float] = field(default_factory=list)
+    val_accs: list[float] = field(default_factory=list)
+    test_accs: list[float] = field(default_factory=list)
+    best_val: float = -1.0
+    best_val_loss: float = math.inf
+    best_epoch: int = -1
+    best_test: float = 0.0
+    diverged: bool = False
+    report: TrainReport | None = None
+
+    def observe(
+        self, epoch: int, loss: float, val_acc: float, val_loss: float,
+        test_acc: float, patience: int,
+    ) -> bool:
+        """Record one epoch; True when this seed stops training here."""
+        if not math.isfinite(loss):
+            self.diverged = True
+            return True
+        self.train_losses.append(loss)
+        self.val_accs.append(val_acc)
+        self.test_accs.append(test_acc)
+        # the val mask is small, so accuracy plateaus quickly; ties are
+        # broken by validation loss, which keeps improving while the
+        # decision boundary still moves
+        if val_acc > self.best_val or (val_acc == self.best_val and val_loss < self.best_val_loss):
+            self.best_val = val_acc
+            self.best_val_loss = val_loss
+            self.best_epoch = epoch
+            self.best_test = test_acc
+        return epoch - self.best_epoch >= patience
+
+    def finish(self, gammas: np.ndarray, zetas: np.ndarray, seconds: float) -> None:
+        self.report = TrainReport(
+            train_losses=self.train_losses,
+            val_accs=self.val_accs,
+            test_accs=self.test_accs,
+            best_epoch=self.best_epoch,
+            best_val_acc=self.best_val,
+            test_acc_at_best=self.best_test,
+            final_gammas=gammas.tolist(),
+            final_zetas=zetas.tolist(),
+            wall_clock_seconds=seconds,
+            diverged=self.diverged,
+        )
+
+
+def _train_seeds(ds: Dataset, cfg: TrainConfig, seeds: Sequence[int]) -> list[TrainReport]:
+    """Train one model per seed as a stack; reports in the order of ``seeds``.
+
+    Each seed draws its initialization and dropout masks from its own
+    Generator and keeps its own early-stopping and divergence state; a seed
+    that stops leaves the stack, so its report matches a run on its own.
     """
     t_start = time.perf_counter()
-    rng = np.random.default_rng(cfg.seed)
+    runs = [_SeedRun(np.random.default_rng(seed)) for seed in seeds]
     c = ds.num_classes
-    params = UgdgnnParams.init(rng, cfg.k, ds.x.shape[1], c, cfg.alpha0, tie_xi=True)
+    params = UgdgnnParams.stack([
+        UgdgnnParams.init(run.rng, cfg.k, ds.x.shape[1], c, cfg.alpha0, tie_xi=True)
+        for run in runs
+    ])
     state = AdamState.init(params)
-
-    train_losses: list[float] = []
-    val_accs: list[float] = []
-    test_accs: list[float] = []
-    best_val = -1.0
-    best_val_loss = math.inf
-    best_epoch = -1
-    best_test = 0.0
-    diverged = False
+    val_rows = _masked_rows(ds.val_mask)
+    live = runs
     cache: PropagationCache | None = None
+    clean: PropagationCache | None = None  # clean-feature powers under dropout
 
     for epoch in range(cfg.epochs):
         if cfg.feature_dropout > 0.0:
             keep = 1.0 - cfg.feature_dropout
-            x_epoch = ds.x * (rng.random(ds.x.shape) < keep) / keep
-            cache = None
+            x_epoch = np.stack([ds.x * (run.rng.random(ds.x.shape) < keep) / keep for run in live])
         else:
             x_epoch = ds.x
         logits, cache = forward_logits(params, ds.ops, x_epoch, cache)
         probs = softmax_rows(logits)
         loss, grad_logits = cross_entropy_masked(probs, ds.labels, ds.train_mask)
-        if not math.isfinite(loss):
-            diverged = True
-            break
         if cfg.feature_dropout > 0.0:
-            eval_logits, _ = forward_logits(params, ds.ops, ds.x, None)
+            eval_logits, clean = forward_logits(params, ds.ops, ds.x, clean)
             eval_probs = softmax_rows(eval_logits)
         else:
             eval_logits = logits
             eval_probs = probs
         val_acc = accuracy(eval_logits, ds.labels, ds.val_mask)
-        val_loss, _ = cross_entropy_masked(eval_probs, ds.labels, ds.val_mask)
+        val_loss = _mean_nll(eval_probs, ds.labels, val_rows)
         test_acc = accuracy(eval_logits, ds.labels, ds.test_mask)
-        train_losses.append(loss)
-        val_accs.append(val_acc)
-        test_accs.append(test_acc)
-        # the val mask is small, so accuracy plateaus quickly; ties are
-        # broken by validation loss, which keeps improving while the
-        # decision boundary still moves
-        if val_acc > best_val or (val_acc == best_val and val_loss < best_val_loss):
-            best_val = val_acc
-            best_val_loss = val_loss
-            best_epoch = epoch
-            best_test = test_acc
-        if epoch - best_epoch >= cfg.patience:
-            break
+        stats = zip(live, loss.tolist(), val_acc.tolist(), val_loss.tolist(), test_acc.tolist())
+        stopped = [run.observe(epoch, *row, cfg.patience) for run, *row in stats]
+        if any(stopped):
+            for i, run in enumerate(live):
+                if stopped[i]:
+                    run.finish(params.gammas[i], params.zetas[i], time.perf_counter() - t_start)
+            seeds_left = np.flatnonzero(np.logical_not(stopped))
+            live = [live[i] for i in seeds_left]
+            if not live:
+                break
+            params = params._rebound(params.flat[seeds_left])
+            state = AdamState(state.t, state.m[seeds_left], state.v[seeds_left])
+            grad_logits = grad_logits[seeds_left]
+            cache = cache.take(seeds_left)
+            if clean is not None:
+                clean = clean.take(seeds_left)
         grads = backward(params, cache, grad_logits)
         adam_step(params, grads, state, cfg.lr, cfg.weight_decay)
 
-    return TrainReport(
-        train_losses=train_losses,
-        val_accs=val_accs,
-        test_accs=test_accs,
-        best_epoch=best_epoch,
-        best_val_acc=best_val,
-        test_acc_at_best=best_test,
-        final_gammas=params.gammas.tolist(),
-        final_zetas=params.zetas.tolist(),
-        wall_clock_seconds=time.perf_counter() - t_start,
-        diverged=diverged,
-    )
+    for i, run in enumerate(live):
+        run.finish(params.gammas[i], params.zetas[i], time.perf_counter() - t_start)
+    return [run.report for run in runs]
+
+
+def train(ds: Dataset, cfg: TrainConfig) -> TrainReport:
+    """Fit the hop-sum model with Adam and validation-accuracy early stopping.
+
+    Initialization follows the restart-style coefficient profile from
+    alpha0, identity mixing (tied), and Glorot weights; the projection is
+    added only when the input width differs from the class count. This is
+    the stack of one seed, ``cfg.seed``.
+    """
+    return _train_seeds(ds, cfg, [cfg.seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -707,16 +849,17 @@ def depth_sweep(
     ks: Sequence[int],
     n_seeds: int = 10,
 ) -> list[dict]:
-    """Train at each depth over n_seeds seeds; rows of (K, mean, std, accs)."""
-    accs = [
-        train(ds, replace(cfg, k=k, seed=cfg.seed + s)).test_acc_at_best
-        for k in ks
-        for s in range(n_seeds)
-    ]
+    """Train at each depth over n_seeds seeds; rows of (K, mean, std, accs).
 
+    Seeds cfg.seed, cfg.seed + 1, ... of one depth train as one stack.
+    """
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    seeds = [cfg.seed + s for s in range(n_seeds)]
     rows = []
-    for i, k in enumerate(ks):
-        chunk = np.array(accs[i * n_seeds : (i + 1) * n_seeds])
+    for k in ks:
+        reports = _train_seeds(ds, replace(cfg, k=k), seeds)
+        chunk = np.array([rep.test_acc_at_best for rep in reports])
         rows.append(
             {
                 "k": int(k),

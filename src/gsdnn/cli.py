@@ -234,6 +234,8 @@ def _equiv_cell(name: str, model_index: int, trial: int, seed: int, tol: float) 
 
 
 def cmd_equiv(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     names = list(MODEL_KINDS) if args.model == "all" else [args.model]
     cells = [
         (name, mi, t)
@@ -478,7 +480,10 @@ def cmd_sweep(args) -> int:
     cfg = _train_config(args)
     ks = _parse_ks(args.ks)
     started = time.perf_counter()
-    rows = depth_sweep(ds, cfg, ks=ks, n_seeds=args.n_seeds)
+    try:
+        rows = depth_sweep(ds, cfg, ks=ks, n_seeds=args.n_seeds)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     elapsed = time.perf_counter() - started
     lines = ["k,mean_acc,std_acc"]
     lines += [f"{r['k']},{r['mean_acc']:.17g},{r['std_acc']:.17g}" for r in rows]

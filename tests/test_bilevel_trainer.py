@@ -1,6 +1,7 @@
 """Loss plumbing, hand-written gradients, Adam, toy datasets, training."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -214,6 +215,66 @@ def test_blocks_are_views_into_one_flat_vector():
     assert np.all(params.flat[:3] == 2.0)
 
 
+def test_stack_puts_seeds_on_a_leading_axis():
+    rng = np.random.default_rng(22)
+    members = [
+        UgdgnnParams.init(rng, k=2, d_in=4, num_classes=3, alpha0=0.3, tie_xi=False)
+        for _ in range(3)
+    ]
+    stack = UgdgnnParams.stack(members)
+    blocks = [stack.gammas, stack.zetas, stack.xis, stack.w, stack.pre_w, stack.pre_b]
+    assert [b.shape for b in blocks] == [(3, 3), (3, 3), (3, 3), (3, 3, 3, 3), (3, 4, 3), (3, 3)]
+    assert all(np.shares_memory(b, stack.flat) for b in blocks)
+    assert stack.k == 2 and stack.decay_start == 9
+    for i, member in enumerate(members):
+        np.testing.assert_array_equal(stack.flat[i], member.flat)
+        np.testing.assert_array_equal(stack.w[i], member.w)
+    assert stack.zeros_like().flat.shape == stack.flat.shape
+    tied = UgdgnnParams.init(rng, k=2, d_in=4, num_classes=3, alpha0=0.3, tie_xi=True)
+    deeper = UgdgnnParams.init(rng, k=3, d_in=4, num_classes=3, alpha0=0.3, tie_xi=False)
+    for other in (tied, deeper):
+        with pytest.raises(ValueError, match="one layout"):
+            UgdgnnParams.stack([members[0], other])
+
+
+@pytest.mark.parametrize("tie", [True, False])
+@pytest.mark.parametrize("d_in", [3, 5])
+@pytest.mark.parametrize("per_seed_x", [False, True])
+def test_stack_forward_backward_match_each_seed(tie, d_in, per_seed_x):
+    # one seed has no weight branch at hop 2 (xi = 0), the others do
+    rng = np.random.default_rng(23)
+    ops = er_ops(rng, 9)
+    members = [make_params(rng, k=3, d_in=d_in, c=3, tie_xi=tie) for _ in range(3)]
+    members[1].zetas[2] = 1.0
+    members[1].xis[2] = 0.0
+    x = rng.standard_normal((3, 9, d_in) if per_seed_x else (9, d_in))
+    stack = UgdgnnParams.stack(members)
+    logits, cache = forward_logits(stack, ops, x)
+    g = rng.standard_normal(logits.shape)
+    grads = backward(stack, cache, g)
+    for i, member in enumerate(members):
+        want, own = forward_logits(member, ops, x[i] if per_seed_x else x)
+        np.testing.assert_array_equal(logits[i], want)
+        np.testing.assert_array_equal(grads.flat[i], backward(member, own, g[i]).flat)
+
+
+def test_stack_skips_the_weight_branch_where_xi_is_zero():
+    # a seed with xi = 0 never multiplies its weight branch in, so weights
+    # that would overflow it leave its logits finite, as when it runs
+    # alone, while the other seed of the stack uses the branch
+    rng = np.random.default_rng(24)
+    ops = er_ops(rng, 6)
+    x = rng.uniform(1.0, 2.0, size=(6, 2))
+    plain = UgdgnnParams.init(rng, k=2, d_in=2, num_classes=2, alpha0=0.2)  # zeta = 1
+    plain.w[:] = 1e308
+    stack = UgdgnnParams.stack([plain, make_params(rng, k=2, d_in=2, c=2)])
+    with np.errstate(over="ignore"):
+        logits, _ = forward_logits(stack, ops, x)
+    want, _ = forward_logits(plain, ops, x)
+    assert np.isfinite(want).all()
+    np.testing.assert_array_equal(logits[0], want)
+
+
 def test_projection_must_land_on_class_width():
     rng = np.random.default_rng(6)
     with pytest.raises(ValueError, match="class width"):
@@ -245,6 +306,15 @@ def test_propagation_is_built_once_without_projection(spmm_calls):
     ds = small_sbm()
     train(ds, TrainConfig(k=3, epochs=40, patience=40))
     assert len(spmm_calls) == 3
+
+
+def test_feature_dropout_builds_clean_powers_once(spmm_calls):
+    # K products per epoch for the dropped features, K once for the clean
+    # features that every epoch evaluates on
+    ds = small_sbm()
+    rep = train(ds, TrainConfig(k=3, epochs=40, patience=40, feature_dropout=0.3))
+    assert len(rep.train_losses) == 40
+    assert len(spmm_calls) == 3 + 3 * 40
 
 
 def test_projection_rebuilds_powers_once_per_epoch(spmm_calls):
@@ -686,6 +756,38 @@ def test_depth_sweep_shape_and_baseline():
         assert 0.0 <= r["mean_acc"] <= 1.0
         assert r["std_acc"] == pytest.approx(float(np.std(r["accs"])))
     assert rows[1]["mean_acc"] >= rows[0]["mean_acc"] - 0.05
+    for n_seeds in (0, -3):
+        with pytest.raises(ValueError, match="n_seeds"):
+            depth_sweep(ds, cfg, ks=(1,), n_seeds=n_seeds)
+
+
+def test_depth_sweep_shares_powers_across_seeds(spmm_calls):
+    # no projection and no dropout: each depth's K powers serve all seeds
+    ds = small_sbm(seed=8)
+    depth_sweep(ds, TrainConfig(epochs=30, patience=30), ks=(1, 3), n_seeds=3)
+    assert len(spmm_calls) == 1 + 3
+
+
+STACK_CASES = {
+    # default patience: the seeds stop at different epochs
+    "early-stopping": (dict(n=200, p_in=0.1, p_out=0.01, d=2, seed=0), TrainConfig(k=4)),
+    "projection": (dict(n=300, p_in=0.05, p_out=0.005, d=6, seed=3),
+                   TrainConfig(k=3, epochs=200, patience=30)),
+    "dropout": (dict(n=200, p_in=0.1, p_out=0.01, d=2, seed=1),
+                TrainConfig(k=3, epochs=150, patience=20, feature_dropout=0.3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_stack_matches_each_seed_run_alone(case):
+    data, cfg = STACK_CASES[case]
+    ds = sbm_generate(blocks=2, noise_sigma=1.0, **data)
+    seeds = [0, 1, 2, 3, 4]
+    stacked = bilevel_trainer._train_seeds(ds, cfg, seeds)
+    alone = [train(ds, replace(cfg, seed=s)) for s in seeds]
+    assert len({len(rep.train_losses) for rep in alone}) > 1
+    for got, want in zip(stacked, alone):
+        assert got.to_json_dict() == want.to_json_dict()
 
 
 def test_accuracy_empty_mask_rejected():

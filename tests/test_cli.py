@@ -189,6 +189,14 @@ def test_equiv_unknown_model_is_usage_error(workdir, capsys):
     assert main(["equiv", "--model", "unknown", "--out", str(workdir / "x")]) == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_equiv_nonpositive_trials_is_usage_error(tmp_path, capsys, trials):
+    out = tmp_path / "x"
+    assert main(["equiv", "--trials", trials, "--out", str(out)]) == 2
+    assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_equiv_impossible_tolerance_fails_the_check(workdir, capsys):
     code = main(
         ["equiv", "--model", "sgc", "--trials", "2", "--tol", "1e-30",
@@ -337,3 +345,15 @@ def test_sweep_bad_ks_list(tmp_path, capsys):
         ["sweep", "--dataset", "sbm", "--ks", "1,x", "--out", str(tmp_path / "x")]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("n_seeds", ["0", "-3"])
+def test_sweep_nonpositive_seed_count_is_usage_error(tmp_path, capsys, n_seeds):
+    out = tmp_path / "x"
+    code = main(
+        ["sweep", "--dataset", "sbm", "--sbm-n", "140", "--ks", "1,3",
+         "--n-seeds", n_seeds, "--epochs", "5", "--out", str(out)]
+    )
+    assert code == 2
+    assert "n_seeds" in capsys.readouterr().err
+    assert not out.exists()
