@@ -62,8 +62,6 @@ from .unrolled_gnn import (
     UnrollPlan,
     equivalence_check,
     forward,
-    model_from_json_dict,
-    model_to_json_dict,
     run_unrolled,
     sample_model,
     to_unroll_plan,

@@ -1,11 +1,14 @@
 """Supervised training of the hop-sum model on toy node-classification data.
 
-The lower level is the linear hop-sum forward pass (propagated powers of
-A_hat cached once and reused while they stay valid); the upper level is
-masked cross-entropy over softmax outputs. Gradients are written out by
-hand: the model is linear in every parameter block, so reverse mode is a
-handful of inner products plus one reverse Horner recursion for the
-optional input projection.
+The lower level is the linear hop-sum forward pass; the upper level is
+masked cross-entropy over softmax outputs. The model is linear in its
+input before the softmax, so A_hat^k (X W + 1 b^T) = (A_hat^k [X, 1]) [W; b^T]:
+the propagated powers depend on the features only, never on the
+parameters, and are built once per run (once per epoch under feature
+dropout), with or without the optional input projection. Gradients are
+written out by hand: the model is linear in every parameter block, so
+reverse mode is a handful of inner products, and the projection gradient
+is one more matrix product against the same powers.
 
 Parameters, gradients and Adam moments share one flat float64 layout
 (``UgdgnnParams.flat``): the undecayed hop coefficients and mixing scalars
@@ -17,7 +20,7 @@ A stack of models, one per seed, puts a leading seed axis on that layout:
 pass, the loss, ``backward`` and ``adam_step`` are written once over that
 axis, and every seed's numbers are bit-identical to a run of that seed
 alone. ``depth_sweep`` trains all seeds of one depth as one stack; without
-a projection or feature dropout they share one set of propagated powers.
+feature dropout they share one set of propagated powers.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ __all__ = [
     "UgdgnnParams",
     "TrainConfig",
     "TrainReport",
-    "PropagationCache",
     "AdamState",
     "softmax_rows",
     "cross_entropy_masked",
+    "feature_powers",
     "forward_logits",
     "backward",
     "adam_update",
@@ -91,7 +94,7 @@ class Dataset:
         return int(self.labels.max()) + 1
 
 
-_BLOCKS = ("flat", "gammas", "zetas", "xis", "w", "pre_w", "pre_b")
+_BLOCKS = ("flat", "gammas", "zetas", "xis", "w", "pre_w", "pre_b", "proj")
 
 
 @dataclass
@@ -101,11 +104,12 @@ class UgdgnnParams:
     Everything lives in one float64 vector ``flat``; each named block is a
     view into it, in this order: ``gammas``, ``zetas``, ``xis`` (K+1 each),
     the stacked per-hop weights ``w`` of shape (K+1, c, c), then the
-    optional input projection ``pre_w`` (d_in x c) and ``pre_b`` (c). The
-    blocks after the first 3(K+1) entries, ``flat[decay_start:]``, are the
-    weight-decayed ones. Gradients (``zeros_like``) and Adam moments use
-    the same layout. Write through a view (``params.gammas[:] = ...``);
-    rebinding a block name raises rather than detaching it from ``flat``.
+    optional input projection ``pre_w`` (d_in x c) and ``pre_b`` (c), which
+    are also the rows of one (d_in + 1, c) view ``proj``. The blocks after
+    the first 3(K+1) entries, ``flat[decay_start:]``, are the weight-decayed
+    ones. Gradients (``zeros_like``) and Adam moments use the same layout.
+    Write through a view (``params.gammas[:] = ...``); rebinding a block
+    name raises rather than detaching it from ``flat``.
 
     ``stack`` puts models of one layout on a leading seed axis: ``flat``
     becomes (S, P) and each view gains the axis (``gammas`` is (S, K+1),
@@ -114,8 +118,7 @@ class UgdgnnParams:
 
     ``pre_w``/``pre_b`` form an optional linear input projection; it must
     land on the class dimension because the identity mixing branch adds
-    propagated features straight into the logits. ``cache_tag`` counts
-    projection updates so stale propagated-power caches are detectable.
+    propagated features straight into the logits.
     """
 
     gammas: np.ndarray
@@ -125,7 +128,6 @@ class UgdgnnParams:
     pre_w: np.ndarray | None = None
     pre_b: np.ndarray | None = None
     tie_xi: bool = True
-    cache_tag: int = 0
 
     def __post_init__(self):
         gammas = np.asarray(self.gammas, dtype=np.float64)
@@ -164,14 +166,14 @@ class UgdgnnParams:
         lead = flat.shape[:-1]
         coeffs = flat[..., : 3 * kp1].reshape(*lead, 3, kp1)
         end = 3 * kp1 + kp1 * c * c
-        pre_w = pre_b = None
+        pre_w = pre_b = proj = None
         if d_in is not None:
-            pre_w = flat[..., end : end + d_in * c].reshape(*lead, d_in, c)
-            pre_b = flat[..., end + d_in * c :]
+            proj = flat[..., end:].reshape(*lead, d_in + 1, c)
+            pre_w, pre_b = proj[..., :d_in, :], proj[..., d_in, :]
         self.__dict__.update(
             flat=flat, gammas=coeffs[..., 0, :], zetas=coeffs[..., 1, :],
             xis=coeffs[..., 2, :], w=flat[..., 3 * kp1 : end].reshape(*lead, kp1, c, c),
-            pre_w=pre_w, pre_b=pre_b,
+            pre_w=pre_w, pre_b=pre_b, proj=proj,
         )
 
     def __setattr__(self, name, value):
@@ -352,22 +354,6 @@ def cross_entropy_masked(
 # forward / backward
 
 
-@dataclass
-class PropagationCache:
-    # P_k = A_hat^k x' stacked on a hop axis: (K+1, n, c) when every seed
-    # shares the powers, (S, K+1, n, c) when each seed has its own
-    p: np.ndarray
-    x_raw: np.ndarray
-    ops: NormalizedOperators
-    tag: int
-
-    def take(self, seeds: np.ndarray) -> "PropagationCache":
-        """The cache of a smaller stack; arrays shared by every seed stay shared."""
-        p = self.p[seeds] if self.p.ndim == 4 else self.p
-        x_raw = self.x_raw[seeds] if self.x_raw.ndim == 3 else self.x_raw
-        return replace(self, p=p, x_raw=x_raw)
-
-
 def _propagate(ops: NormalizedOperators, x: np.ndarray) -> np.ndarray:
     """A_hat times x, or times each seed's block of a stack in one spmm."""
     if x.ndim == 2:
@@ -379,12 +365,33 @@ def _propagate(ops: NormalizedOperators, x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.reshape(n, s, c).transpose(1, 0, 2))
 
 
-def _build_cache(params: UgdgnnParams, ops: NormalizedOperators, x: np.ndarray) -> PropagationCache:
-    xp = x if params.pre_w is None else x @ params.pre_w + params.pre_b[..., None, :]
-    p = [xp]
+def feature_powers(params: UgdgnnParams, ops: NormalizedOperators, x: np.ndarray) -> np.ndarray:
+    """Q = [Z, A_hat Z, ..., A_hat^K Z] on a hop axis, the input of every epoch.
+
+    Z is the features x, or [x, 1] when the model has a projection, so Q
+    depends on the features and on the layout of ``params`` (K, projection
+    or not), never on parameter values. Shared features (n, d) give
+    (K+1, n, d'), per-seed features (S, n, d) give (S, K+1, n, d'), with
+    d' = d + 1 under a projection: Q holds (K+1) n (d+1) floats per feature
+    matrix, about K+1 times the features themselves.
+    """
+    z = np.asarray(x, dtype=np.float64)
+    if params.proj is not None:
+        z = np.concatenate((z, np.ones((*z.shape[:-1], 1))), axis=-1)
+    q = [z]
     for _ in range(params.k):
-        p.append(_propagate(ops, p[-1]))
-    return PropagationCache(p=np.stack(p, axis=-3), x_raw=x, ops=ops, tag=params.cache_tag)
+        q.append(_propagate(ops, q[-1]))
+    return np.stack(q, axis=-3)
+
+
+def _take(a: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """The rows of a smaller stack; hop-stacked powers shared by every seed stay shared."""
+    return a[seeds] if a.ndim == 4 else a
+
+
+def _hop_rows(a: np.ndarray) -> np.ndarray:
+    """(..., K+1, n, m) as (..., (K+1) n, m): one row per (hop, node) pair."""
+    return a.reshape(*a.shape[:-3], -1, a.shape[-1])
 
 
 # The hop axis is handled whole: every (n, c) block is multiplied, reduced
@@ -406,52 +413,44 @@ def _gate(on: np.ndarray, term: np.ndarray) -> np.ndarray:
     return term if on.all() else np.where(_blocks(on), term, 0.0)
 
 
-def forward_logits(
-    params: UgdgnnParams,
-    ops: NormalizedOperators,
-    x: np.ndarray,
-    cache: PropagationCache | None = None,
-) -> tuple[np.ndarray, PropagationCache]:
-    """Hop-sum logits; rebuilds the propagated powers if the cache is stale.
+def forward_logits(params: UgdgnnParams, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hop-sum logits from the feature powers ``q`` (see ``feature_powers``).
 
-    A stack of S seeds gives (S, n, c) logits; ``x`` is shared (n, d) or
-    per seed (S, n, d).
+    Also returns the class-width powers P the logits sum over: ``q`` itself
+    without a projection, P = Q [pre_w; pre_b] with one. A stack of S seeds
+    gives (S, n, c) logits.
     """
-    if cache is None or cache.tag != params.cache_tag or cache.x_raw is not x:
-        cache = _build_cache(params, ops, x)
+    p = q if params.proj is None else q @ params.proj[..., None, :, :]
     xis = params.effective_xis()
     on = xis != 0.0
     # in-place updates keep few (K+1)-block temporaries alive at once
-    terms = _blocks(params.zetas) * cache.p
+    terms = _blocks(params.zetas) * p
     if on.any():
-        branch = _gate(on, cache.p @ params.w)
+        branch = _gate(on, p @ params.w)
         branch *= _blocks(xis)
         terms += branch
     terms *= _blocks(params.gammas)
-    return terms.sum(axis=-3), cache
+    return terms.sum(axis=-3), p
 
 
 def backward(
-    params: UgdgnnParams, cache: PropagationCache, grad_logits: np.ndarray
+    params: UgdgnnParams, q: np.ndarray, p: np.ndarray, grad_logits: np.ndarray
 ) -> UgdgnnParams:
     """Hand-written reverse mode through the hop-sum forward pass.
 
     The gradient comes back as a ``UgdgnnParams`` with the same flat layout
     (seed axis included).
 
-    With G the logit gradient and P_k the cached powers:
+    With G the logit gradient, Q_k the feature powers and P_k the powers
+    that ``forward_logits`` returned with the logits:
       dW_k    = gamma_k xi_k P_k^T G
       dgamma_k = zeta_k <P_k, G> + xi_k <P_k W_k, G>
       dzeta_k  = gamma_k <P_k, G>            (minus the W branch when tied)
       dxi_k    = gamma_k <P_k W_k, G>
-    The projection gradient transports G back through each power of A_hat
-    (A_hat is symmetric) with a reverse Horner recursion.
+      d[pre_w; pre_b] = sum_k Q_k^T G M_k^T, M_k = gamma_k (zeta_k I + xi_k W_k)
     """
-    if cache.tag != params.cache_tag:
-        raise ValueError("cache is stale: projection changed since it was built")
     g = np.asarray(grad_logits, dtype=np.float64)
     g_hops = g[..., None, :, :]  # the same G against every hop
-    p = cache.p
     gammas, zetas = params.gammas, params.zetas
     xis = params.effective_xis()
     on = xis != 0.0
@@ -469,23 +468,16 @@ def backward(
     else:
         grads.zetas[:] = gammas * pg
         grads.xis[:] = gammas * pwg
-    if params.pre_w is not None:
-        # S = sum_k gamma_k A_hat^k (G M_k^T) by reverse Horner, using that
-        # A_hat is symmetric; then the projection gradients are X^T S and
-        # the column sums of S.
-        hop_terms = _blocks(zetas) * g_hops  # becomes gamma_k G M_k^T
+    if params.proj is not None:
+        # P_k = Q_k [pre_w; pre_b], so the sum over hops is one product
+        # over the (hop, node) rows
+        hop_terms = _blocks(zetas) * g_hops  # becomes G M_k^T
         if on.any():
             branch = _gate(on, g_hops @ np.swapaxes(params.w, -1, -2))
             branch *= _blocks(xis)
             hop_terms += branch
         hop_terms *= _blocks(gammas)
-        s = np.zeros_like(g)
-        for k in range(params.k, -1, -1):
-            if k < params.k:
-                s = _propagate(cache.ops, s)
-            s = s + hop_terms[..., k, :, :]
-        grads.pre_w[:] = np.swapaxes(cache.x_raw, -1, -2) @ s
-        grads.pre_b[:] = s.sum(axis=-2)
+        grads.proj[:] = np.swapaxes(_hop_rows(q), -1, -2) @ _hop_rows(hop_terms)
     return grads
 
 
@@ -563,8 +555,6 @@ def adam_step(
         g[tail] += weight_decay * params.flat[tail]
     new_flat, state.m, state.v = adam_update(params.flat, g, state.m, state.v, state.t, lr)
     params.flat[:] = new_flat
-    if params.pre_w is not None:
-        params.cache_tag += 1
 
 
 # ---------------------------------------------------------------------------
@@ -639,20 +629,20 @@ def _train_seeds(ds: Dataset, cfg: TrainConfig, seeds: Sequence[int]) -> list[Tr
     state = AdamState.init(params)
     val_rows = _masked_rows(ds.val_mask)
     live = runs
-    cache: PropagationCache | None = None
-    clean: PropagationCache | None = None  # clean-feature powers under dropout
+    clean = feature_powers(params, ds.ops, ds.x)  # shared by every seed and epoch
 
     for epoch in range(cfg.epochs):
         if cfg.feature_dropout > 0.0:
             keep = 1.0 - cfg.feature_dropout
-            x_epoch = np.stack([ds.x * (run.rng.random(ds.x.shape) < keep) / keep for run in live])
+            dropped = [ds.x * (run.rng.random(ds.x.shape) < keep) / keep for run in live]
+            q = feature_powers(params, ds.ops, np.stack(dropped))
         else:
-            x_epoch = ds.x
-        logits, cache = forward_logits(params, ds.ops, x_epoch, cache)
+            q = clean
+        logits, p = forward_logits(params, q)
         probs = softmax_rows(logits)
         loss, grad_logits = cross_entropy_masked(probs, ds.labels, ds.train_mask)
         if cfg.feature_dropout > 0.0:
-            eval_logits, clean = forward_logits(params, ds.ops, ds.x, clean)
+            eval_logits, _ = forward_logits(params, clean)
             eval_probs = softmax_rows(eval_logits)
         else:
             eval_logits = logits
@@ -673,10 +663,8 @@ def _train_seeds(ds: Dataset, cfg: TrainConfig, seeds: Sequence[int]) -> list[Tr
             params = params._rebound(params.flat[seeds_left])
             state = AdamState(state.t, state.m[seeds_left], state.v[seeds_left])
             grad_logits = grad_logits[seeds_left]
-            cache = cache.take(seeds_left)
-            if clean is not None:
-                clean = clean.take(seeds_left)
-        grads = backward(params, cache, grad_logits)
+            q, p = _take(q, seeds_left), _take(p, seeds_left)
+        grads = backward(params, q, p, grad_logits)
         adam_step(params, grads, state, cfg.lr, cfg.weight_decay)
 
     for i, run in enumerate(live):

@@ -359,8 +359,8 @@ def cmd_filter(args) -> int:
 def _load_dataset(args) -> tuple[Dataset, list[str]]:
     name = args.dataset
     if name == "sbm":
-        return (
-            sbm_generate(
+        try:
+            ds = sbm_generate(
                 n=args.sbm_n,
                 blocks=args.sbm_blocks,
                 p_in=args.sbm_p_in,
@@ -368,9 +368,10 @@ def _load_dataset(args) -> tuple[Dataset, list[str]]:
                 d=args.sbm_d,
                 noise_sigma=args.sbm_noise,
                 seed=args.data_seed,
-            ),
-            [],
-        )
+            )
+        except ValueError as exc:
+            raise UsageError(str(exc))
+        return ds, []
     if name == "karate":
         return karate_dataset(), []
     if name.startswith("files:"):

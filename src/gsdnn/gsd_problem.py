@@ -29,6 +29,7 @@ iterate costs one A_hat product.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -42,7 +43,6 @@ __all__ = [
     "NonNegIndicator",
     "RidgeComplement",
     "RowL21",
-    "INFEASIBLE",
     "weighted_norm_sq",
     "objective",
     "gradient_smooth",
@@ -51,31 +51,6 @@ __all__ = [
     "smoothness_bound",
 ]
 
-
-class _Infeasible:
-    """Tagged +infinity: the indicator regularizer is violated.
-
-    A dedicated sentinel rather than float('inf') so serialized reports
-    never contain a non-JSON value by accident.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INFEASIBLE"
-
-    def __float__(self) -> float:
-        return float("inf")
-
-
-INFEASIBLE = _Infeasible()
-
-ObjectiveValue = Union[float, _Infeasible]
 
 # closed_form_ppnp solves densely up to this many nodes and by conjugate
 # gradients above it: dense takes 0.1-0.4 ms against 0.5-3.3 ms for CG at
@@ -213,10 +188,10 @@ def _laplacian(h: np.ndarray, ops: NormalizedOperators, beta: float) -> np.ndarr
 
 def _objective_value(
     spec: GsdSpec, h: np.ndarray, x: np.ndarray, lap_h: np.ndarray | None
-) -> ObjectiveValue:
+) -> float:
     """L(H), given lap_h = (I - A_hat) H."""
     if isinstance(spec.regularizer, NonNegIndicator) and np.any(h < 0):
-        return INFEASIBLE
+        return math.inf
 
     value = 0.0
     if spec.alpha != 0.0:
@@ -238,8 +213,8 @@ def objective(
     h: np.ndarray,
     x: np.ndarray,
     ops: NormalizedOperators,
-) -> ObjectiveValue:
-    """Evaluate L(H). Returns INFEASIBLE when the indicator is violated."""
+) -> float:
+    """Evaluate L(H); +inf when the nonnegativity indicator is violated."""
     h = np.asarray(h, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     _check_signal(spec, h, x)

@@ -29,7 +29,6 @@ import numpy as np
 from .graph_core import NormalizedOperators
 from .gsd_problem import (
     GsdSpec,
-    INFEASIBLE,
     NonNegIndicator,
     RidgeComplement,
     RowL21,
@@ -134,11 +133,6 @@ def _resolve_stepsize(spec: GsdSpec, cfg: SolveConfig) -> float:
     return float(cfg.stepsize)
 
 
-def _trace_value(spec, h, x, lap_h) -> float:
-    val = _objective_value(spec, h, x, lap_h)
-    return float("inf") if val is INFEASIBLE else float(val)
-
-
 def prox_nonneg(m: np.ndarray) -> np.ndarray:
     """Projection onto the nonnegative orthant (elementwise ReLU)."""
     return np.maximum(m, 0.0)
@@ -200,14 +194,14 @@ def _descend(
     x = np.asarray(x, dtype=np.float64)
     _check_signal(spec, h, x)
     lap_h = _laplacian(h, ops, spec.beta)
-    trace = [_trace_value(spec, h, x, lap_h)]
+    trace = [float(_objective_value(spec, h, x, lap_h))]
     traj = [h.copy()] if cfg.capture_trajectory else None
     converged = False
     it = 0
     for it in range(1, cfg.max_iters + 1):
         h = _layer_step(layer, h, x, lap_h)
         lap_h = _laplacian(h, ops, spec.beta)  # for this trace entry and the next step
-        f = _trace_value(spec, h, x, lap_h)
+        f = float(_objective_value(spec, h, x, lap_h))
         trace.append(f)
         if traj is not None:
             traj.append(h.copy())

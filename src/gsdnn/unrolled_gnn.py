@@ -56,8 +56,6 @@ __all__ = [
     "equivalence_check",
     "ugdgnn_specialize",
     "sample_model",
-    "model_to_json_dict",
-    "model_from_json_dict",
     "MODEL_KINDS",
     "PPNP_HORIZON",
 ]
@@ -580,80 +578,6 @@ def ugdgnn_specialize(model: ModelSpec) -> Ugdgnn:
             tuple([None] * kp1),
         )
     raise TypeError(f"no hop-sum specialization for {type(model).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# JSON round trip, tagged by the "model" field
-
-
-def model_to_json_dict(model: ModelSpec) -> dict:
-    if isinstance(model, Sgc):
-        return {"model": "sgc", "k": model.k, "w": model.w.tolist()}
-    if isinstance(model, Ppnp):
-        return {"model": "ppnp", "gamma": model.gamma}
-    if isinstance(model, Appnp):
-        return {"model": "appnp", "k": model.k, "gamma": model.gamma}
-    if isinstance(model, JkNet):
-        return {"model": "jknet", "weights": [w.tolist() for w in model.weights]}
-    if isinstance(model, GprGnn):
-        return {"model": "gprgnn", "gammas": list(model.gammas)}
-    if isinstance(model, Gcn):
-        return {"model": "gcn", "weights": [w.tolist() for w in model.weights]}
-    if isinstance(model, GcnII):
-        return {
-            "model": "gcnii",
-            "zeta": model.zeta,
-            "xi": model.xi,
-            "weights": [w.tolist() for w in model.weights],
-        }
-    if isinstance(model, AirGnn):
-        return {"model": "airgnn", "k": model.k, "gamma": model.gamma}
-    if isinstance(model, Ugdgnn):
-        return {
-            "model": "ugdgnn",
-            "gammas": list(model.gammas),
-            "zetas": list(model.zetas),
-            "xis": list(model.xis),
-            "weights": [None if w is None else w.tolist() for w in model.weights],
-            "tie_xi": model.tie_xi,
-        }
-    raise TypeError(f"unknown model {type(model).__name__}")
-
-
-def model_from_json_dict(data: dict) -> ModelSpec:
-    tag = data.get("model")
-    if tag == "sgc":
-        return Sgc(k=int(data["k"]), w=np.asarray(data["w"], dtype=np.float64))
-    if tag == "ppnp":
-        return Ppnp(gamma=float(data["gamma"]))
-    if tag == "appnp":
-        return Appnp(k=int(data["k"]), gamma=float(data["gamma"]))
-    if tag == "jknet":
-        return JkNet(weights=tuple(np.asarray(w, dtype=np.float64) for w in data["weights"]))
-    if tag == "gprgnn":
-        return GprGnn(gammas=tuple(float(g) for g in data["gammas"]))
-    if tag == "gcn":
-        return Gcn(weights=tuple(np.asarray(w, dtype=np.float64) for w in data["weights"]))
-    if tag == "gcnii":
-        return GcnII(
-            zeta=float(data["zeta"]),
-            xi=float(data["xi"]),
-            weights=tuple(np.asarray(w, dtype=np.float64) for w in data["weights"]),
-        )
-    if tag == "airgnn":
-        return AirGnn(k=int(data["k"]), gamma=float(data["gamma"]))
-    if tag == "ugdgnn":
-        return Ugdgnn(
-            gammas=tuple(float(g) for g in data["gammas"]),
-            zetas=tuple(float(z) for z in data["zetas"]),
-            xis=tuple(float(v) for v in data["xis"]),
-            weights=tuple(
-                None if w is None else np.asarray(w, dtype=np.float64)
-                for w in data["weights"]
-            ),
-            tie_xi=bool(data.get("tie_xi", False)),
-        )
-    raise ValueError(f"unknown model tag {tag!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from scipy.optimize import minimize
 
 from conftest import er_graph, er_ops, random_signal, random_spd
-from gsdnn.bilevel_trainer import TrainConfig, UgdgnnParams, backward, depth_sweep
+from gsdnn.bilevel_trainer import TrainConfig, UgdgnnParams, backward, depth_sweep, feature_powers
 from gsdnn.bilevel_trainer import forward_logits as trainer_forward
 from gsdnn.bilevel_trainer import (
     cross_entropy_masked,
@@ -217,12 +217,13 @@ def _trainer_fd_worst(seed: int, tie: bool, with_pre: bool, h_step=1e-6) -> floa
     params.gammas[:] = rng.uniform(-0.5, 1.0, size=3)
     params.zetas[:] = rng.uniform(0.2, 0.8, size=3)
     params.xis[:] = rng.uniform(0.1, 0.9, size=3)
-    logits, cache = trainer_forward(params, ops, x)
+    q = feature_powers(params, ops, x)
+    logits, p = trainer_forward(params, q)
     _, glog = cross_entropy_masked(softmax_rows(logits), labels, mask)
-    grads = backward(params, cache, glog)
+    grads = backward(params, q, p, glog)
 
     def full_loss():
-        lg, _ = trainer_forward(params, ops, x, None)
+        lg, _ = trainer_forward(params, q)
         return cross_entropy_masked(softmax_rows(lg), labels, mask)[0]
 
     pairs = [(params.gammas, grads.gammas), (params.zetas, grads.zetas)]

@@ -20,6 +20,7 @@ from gsdnn.bilevel_trainer import (
     backward,
     cross_entropy_masked,
     depth_sweep,
+    feature_powers,
     forward_logits,
     karate_dataset,
     predict,
@@ -145,7 +146,7 @@ def test_forward_k0_weight_only_is_linear_model():
         w=[rng.standard_normal((3, 3))],
         tie_xi=False,
     )
-    logits, _ = forward_logits(params, ops, x)
+    logits, _ = forward_logits(params, feature_powers(params, ops, x))
     np.testing.assert_allclose(logits, x @ params.w[0], atol=1e-14)
 
 
@@ -155,7 +156,7 @@ def test_forward_tied_identity_mixing_is_hop_sum():
     x = rng.standard_normal((9, 2))
     params = UgdgnnParams.init(rng, k=3, d_in=2, num_classes=2, alpha0=0.2)
     params.gammas[:] = rng.uniform(-1, 1, size=4)
-    logits, _ = forward_logits(params, ops, x)
+    logits, _ = forward_logits(params, feature_powers(params, ops, x))
     expected = np.zeros_like(x)
     p = x
     for k in range(4):
@@ -171,7 +172,7 @@ def test_forward_matches_bruteforce_recomputation():
     for tie in (True, False):
         x = rng.standard_normal((6, 2))
         params = make_params(rng, k=3, d_in=2, c=2, tie_xi=tie)
-        logits, _ = forward_logits(params, ops, x)
+        logits, _ = forward_logits(params, feature_powers(params, ops, x))
         xis = params.effective_xis()
         brute = np.zeros_like(x)
         for k in range(4):
@@ -190,9 +191,39 @@ def test_forward_matches_literal_ugdgnn_oracle(tie):
     ops = er_ops(rng, 9)
     x = rng.standard_normal((9, 3))
     params = make_params(rng, k=4, d_in=3, c=3, tie_xi=tie)
-    logits, _ = forward_logits(params, ops, x)
+    logits, _ = forward_logits(params, feature_powers(params, ops, x))
     model = Ugdgnn(params.gammas, params.zetas, params.xis, tuple(params.w), tie_xi=tie)
     assert float(np.max(np.abs(logits - forward(model, ops, x)))) <= 1e-12
+
+
+@pytest.mark.parametrize("tie", [True, False])
+def test_projected_forward_matches_bruteforce_oracle(tie):
+    # the oracle projects first and propagates after, term by term:
+    # sum_k gamma_k A_hat^k (X W + 1 b^T) (zeta_k I + xi_k W_k)
+    rng = np.random.default_rng(25)
+    ops = er_ops(rng, 9)
+    a_hat = ops.a_hat.toarray()
+    x = rng.standard_normal((9, 5))
+    members = [make_params(rng, k=3, d_in=5, c=3, tie_xi=tie) for _ in range(3)]
+    for member in members:
+        member.pre_b[:] = rng.uniform(-0.5, 0.5, size=3)
+
+    def oracle(params):
+        xis = params.effective_xis()
+        out = np.zeros((9, 3))
+        for k in range(4):
+            mix = params.zetas[k] * np.eye(3) + xis[k] * params.w[k]
+            hop = np.linalg.matrix_power(a_hat, k) @ (x @ params.pre_w + params.pre_b)
+            out += params.gammas[k] * (hop @ mix)
+        return out
+
+    stack = UgdgnnParams.stack(members)
+    logits, _ = forward_logits(stack, feature_powers(stack, ops, x))
+    for i, member in enumerate(members):
+        alone, _ = forward_logits(member, feature_powers(member, ops, x))
+        want = oracle(member)
+        assert float(np.max(np.abs(alone - want))) <= 1e-12
+        assert float(np.max(np.abs(logits[i] - want))) <= 1e-12
 
 
 def test_blocks_are_views_into_one_flat_vector():
@@ -203,11 +234,13 @@ def test_blocks_are_views_into_one_flat_vector():
     np.testing.assert_array_equal(params.flat, np.concatenate([b.ravel() for b in blocks]))
     assert all(np.shares_memory(b, params.flat) for b in blocks)
     assert params.decay_start == 9
+    np.testing.assert_array_equal(params.proj, np.vstack([params.pre_w, params.pre_b]))
+    assert np.shares_memory(params.proj, params.flat)
     grads = params.zeros_like()
     assert grads.flat.shape == params.flat.shape and not grads.flat.any()
     assert grads.pre_w.shape == (4, 3) and grads.tie_xi is False
     before = params.flat.copy()
-    for name in ("flat", "gammas", "zetas", "xis", "w", "pre_w", "pre_b"):
+    for name in ("flat", "gammas", "zetas", "xis", "w", "pre_w", "pre_b", "proj"):
         with pytest.raises(AttributeError, match="view into flat"):
             setattr(params, name, getattr(params, name).copy())
     np.testing.assert_array_equal(params.flat, before)
@@ -249,13 +282,15 @@ def test_stack_forward_backward_match_each_seed(tie, d_in, per_seed_x):
     members[1].xis[2] = 0.0
     x = rng.standard_normal((3, 9, d_in) if per_seed_x else (9, d_in))
     stack = UgdgnnParams.stack(members)
-    logits, cache = forward_logits(stack, ops, x)
+    q = feature_powers(stack, ops, x)
+    logits, p = forward_logits(stack, q)
     g = rng.standard_normal(logits.shape)
-    grads = backward(stack, cache, g)
+    grads = backward(stack, q, p, g)
     for i, member in enumerate(members):
-        want, own = forward_logits(member, ops, x[i] if per_seed_x else x)
+        own_q = feature_powers(member, ops, x[i] if per_seed_x else x)
+        want, own_p = forward_logits(member, own_q)
         np.testing.assert_array_equal(logits[i], want)
-        np.testing.assert_array_equal(grads.flat[i], backward(member, own, g[i]).flat)
+        np.testing.assert_array_equal(grads.flat[i], backward(member, own_q, own_p, g[i]).flat)
 
 
 def test_stack_skips_the_weight_branch_where_xi_is_zero():
@@ -269,8 +304,8 @@ def test_stack_skips_the_weight_branch_where_xi_is_zero():
     plain.w[:] = 1e308
     stack = UgdgnnParams.stack([plain, make_params(rng, k=2, d_in=2, c=2)])
     with np.errstate(over="ignore"):
-        logits, _ = forward_logits(stack, ops, x)
-    want, _ = forward_logits(plain, ops, x)
+        logits, _ = forward_logits(stack, feature_powers(stack, ops, x))
+    want, _ = forward_logits(plain, feature_powers(plain, ops, x))
     assert np.isfinite(want).all()
     np.testing.assert_array_equal(logits[0], want)
 
@@ -285,20 +320,6 @@ def test_projection_must_land_on_class_width():
             w=[np.zeros((2, 2))],
             pre_w=rng.standard_normal((5, 3)),
         )
-
-
-def test_cache_reuse_and_rebuild():
-    rng = np.random.default_rng(7)
-    ops = er_ops(rng, 8)
-    x = rng.standard_normal((8, 4))
-    params = UgdgnnParams.init(rng, k=2, d_in=4, num_classes=2, alpha0=0.2)
-    logits1, cache = forward_logits(params, ops, x)
-    logits2, cache2 = forward_logits(params, ops, x, cache)
-    assert cache2 is cache  # tag matched, no rebuild
-    np.testing.assert_array_equal(logits1, logits2)
-    params.cache_tag += 1
-    _, cache3 = forward_logits(params, ops, x, cache)
-    assert cache3 is not cache
 
 
 def test_propagation_is_built_once_without_projection(spmm_calls):
@@ -317,25 +338,34 @@ def test_feature_dropout_builds_clean_powers_once(spmm_calls):
     assert len(spmm_calls) == 3 + 3 * 40
 
 
+def test_feature_dropout_with_projection_propagates_features_and_ones(spmm_calls):
+    # the same count as without a projection; each product carries the
+    # d = 5 features and the ones column of the projection bias
+    ds = sbm_generate(n=140, blocks=2, p_in=0.15, p_out=0.01, d=5, noise_sigma=1.0, seed=0)
+    rep = train(ds, TrainConfig(k=3, epochs=40, patience=40, feature_dropout=0.3))
+    assert len(rep.train_losses) == 40
+    assert spmm_calls == [(140, 6)] * (3 + 3 * 40)
+
+
 def test_projection_rebuilds_powers_once_per_epoch(spmm_calls):
-    # each epoch: K products to rebuild the powers after the projection
-    # moved, K more in the backward reverse Horner recursion
+    # the powers of [X, 1] do not depend on the projection, so the K
+    # products are made once per run and a projected epoch makes none
     ds = sbm_generate(n=140, blocks=2, p_in=0.15, p_out=0.01, d=5, noise_sigma=1.0, seed=0)
     rep = train(ds, TrainConfig(k=3, epochs=40, patience=40))
     assert len(rep.train_losses) == 40
-    assert len(spmm_calls) == 2 * 3 * 40
+    assert spmm_calls == [(140, 6)] * 3
 
 
 # ---------------------------------------------------------------------------
 # backward pass
 
 
-def loss_of(params, ops, x, labels, mask):
-    logits, _ = forward_logits(params, ops, x, None)
+def loss_of(params, q, labels, mask):
+    logits, _ = forward_logits(params, q)
     return cross_entropy_masked(softmax_rows(logits), labels, mask)[0]
 
 
-def fd_check(params, ops, x, labels, mask, arrays_and_grads, h=1e-6, tol=1e-5):
+def fd_check(params, q, labels, mask, arrays_and_grads, h=1e-6, tol=1e-5):
     worst = 0.0
     for arr, ganal in arrays_and_grads:
         it = np.nditer(arr, flags=["multi_index"])
@@ -343,13 +373,10 @@ def fd_check(params, ops, x, labels, mask, arrays_and_grads, h=1e-6, tol=1e-5):
             idx = it.multi_index
             orig = arr[idx]
             arr[idx] = orig + h
-            params.cache_tag += 1
-            fp = loss_of(params, ops, x, labels, mask)
+            fp = loss_of(params, q, labels, mask)
             arr[idx] = orig - h
-            params.cache_tag += 1
-            fm = loss_of(params, ops, x, labels, mask)
+            fm = loss_of(params, q, labels, mask)
             arr[idx] = orig
-            params.cache_tag += 1
             fd = (fp - fm) / (2 * h)
             an = ganal[idx]
             if abs(fd) < 1e-12 and abs(an) < 1e-12:
@@ -370,9 +397,10 @@ def test_all_parameter_gradients_match_finite_differences(tie, with_pre):
     labels[:c] = np.arange(c)
     mask = np.array([True, True, False, True, False])
     params = make_params(rng, k=2, d_in=d_in, c=c, tie_xi=tie)
-    logits, cache = forward_logits(params, ops, x)
+    q = feature_powers(params, ops, x)
+    logits, p = forward_logits(params, q)
     _, glog = cross_entropy_masked(softmax_rows(logits), labels, mask)
-    grads = backward(params, cache, glog)
+    grads = backward(params, q, p, glog)
     pairs = [
         (params.gammas, grads.gammas),
         (params.zetas, grads.zetas),
@@ -383,7 +411,7 @@ def test_all_parameter_gradients_match_finite_differences(tie, with_pre):
     if with_pre:
         pairs.append((params.pre_w, grads.pre_w))
         pairs.append((params.pre_b, grads.pre_b))
-    fd_check(params, ops, x, labels, mask, pairs)
+    fd_check(params, q, labels, mask, pairs)
 
 
 def test_zero_upstream_gradient_gives_zero_parameter_gradients():
@@ -391,8 +419,9 @@ def test_zero_upstream_gradient_gives_zero_parameter_gradients():
     ops = er_ops(rng, 6)
     x = rng.standard_normal((6, 2))
     params = make_params(rng, k=2, d_in=2, c=2)
-    _, cache = forward_logits(params, ops, x)
-    grads = backward(params, cache, np.zeros((6, 2)))
+    q = feature_powers(params, ops, x)
+    _, p = forward_logits(params, q)
+    grads = backward(params, q, p, np.zeros((6, 2)))
     assert np.all(grads.gammas == 0) and np.all(grads.zetas == 0)
     assert all(np.all(g == 0) for g in grads.w)
 
@@ -403,10 +432,11 @@ def test_weight_gradient_exactly_zero_when_branch_inactive():
     x = rng.standard_normal((6, 2))
     params = UgdgnnParams.init(rng, k=2, d_in=2, num_classes=2, alpha0=0.2)
     # tied with zeta = 1 means xi = 0 everywhere
-    logits, cache = forward_logits(params, ops, x)
+    q = feature_powers(params, ops, x)
+    logits, p = forward_logits(params, q)
     labels = np.array([0, 1, 0, 1, 0, 1])
     _, glog = cross_entropy_masked(softmax_rows(logits), labels, np.ones(6, bool))
-    grads = backward(params, cache, glog)
+    grads = backward(params, q, p, glog)
     assert all(np.all(g == 0.0) for g in grads.w)
 
 
@@ -422,21 +452,11 @@ def test_restricted_hop_coefficient_gradients():
     mask = np.ones(7, dtype=bool)
     params = UgdgnnParams.init(rng, k=3, d_in=2, num_classes=2, alpha0=0.2)
     params.w[:] = 0.0
-    logits, cache = forward_logits(params, ops, x)
+    q = feature_powers(params, ops, x)
+    logits, p = forward_logits(params, q)
     _, glog = cross_entropy_masked(softmax_rows(logits), labels, mask)
-    grads = backward(params, cache, glog)
-    fd_check(params, ops, x, labels, mask, [(params.gammas, grads.gammas)])
-
-
-def test_stale_cache_rejected():
-    rng = np.random.default_rng(15)
-    ops = er_ops(rng, 5)
-    x = rng.standard_normal((5, 3))
-    params = UgdgnnParams.init(rng, k=1, d_in=3, num_classes=3, alpha0=0.2)
-    _, cache = forward_logits(params, ops, x)
-    params.cache_tag += 1
-    with pytest.raises(ValueError, match="stale"):
-        backward(params, cache, np.zeros((5, 3)))
+    grads = backward(params, q, p, glog)
+    fd_check(params, q, labels, mask, [(params.gammas, grads.gammas)])
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +716,7 @@ def test_feature_dropout_is_seeded_and_skipped_at_evaluation(d):
     # validation accuracy at epoch 0 is that of the initial model on clean
     # features, while the training loss saw the dropout mask
     params = UgdgnnParams.init(np.random.default_rng(cfg.seed), cfg.k, d, 2, cfg.alpha0)
-    logits, _ = forward_logits(params, ds.ops, ds.x)
+    logits, _ = forward_logits(params, feature_powers(params, ds.ops, ds.x))
     assert a.val_accs[0] == accuracy(logits, ds.labels, ds.val_mask)
     clean_loss = cross_entropy_masked(softmax_rows(logits), ds.labels, ds.train_mask)[0]
     assert a.train_losses[0] != clean_loss
@@ -766,6 +786,13 @@ def test_depth_sweep_shares_powers_across_seeds(spmm_calls):
     ds = small_sbm(seed=8)
     depth_sweep(ds, TrainConfig(epochs=30, patience=30), ks=(1, 3), n_seeds=3)
     assert len(spmm_calls) == 1 + 3
+
+
+def test_depth_sweep_shares_projected_powers_across_seeds(spmm_calls):
+    # the powers of [X, 1] serve every seed of a depth whatever its projection
+    ds = sbm_generate(n=140, blocks=2, p_in=0.15, p_out=0.01, d=5, noise_sigma=1.0, seed=8)
+    depth_sweep(ds, TrainConfig(epochs=30, patience=30), ks=(1, 3), n_seeds=3)
+    assert spmm_calls == [(140, 6)] * (1 + 3)
 
 
 STACK_CASES = {

@@ -357,3 +357,20 @@ def test_sweep_nonpositive_seed_count_is_usage_error(tmp_path, capsys, n_seeds):
     assert code == 2
     assert "n_seeds" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize(
+    "flags, reason",
+    [
+        (["--sbm-blocks", "1"], "need at least 2 blocks"),
+        (["--sbm-p-in", "2"], "p_in must be a probability"),
+        (["--sbm-d", "1", "--sbm-blocks", "2"], "cannot hold 2 class means"),
+    ],
+    ids=["blocks", "p-in", "d"],
+)
+def test_invalid_sbm_flag_is_usage_error(tmp_path, capsys, command, flags, reason):
+    out = tmp_path / "x"
+    assert main([command, "--dataset", "sbm", *flags, "--out", str(out)]) == 2
+    assert reason in capsys.readouterr().err
+    assert not out.exists()

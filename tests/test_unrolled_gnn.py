@@ -22,8 +22,6 @@ from gsdnn.unrolled_gnn import (
     UnrollPlan,
     equivalence_check,
     forward,
-    model_from_json_dict,
-    model_to_json_dict,
     run_unrolled,
     sample_model,
     to_unroll_plan,
@@ -340,37 +338,3 @@ def test_specializations_match_target_forward():
 def test_specialize_rejects_nonlinear_models():
     with pytest.raises(TypeError):
         ugdgnn_specialize(Gcn(weights=(np.eye(2),)))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_model_json_round_trip():
-    rng = np.random.default_rng(13)
-    ops = er_ops(rng, 14)
-    d = 3
-    x = random_signal(rng, ops.num_nodes, d)
-    models = [sample_model(kind, rng, d) for kind in MODEL_KINDS]
-    models.append(Ppnp(gamma=0.4))
-    models.append(
-        Ugdgnn(
-            gammas=(0.3, 0.7),
-            zetas=(1.0, 0.5),
-            xis=(0.0, 0.5),
-            weights=(None, rng.standard_normal((d, d))),
-            tie_xi=True,
-        )
-    )
-    for model in models:
-        doc = model_to_json_dict(model)
-        back = model_from_json_dict(doc)
-        assert type(back) is type(model)
-        np.testing.assert_allclose(
-            forward(model, ops, x), forward(back, ops, x), atol=0
-        )
-
-
-def test_model_json_unknown_tag_rejected():
-    with pytest.raises(ValueError, match="unknown model tag"):
-        model_from_json_dict({"model": "gat"})
