@@ -10,10 +10,12 @@ written out by hand: the model is linear in every parameter block, so
 reverse mode is a handful of inner products, and the projection gradient
 is one more matrix product against the same powers.
 
-Parameters, gradients and Adam moments share one flat float64 layout
-(``UgdgnnParams.flat``): the undecayed hop coefficients and mixing scalars
-first, then the weight-decayed tail of per-hop weights and projection, so
-one Adam step is one elementwise update over the whole vector.
+A model is a layout (K, class width, input width, tying) plus one float64
+vector (``UgdgnnParams.flat``); parameters, gradients and Adam moments all
+use that layout: the undecayed hop coefficients and mixing scalars first,
+then the weight-decayed tail of per-hop weights and projection, so one Adam
+step is one elementwise update over the whole vector. Each seed's history
+is written straight into its ``TrainReport`` as the epochs run.
 
 A stack of models, one per seed, puts a leading seed axis on that layout:
 ``flat`` has shape (S, P) and every named block gains the axis. The forward
@@ -25,7 +27,6 @@ feature dropout they share one set of propagated powers.
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -59,7 +60,6 @@ __all__ = [
 
 @dataclass
 class Dataset:
-    graph: Graph
     ops: NormalizedOperators
     x: np.ndarray
     labels: np.ndarray
@@ -68,7 +68,7 @@ class Dataset:
     test_mask: np.ndarray
 
     def __post_init__(self):
-        n = self.graph.num_nodes
+        n = self.ops.num_nodes
         self.x = np.asarray(self.x, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.x.shape[0] != n or self.labels.shape != (n,):
@@ -94,124 +94,79 @@ class Dataset:
         return int(self.labels.max()) + 1
 
 
-_BLOCKS = ("flat", "gammas", "zetas", "xis", "w", "pre_w", "pre_b", "proj")
+def _layout_size(k: int, classes: int, d_in: int | None) -> int:
+    """Entries of ``flat`` for one model: coefficients, weights, projection."""
+    size = 3 * (k + 1) + (k + 1) * classes * classes
+    return size if d_in is None else size + (d_in + 1) * classes
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class UgdgnnParams:
-    """Learnable state: hop coefficients, mixing scalars, per-hop weights.
+    """Learnable state: a layout (K, class width c, input width, tying) plus one vector.
 
     Everything lives in one float64 vector ``flat``; each named block is a
     view into it, in this order: ``gammas``, ``zetas``, ``xis`` (K+1 each),
-    the stacked per-hop weights ``w`` of shape (K+1, c, c), then the
-    optional input projection ``pre_w`` (d_in x c) and ``pre_b`` (c), which
-    are also the rows of one (d_in + 1, c) view ``proj``. The blocks after
-    the first 3(K+1) entries, ``flat[decay_start:]``, are the weight-decayed
-    ones. Gradients (``zeros_like``) and Adam moments use the same layout.
-    Write through a view (``params.gammas[:] = ...``); rebinding a block
-    name raises rather than detaching it from ``flat``.
+    the stacked per-hop weights ``w`` of shape (K+1, c, c), then, when
+    ``d_in`` is set, the input projection ``pre_w`` (d_in x c) and
+    ``pre_b`` (c), which are also the rows of one (d_in + 1, c) view
+    ``proj``. The projection lands on the class width because the identity
+    mixing branch adds propagated features straight into the logits. The
+    blocks after the first 3(K+1) entries, ``flat[decay_start:]``, are the
+    weight-decayed ones. Gradients (``zeros_like``) and Adam moments use the
+    same layout. Write through a view (``params.gammas[:] = ...``); the
+    instance is frozen, so rebinding a name raises.
 
-    ``stack`` puts models of one layout on a leading seed axis: ``flat``
-    becomes (S, P) and each view gains the axis (``gammas`` is (S, K+1),
-    ``w`` is (S, K+1, c, c), and so on); ``flat[..., decay_start:]`` is still
-    the decayed tail.
-
-    ``pre_w``/``pre_b`` form an optional linear input projection; it must
-    land on the class dimension because the identity mixing branch adds
-    propagated features straight into the logits.
+    A leading axis on ``flat`` is a stack of models, one per seed (see
+    ``stack``): ``flat`` is (S, P) and each view gains the axis (``gammas``
+    is (S, K+1), ``w`` is (S, K+1, c, c), and so on);
+    ``flat[..., decay_start:]`` is still the decayed tail.
     """
 
-    gammas: np.ndarray
-    zetas: np.ndarray
-    xis: np.ndarray
-    w: Sequence[np.ndarray]
-    pre_w: np.ndarray | None = None
-    pre_b: np.ndarray | None = None
+    flat: np.ndarray
+    k: int
+    classes: int
+    d_in: int | None = None
     tie_xi: bool = True
 
     def __post_init__(self):
-        gammas = np.asarray(self.gammas, dtype=np.float64)
-        zetas = np.asarray(self.zetas, dtype=np.float64)
-        xis = np.asarray(self.xis, dtype=np.float64)
-        kp1 = gammas.shape[0]
-        if not (zetas.shape == xis.shape == (kp1,)):
-            raise ValueError("gammas, zetas, xis must share length K+1")
-        w = [np.asarray(wk, dtype=np.float64) for wk in self.w]
-        if len(w) != kp1:
-            raise ValueError(f"need {kp1} weight matrices, got {len(w)}")
-        c = w[0].shape[1]
-        for i, wk in enumerate(w):
-            if wk.shape != (c, c):
-                raise ValueError(
-                    f"w[{i}] must be {c}x{c} (identity branch forces square), got {wk.shape}"
-                )
-        blocks = [gammas, zetas, xis, *w]
-        d_in = None
-        if self.pre_w is not None:
-            pre_w = np.asarray(self.pre_w, dtype=np.float64)
-            if pre_w.shape[1] != c:
-                raise ValueError(
-                    f"projection must map onto the class width {c}, got {pre_w.shape}"
-                )
-            pre_b = np.zeros(c) if self.pre_b is None else self.pre_b
-            pre_b = np.asarray(pre_b, dtype=np.float64)
-            if pre_b.shape != (c,):
-                raise ValueError("projection bias width mismatch")
-            d_in = pre_w.shape[0]
-            blocks += [pre_w, pre_b]
-        self._bind(np.concatenate([blk.ravel() for blk in blocks]), kp1, c, d_in)
-
-    def _bind(self, flat: np.ndarray, kp1: int, c: int, d_in: int | None) -> None:
-        """Point every block name at its slice of ``flat`` (last axis)."""
+        kp1, c, flat = self.k + 1, self.classes, self.flat
+        size = _layout_size(self.k, c, self.d_in)
+        if flat.shape[-1:] != (size,):
+            raise ValueError(f"flat needs {size} entries on its last axis, got shape {flat.shape}")
         lead = flat.shape[:-1]
         coeffs = flat[..., : 3 * kp1].reshape(*lead, 3, kp1)
         end = 3 * kp1 + kp1 * c * c
         pre_w = pre_b = proj = None
-        if d_in is not None:
-            proj = flat[..., end:].reshape(*lead, d_in + 1, c)
-            pre_w, pre_b = proj[..., :d_in, :], proj[..., d_in, :]
+        if self.d_in is not None:
+            proj = flat[..., end:].reshape(*lead, self.d_in + 1, c)
+            pre_w, pre_b = proj[..., : self.d_in, :], proj[..., self.d_in, :]
+        # frozen: the views are bound once, here, and never rebound
         self.__dict__.update(
-            flat=flat, gammas=coeffs[..., 0, :], zetas=coeffs[..., 1, :],
-            xis=coeffs[..., 2, :], w=flat[..., 3 * kp1 : end].reshape(*lead, kp1, c, c),
+            gammas=coeffs[..., 0, :], zetas=coeffs[..., 1, :], xis=coeffs[..., 2, :],
+            w=flat[..., 3 * kp1 : end].reshape(*lead, kp1, c, c),
             pre_w=pre_w, pre_b=pre_b, proj=proj,
         )
 
-    def __setattr__(self, name, value):
-        if name in _BLOCKS and "flat" in self.__dict__:
-            raise AttributeError(
-                f"{name} is a view into flat; write through it ({name}[:] = ...)"
-            )
-        super().__setattr__(name, value)
-
-    def _rebound(self, flat: np.ndarray) -> "UgdgnnParams":
-        """A copy of this instance whose blocks are views into ``flat``."""
-        new = copy.copy(self)
-        d_in = None if self.pre_w is None else self.pre_w.shape[-2]
-        new._bind(flat, self.k + 1, self.w.shape[-1], d_in)
-        return new
+    @classmethod
+    def zeros(cls, k: int, classes: int, d_in: int | None = None, tie_xi: bool = True) -> "UgdgnnParams":
+        """A zero-filled model of this layout."""
+        return cls(np.zeros(_layout_size(k, classes, d_in)), k, classes, d_in, tie_xi)
 
     def zeros_like(self) -> "UgdgnnParams":
         """A zero-filled instance with this layout: the shape of a gradient."""
-        return self._rebound(np.zeros_like(self.flat))
+        return replace(self, flat=np.zeros_like(self.flat))
 
     @classmethod
     def stack(cls, members: Sequence["UgdgnnParams"]) -> "UgdgnnParams":
         """Models of one layout on a leading seed axis, in the given order."""
-        layouts = {
-            (m.w.shape, None if m.pre_w is None else m.pre_w.shape, m.tie_xi) for m in members
-        }
-        if len(layouts) != 1:
+        if len({(m.k, m.classes, m.d_in, m.tie_xi) for m in members}) != 1:
             raise ValueError("stacked models must share one layout")
-        return members[0]._rebound(np.stack([m.flat for m in members]))
+        return replace(members[0], flat=np.stack([m.flat for m in members]))
 
     @property
     def decay_start(self) -> int:
         """Offset of the weight-decayed tail (w, pre_w, pre_b) in ``flat``."""
         return 3 * (self.k + 1)
-
-    @property
-    def k(self) -> int:
-        return self.gammas.shape[-1] - 1
 
     def effective_xis(self) -> np.ndarray:
         return 1.0 - self.zetas if self.tie_xi else self.xis
@@ -226,29 +181,22 @@ class UgdgnnParams:
         alpha0: float,
         tie_xi: bool = True,
     ) -> "UgdgnnParams":
-        """Restart-style hop coefficients, identity mixing, Glorot weights."""
+        """Restart-style hop coefficients, identity mixing, Glorot weights.
+
+        The projection is added only when ``d_in`` differs from the class count.
+        """
         if not (0.0 < alpha0 < 1.0):
             raise ValueError("alpha0 must lie strictly in (0, 1)")
-        gammas = np.array(
-            [alpha0 * (1.0 - alpha0) ** j for j in range(k)] + [(1.0 - alpha0) ** k]
-        )
         c = num_classes
+        params = cls.zeros(k, c, None if d_in == c else d_in, tie_xi)
+        params.gammas[:] = [alpha0 * (1.0 - alpha0) ** j for j in range(k)] + [(1.0 - alpha0) ** k]
+        params.zetas[:] = 1.0
         limit = math.sqrt(6.0 / (c + c))
-        w = [rng.uniform(-limit, limit, size=(c, c)) for _ in range(k + 1)]
-        pre_w = pre_b = None
-        if d_in != c:
+        params.w[:] = rng.uniform(-limit, limit, size=(k + 1, c, c))
+        if params.pre_w is not None:
             pre_limit = math.sqrt(6.0 / (d_in + c))
-            pre_w = rng.uniform(-pre_limit, pre_limit, size=(d_in, c))
-            pre_b = np.zeros(c)
-        return cls(
-            gammas=gammas,
-            zetas=np.ones(k + 1),
-            xis=np.zeros(k + 1),
-            w=w,
-            pre_w=pre_w,
-            pre_b=pre_b,
-            tie_xi=tie_xi,
-        )
+            params.pre_w[:] = rng.uniform(-pre_limit, pre_limit, size=(d_in, c))
+        return params
 
 
 @dataclass(frozen=True)
@@ -263,10 +211,10 @@ class TrainConfig:
     feature_dropout: float = 0.0
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("lr must be nonnegative")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and nonnegative, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
         if self.epochs < 1 or self.k < 0 or self.patience < 1:
             raise ValueError("epochs and patience must be >= 1, K >= 0")
         if not (0.0 < self.alpha0 < 1.0):
@@ -563,53 +511,43 @@ def adam_step(
 
 @dataclass
 class _SeedRun:
-    """One seed's history and early-stopping state inside a training stack."""
+    """One seed inside a training stack: its Generator, and the report it fills."""
 
     rng: np.random.Generator
-    train_losses: list[float] = field(default_factory=list)
-    val_accs: list[float] = field(default_factory=list)
-    test_accs: list[float] = field(default_factory=list)
-    best_val: float = -1.0
     best_val_loss: float = math.inf
-    best_epoch: int = -1
-    best_test: float = 0.0
-    diverged: bool = False
-    report: TrainReport | None = None
+    report: TrainReport = field(default_factory=lambda: TrainReport(
+        train_losses=[], val_accs=[], test_accs=[], best_epoch=-1, best_val_acc=-1.0,
+        test_acc_at_best=0.0, final_gammas=[], final_zetas=[], wall_clock_seconds=0.0,
+    ))
 
     def observe(
         self, epoch: int, loss: float, val_acc: float, val_loss: float,
         test_acc: float, patience: int,
     ) -> bool:
         """Record one epoch; True when this seed stops training here."""
+        rep = self.report
         if not math.isfinite(loss):
-            self.diverged = True
+            rep.diverged = True
             return True
-        self.train_losses.append(loss)
-        self.val_accs.append(val_acc)
-        self.test_accs.append(test_acc)
+        rep.train_losses.append(loss)
+        rep.val_accs.append(val_acc)
+        rep.test_accs.append(test_acc)
         # the val mask is small, so accuracy plateaus quickly; ties are
         # broken by validation loss, which keeps improving while the
         # decision boundary still moves
-        if val_acc > self.best_val or (val_acc == self.best_val and val_loss < self.best_val_loss):
-            self.best_val = val_acc
+        if val_acc > rep.best_val_acc or (
+            val_acc == rep.best_val_acc and val_loss < self.best_val_loss
+        ):
+            rep.best_val_acc = val_acc
             self.best_val_loss = val_loss
-            self.best_epoch = epoch
-            self.best_test = test_acc
-        return epoch - self.best_epoch >= patience
+            rep.best_epoch = epoch
+            rep.test_acc_at_best = test_acc
+        return epoch - rep.best_epoch >= patience
 
     def finish(self, gammas: np.ndarray, zetas: np.ndarray, seconds: float) -> None:
-        self.report = TrainReport(
-            train_losses=self.train_losses,
-            val_accs=self.val_accs,
-            test_accs=self.test_accs,
-            best_epoch=self.best_epoch,
-            best_val_acc=self.best_val,
-            test_acc_at_best=self.best_test,
-            final_gammas=gammas.tolist(),
-            final_zetas=zetas.tolist(),
-            wall_clock_seconds=seconds,
-            diverged=self.diverged,
-        )
+        self.report.final_gammas = gammas.tolist()
+        self.report.final_zetas = zetas.tolist()
+        self.report.wall_clock_seconds = seconds
 
 
 def _train_seeds(ds: Dataset, cfg: TrainConfig, seeds: Sequence[int]) -> list[TrainReport]:
@@ -660,7 +598,7 @@ def _train_seeds(ds: Dataset, cfg: TrainConfig, seeds: Sequence[int]) -> list[Tr
             live = [live[i] for i in seeds_left]
             if not live:
                 break
-            params = params._rebound(params.flat[seeds_left])
+            params = replace(params, flat=params.flat[seeds_left])
             state = AdamState(state.t, state.m[seeds_left], state.v[seeds_left])
             grad_logits = grad_logits[seeds_left]
             q, p = _take(q, seeds_left), _take(p, seeds_left)
@@ -737,6 +675,8 @@ def sbm_generate(
         raise ValueError("p_in must be a probability")
     if d < blocks:
         raise ValueError(f"feature width {d} cannot hold {blocks} class means")
+    if not math.isfinite(noise_sigma):
+        raise ValueError(f"noise_sigma must be finite, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     labels = (np.arange(n) * blocks) // n
     # The n x n uniform draw is taken a block of rows at a time: the same
@@ -754,7 +694,6 @@ def sbm_generate(
     x = means[labels] + noise_sigma * rng.standard_normal((n, d))
     train, val, test = _split_masks(labels, 20, 30)
     return Dataset(
-        graph=graph,
         ops=normalize(graph),
         x=x,
         labels=labels,
@@ -817,7 +756,6 @@ def karate_dataset() -> Dataset:
     graph = add_self_loops(graph_plain)
     train, val, test = _split_masks(labels, 4, 4)
     return Dataset(
-        graph=graph,
         ops=normalize(graph),
         x=x,
         labels=labels,

@@ -233,9 +233,15 @@ def _equiv_cell(name: str, model_index: int, trial: int, seed: int, tol: float) 
     return equivalence_check(model, ops, x, tol)
 
 
+def _check_tol(tol: float) -> None:
+    if not math.isfinite(tol):
+        raise UsageError(f"--tol must be finite, got {tol}")
+
+
 def cmd_equiv(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    _check_tol(args.tol)
     names = list(MODEL_KINDS) if args.model == "all" else [args.model]
     cells = [
         (name, mi, t)
@@ -298,6 +304,7 @@ def _parse_theta(raw: str) -> tuple[float, ...]:
 
 
 def cmd_filter(args) -> int:
+    _check_tol(args.tol)
     theta = _parse_theta(args.theta)
     try:
         model = theta_to_ugdgnn(theta)
@@ -394,7 +401,6 @@ def _load_dataset(args) -> tuple[Dataset, list[str]]:
                 labels, args.train_per_class, args.val_per_class
             )
             ds = Dataset(
-                graph=graph,
                 ops=ops,
                 x=x,
                 labels=labels,

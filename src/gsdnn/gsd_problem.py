@@ -117,22 +117,6 @@ class GsdSpec:
     def dim(self) -> int:
         return self.t_alpha.shape[0]
 
-    def to_json_dict(self) -> dict:
-        reg: dict | None
-        if self.regularizer is None:
-            reg = None
-        elif isinstance(self.regularizer, RowL21):
-            reg = {"kind": "row_l21", "weight": self.regularizer.weight}
-        else:
-            reg = {"kind": self.regularizer.kind}
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "t_alpha": self.t_alpha.tolist(),
-            "t_beta": self.t_beta.tolist(),
-            "regularizer": reg,
-        }
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GsdSpec":
         reg_doc = doc.get("regularizer")
@@ -310,37 +294,12 @@ def closed_form_ppnp(ops: NormalizedOperators, x: np.ndarray, gamma: float) -> n
     return np.stack(cols, axis=1)
 
 
-def _spectral_norm_ub(m: np.ndarray, iters: int = 1000, tol: float = 1e-14) -> float:
-    """Upper estimate of ||M||_2 for small square M.
-
-    Power iteration on M^T M (always PSD, so the iteration is stable for
-    indefinite or asymmetric M); falls back to the Frobenius norm, which
-    dominates the spectral norm, if the Rayleigh quotient has not settled.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    d = m.shape[0]
-    if d == 0:
-        return 0.0
-    gram = m.T @ m
-    v = np.full(d, 1.0 / np.sqrt(d))
-    v[0] += 1e-3  # break symmetry against unlucky orthogonal starts
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = gram @ v
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        new_lam = float(v @ (gram @ v))
-        if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)):
-            # Tiny inflation keeps the estimate on the safe (upper) side.
-            return float(np.sqrt(new_lam)) * (1.0 + 1e-10)
-        lam = new_lam
-    return float(np.linalg.norm(m, "fro"))
+def _spectral_norm_ub(m: np.ndarray) -> float:
+    """||M||_2 from the library SVD, inflated slightly to stay an upper bound."""
+    return float(np.linalg.norm(m, 2)) * (1.0 + 1e-10)
 
 
-def smoothness_bound(spec: GsdSpec, ops: NormalizedOperators | None = None) -> float:
+def smoothness_bound(spec: GsdSpec) -> float:
     """A Lipschitz constant bound for gradient_smooth.
 
     Uses lambda_max(I - A_hat) <= 2, so
@@ -348,7 +307,9 @@ def smoothness_bound(spec: GsdSpec, ops: NormalizedOperators | None = None) -> f
         Lambda = 2 alpha ||T_alpha||_2 + 4 beta ||T_beta||_2
                  [+ 2 beta ||I - T_beta||_2 under RidgeComplement],
 
-    which dominates the largest Hessian eigenvalue for every graph.
+    which dominates the largest Hessian eigenvalue for every graph; the
+    bound needs no graph. Each spectral norm is the largest singular value
+    (``np.linalg.norm(T, 2)``) times 1 + 1e-10.
     """
     bound = 2.0 * spec.alpha * _spectral_norm_ub(spec.t_alpha)
     bound += 4.0 * spec.beta * _spectral_norm_ub(spec.t_beta)

@@ -100,10 +100,10 @@ class SolveConfig:
         if isinstance(self.stepsize, str):
             if self.stepsize != "auto":
                 raise ValueError("stepsize must be a positive number or 'auto'")
-        elif self.stepsize <= 0:
-            raise ValueError("explicit stepsize must be positive")
-        if self.rel_tol < 0:
-            raise ValueError("rel_tol must be nonnegative")
+        elif not (math.isfinite(self.stepsize) and self.stepsize > 0):
+            raise ValueError(f"explicit stepsize must be finite and positive, got {self.stepsize}")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0):
+            raise ValueError(f"rel_tol must be finite and nonnegative, got {self.rel_tol}")
 
 
 @dataclass

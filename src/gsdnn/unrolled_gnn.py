@@ -29,7 +29,7 @@ from inside it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Union
+from typing import Union
 
 import numpy as np
 
@@ -249,7 +249,6 @@ MODEL_KINDS = ("sgc", "appnp", "jknet", "gprgnn", "gcn", "gcnii", "airgnn")
 @dataclass(frozen=True)
 class UnrollPlan:
     layers: tuple[LayerParams, ...]
-    h0_policy: Literal["input", "zero"] = "input"
     post_transform: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
@@ -264,7 +263,7 @@ class UnrollPlan:
 def run_unrolled(plan: UnrollPlan, ops: NormalizedOperators, x: np.ndarray) -> np.ndarray:
     """Run the unrolled GD/ProxGD layers of a plan on signal x."""
     x = np.asarray(x, dtype=np.float64)
-    h = x.copy() if plan.h0_policy == "input" else np.zeros_like(x)
+    h = x.copy()
     for layer in plan.layers:
         h = _layer_step(layer, h, x, _laplacian(h, ops, layer.beta))
     if plan.post_transform is not None:

@@ -443,7 +443,7 @@ def test_criterion_8_depth_sweep_stays_flat():
 
 
 def test_criterion_9_structural_identities():
-    graphs = [karate_dataset().graph]
+    graphs = [karate_dataset().ops.graph]
     rng = np.random.default_rng(1212)
     for _ in range(12):
         graphs.append(er_graph(rng, int(rng.integers(5, 51)), p=0.2))

@@ -139,13 +139,10 @@ def test_forward_k0_weight_only_is_linear_model():
     rng = np.random.default_rng(3)
     ops = er_ops(rng, 7)
     x = rng.standard_normal((7, 3))
-    params = UgdgnnParams(
-        gammas=np.array([1.0]),
-        zetas=np.array([0.0]),
-        xis=np.array([1.0]),
-        w=[rng.standard_normal((3, 3))],
-        tie_xi=False,
-    )
+    params = UgdgnnParams.zeros(k=0, classes=3, tie_xi=False)
+    params.gammas[:] = 1.0
+    params.xis[:] = 1.0
+    params.w[0] = rng.standard_normal((3, 3))
     logits, _ = forward_logits(params, feature_powers(params, ops, x))
     np.testing.assert_allclose(logits, x @ params.w[0], atol=1e-14)
 
@@ -241,7 +238,7 @@ def test_blocks_are_views_into_one_flat_vector():
     assert grads.pre_w.shape == (4, 3) and grads.tie_xi is False
     before = params.flat.copy()
     for name in ("flat", "gammas", "zetas", "xis", "w", "pre_w", "pre_b", "proj"):
-        with pytest.raises(AttributeError, match="view into flat"):
+        with pytest.raises(AttributeError, match="cannot assign"):
             setattr(params, name, getattr(params, name).copy())
     np.testing.assert_array_equal(params.flat, before)
     params.gammas[:] = 2.0
@@ -310,16 +307,39 @@ def test_stack_skips_the_weight_branch_where_xi_is_zero():
     np.testing.assert_array_equal(logits[0], want)
 
 
-def test_projection_must_land_on_class_width():
-    rng = np.random.default_rng(6)
-    with pytest.raises(ValueError, match="class width"):
-        UgdgnnParams(
-            gammas=np.array([1.0]),
-            zetas=np.array([1.0]),
-            xis=np.array([0.0]),
-            w=[np.zeros((2, 2))],
-            pre_w=rng.standard_normal((5, 3)),
+@pytest.mark.parametrize("d_in", [3, 5])
+def test_init_matches_per_block_draws(d_in):
+    # reference: K+1 separate (c, c) Glorot draws, then the projection
+    k, c, alpha0 = 4, 3, 0.3
+    params = UgdgnnParams.init(np.random.default_rng(26), k, d_in, c, alpha0, tie_xi=False)
+    rng = np.random.default_rng(26)
+    limit = math.sqrt(6.0 / (c + c))
+    want_w = [rng.uniform(-limit, limit, size=(c, c)) for _ in range(k + 1)]
+    np.testing.assert_array_equal(params.w, np.stack(want_w))
+    np.testing.assert_array_equal(
+        params.gammas, [alpha0 * (1.0 - alpha0) ** j for j in range(k)] + [(1.0 - alpha0) ** k]
+    )
+    np.testing.assert_array_equal(params.zetas, np.ones(k + 1))
+    np.testing.assert_array_equal(params.xis, np.zeros(k + 1))
+    assert params.tie_xi is False
+    if d_in == c:
+        assert params.d_in is None and params.pre_w is None and params.proj is None
+    else:
+        pre_limit = math.sqrt(6.0 / (d_in + c))
+        np.testing.assert_array_equal(
+            params.pre_w, rng.uniform(-pre_limit, pre_limit, size=(d_in, c))
         )
+        np.testing.assert_array_equal(params.pre_b, np.zeros(c))
+
+
+def test_flat_of_wrong_length_rejected():
+    # K = 1, c = 2, d_in = 3: 6 coefficients, 8 weights, 8 projection entries
+    UgdgnnParams(np.zeros(22), k=1, classes=2, d_in=3)
+    for size in (14, 21, 23):
+        with pytest.raises(ValueError, match="22 entries"):
+            UgdgnnParams(np.zeros(size), k=1, classes=2, d_in=3)
+    with pytest.raises(ValueError, match="14 entries"):
+        UgdgnnParams(np.zeros((2, 22)), k=1, classes=2)
 
 
 def test_propagation_is_built_once_without_projection(spmm_calls):
@@ -568,14 +588,14 @@ def test_flat_adam_step_matches_per_block_reference(monkeypatch):
 
 def test_sbm_no_cross_edges_when_p_out_zero():
     ds = sbm_generate(n=120, blocks=2, p_in=0.2, p_out=0.0, d=2, noise_sigma=0.5, seed=0)
-    for u, v in ds.graph.edges:
+    for u, v in ds.ops.graph.edges:
         assert ds.labels[u] == ds.labels[v]
 
 
 def test_sbm_deterministic_given_seed():
     a = sbm_generate(n=180, blocks=3, p_in=0.15, p_out=0.01, d=3, noise_sigma=1.0, seed=5)
     b = sbm_generate(n=180, blocks=3, p_in=0.15, p_out=0.01, d=3, noise_sigma=1.0, seed=5)
-    assert a.graph.edges == b.graph.edges
+    assert a.ops.graph.edges == b.ops.graph.edges
     np.testing.assert_array_equal(a.x, b.x)
     np.testing.assert_array_equal(a.train_mask, b.train_mask)
 
@@ -597,7 +617,7 @@ def test_sbm_row_blocks_match_one_full_draw(monkeypatch):
     monkeypatch.setattr(bilevel_trainer, "_SBM_DRAW_ENTRIES", 7 * n)
     ds = sbm_generate(n=n, blocks=blocks, p_in=p_in, p_out=p_out, d=d,
                       noise_sigma=sigma, seed=seed)
-    assert ds.graph.edges == want_edges
+    assert ds.ops.graph.edges == want_edges
     np.testing.assert_array_equal(ds.x, want_x)
     np.testing.assert_array_equal(ds.labels, labels)
     for got, want in zip((ds.train_mask, ds.val_mask, ds.test_mask),
@@ -607,7 +627,7 @@ def test_sbm_row_blocks_match_one_full_draw(monkeypatch):
 
 def test_sbm_edge_density_within_three_sigma():
     ds = sbm_generate(n=200, blocks=2, p_in=0.1, p_out=0.01, d=2, noise_sigma=1.0, seed=1)
-    non_loop = sum(1 for u, v in ds.graph.edges if u != v)
+    non_loop = sum(1 for u, v in ds.ops.graph.edges if u != v)
     pairs_in = 2 * (100 * 99 // 2)
     pairs_out = 100 * 100
     expected = pairs_in * 0.1 + pairs_out * 0.01
@@ -629,8 +649,8 @@ def test_sbm_block_too_small_for_split():
 
 def test_karate_structure():
     ds = karate_dataset()
-    assert ds.graph.num_nodes == 34
-    non_loop = sum(1 for u, v in ds.graph.edges if u != v)
+    assert ds.ops.graph.num_nodes == 34
+    non_loop = sum(1 for u, v in ds.ops.graph.edges if u != v)
     assert non_loop == 78
     a = ds.ops.a_hat.toarray()
     assert float(np.max(np.abs(a - a.T))) == 0.0
@@ -648,7 +668,6 @@ def test_dataset_rejects_overlapping_masks():
     bad_val[np.flatnonzero(ds.train_mask)[0]] = True
     with pytest.raises(ValueError, match="disjoint"):
         Dataset(
-            graph=ds.graph,
             ops=ds.ops,
             x=ds.x,
             labels=ds.labels,
@@ -663,7 +682,6 @@ def test_dataset_requires_all_classes_in_train():
     only_zero = ds.train_mask & (ds.labels == 0)
     with pytest.raises(ValueError, match="every class"):
         Dataset(
-            graph=ds.graph,
             ops=ds.ops,
             x=ds.x,
             labels=ds.labels,
@@ -726,7 +744,6 @@ def test_divergence_is_reported_not_raised():
     ds = small_sbm(seed=4)
     huge_x = ds.x * 1e200
     ds2 = Dataset(
-        graph=ds.graph,
         ops=ds.ops,
         x=huge_x,
         labels=ds.labels,

@@ -374,3 +374,38 @@ def test_invalid_sbm_flag_is_usage_error(tmp_path, capsys, command, flags, reaso
     assert main([command, "--dataset", "sbm", *flags, "--out", str(out)]) == 2
     assert reason in capsys.readouterr().err
     assert not out.exists()
+
+
+def _denoise_gd(workdir):
+    spec = {"alpha": 0.2, "beta": 0.8, "t_alpha": np.eye(2).tolist(),
+            "t_beta": np.eye(2).tolist(), "regularizer": None}
+    (workdir / "spec.json").write_text(json.dumps(spec))
+    return ["denoise", "--graph", str(workdir / "edges.txt"),
+            "--features", str(workdir / "feats.csv"), "--solver", "gd",
+            "--spec", str(workdir / "spec.json"), "--iters", "5"]
+
+
+def _train_sbm(workdir):
+    return ["train", "--dataset", "sbm", "--epochs", "5"]
+
+
+@pytest.mark.parametrize(
+    "base, flags, reason",
+    [
+        (_denoise_gd, ["--rel-tol", "nan"], "rel_tol must be finite"),
+        (_denoise_gd, ["--stepsize", "nan"], "stepsize must be finite"),
+        (_denoise_gd, ["--stepsize", "inf"], "stepsize must be finite"),
+        (_train_sbm, ["--lr", "nan"], "lr must be finite"),
+        (_train_sbm, ["--weight-decay", "nan"], "weight_decay must be finite"),
+        (_train_sbm, ["--sbm-noise", "nan"], "noise_sigma must be finite"),
+        (lambda _: ["equiv", "--trials", "1"], ["--tol", "nan"], "--tol must be finite"),
+        (lambda _: ["filter", "--theta", "1,0.5"], ["--tol", "nan"], "--tol must be finite"),
+    ],
+    ids=["rel-tol", "stepsize", "stepsize-inf", "lr", "weight-decay", "sbm-noise",
+         "equiv-tol", "filter-tol"],
+)
+def test_non_finite_numeric_flag_is_usage_error(workdir, capsys, base, flags, reason):
+    out = workdir / "x"
+    assert main([*base(workdir), *flags, "--out", str(out)]) == 2
+    assert reason in capsys.readouterr().err
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -212,15 +213,19 @@ class TestSmoothnessBound:
     def test_dominates_dense_hessian(self, reg):
         rng = np.random.default_rng(13)
         ops = er_ops(rng, 4)
-        spec = GsdSpec(
-            alpha=0.8,
-            beta=1.1,
-            t_alpha=np.diag(rng.uniform(0.1, 2.0, size=2)),
-            t_beta=np.diag(rng.uniform(0.1, 2.0, size=2)),
-            regularizer=reg,
-        )
-        lam_max = float(np.linalg.eigvalsh(dense_hessian(spec, ops)).max())
-        assert smoothness_bound(spec, ops) >= lam_max - 1e-12
+        diagonal = [np.diag(rng.uniform(0.1, 2.0, size=2)) for _ in range(2)]
+        # non-diagonal and indefinite: the norm is the largest |eigenvalue|
+        indefinite = [
+            np.array([[0.5, 1.5, 0.0], [1.5, -0.5, 0.25], [0.0, 0.25, 1.0]]),
+            np.array([[-1.0, 0.75, 0.5], [0.75, 0.25, -1.0], [0.5, -1.0, 1.5]]),
+        ]
+        for t in indefinite:
+            eig = np.linalg.eigvalsh(t)
+            assert eig.min() < 0.0 < eig.max() and np.count_nonzero(t - np.diag(np.diag(t)))
+        for t_alpha, t_beta in (diagonal, indefinite):
+            spec = GsdSpec(alpha=0.8, beta=1.1, t_alpha=t_alpha, t_beta=t_beta, regularizer=reg)
+            lam_max = float(np.linalg.eigvalsh(dense_hessian(spec, ops)).max())
+            assert smoothness_bound(spec) >= lam_max - 1e-12
 
 
 class TestSpecConstruction:
@@ -234,26 +239,25 @@ class TestSpecConstruction:
             GsdSpec(alpha=-1.0, beta=0.0, t_alpha=np.eye(2), t_beta=np.eye(2))
 
     def test_json_round_trip(self):
-        rng = np.random.default_rng(14)
-        spec = GsdSpec(
-            alpha=0.25,
-            beta=0.75,
-            t_alpha=random_symmetric(rng, 3),
-            t_beta=random_symmetric(rng, 3),
-            regularizer=RowL21(weight=0.4),
-        )
-        back = GsdSpec.from_json_dict(spec.to_json_dict())
-        assert back.alpha == spec.alpha
-        np.testing.assert_allclose(back.t_beta, spec.t_beta)
+        # a literal spec document parses to the spec it spells out
+        t_beta = [[0.5, -1.25, 0.0], [-1.25, 2.0, 0.75], [0.0, 0.75, -0.5]]
+        back = GsdSpec.from_json(json.dumps({
+            "alpha": 0.25,
+            "beta": 0.75,
+            "t_alpha": [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 2.0]],
+            "t_beta": t_beta,
+            "regularizer": {"kind": "row_l21", "weight": 0.4},
+        }))
+        assert back.alpha == 0.25
+        np.testing.assert_allclose(back.t_beta, t_beta)
         assert isinstance(back.regularizer, RowL21)
         assert back.regularizer.weight == 0.4
 
     def test_json_round_trip_indicator(self):
-        spec = GsdSpec(
-            alpha=1.0, beta=2.0, t_alpha=np.eye(2), t_beta=np.eye(2),
-            regularizer=NonNegIndicator(),
-        )
-        back = GsdSpec.from_json_dict(spec.to_json_dict())
+        back = GsdSpec.from_json(json.dumps({
+            "alpha": 1.0, "beta": 2.0, "t_alpha": [[1.0, 0.0], [0.0, 1.0]],
+            "t_beta": [[1.0, 0.0], [0.0, 1.0]], "regularizer": {"kind": "nonneg"},
+        }))
         assert isinstance(back.regularizer, NonNegIndicator)
 
 

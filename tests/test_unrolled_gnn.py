@@ -118,16 +118,6 @@ def test_zero_update_layer_returns_initial_point():
     np.testing.assert_array_equal(run_unrolled(plan, ops, x), x)
 
 
-def test_zero_h0_policy_starts_from_zero():
-    ops = two_node_path_ops()
-    x = np.array([[2.0], [4.0]])
-    # one fidelity-only layer from H=0 lands exactly on 2*eta*alpha*X
-    plan = UnrollPlan(
-        layers=(LayerParams(eta=0.5, alpha=1.0, beta=0.0),), h0_policy="zero"
-    )
-    np.testing.assert_allclose(run_unrolled(plan, ops, x), x)
-
-
 def test_sgc_identity_weight_plan_is_two_hop_aggregation():
     ops = two_node_path_ops()
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
