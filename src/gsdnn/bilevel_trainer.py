@@ -140,7 +140,7 @@ class UgdgnnParams:
         if self.d_in is not None:
             proj = flat[..., end:].reshape(*lead, self.d_in + 1, c)
             pre_w, pre_b = proj[..., : self.d_in, :], proj[..., self.d_in, :]
-        # frozen: the views are bound once, here, and never rebound
+        # a frozen instance refuses setattr, so the views go in through __dict__
         self.__dict__.update(
             gammas=coeffs[..., 0, :], zetas=coeffs[..., 1, :], xis=coeffs[..., 2, :],
             w=flat[..., 3 * kp1 : end].reshape(*lead, kp1, c, c),
@@ -148,7 +148,9 @@ class UgdgnnParams:
         )
 
     @classmethod
-    def zeros(cls, k: int, classes: int, d_in: int | None = None, tie_xi: bool = True) -> "UgdgnnParams":
+    def zeros(
+        cls, k: int, classes: int, d_in: int | None = None, tie_xi: bool = True
+    ) -> "UgdgnnParams":
         """A zero-filled model of this layout."""
         return cls(np.zeros(_layout_size(k, classes, d_in)), k, classes, d_in, tie_xi)
 
@@ -181,10 +183,7 @@ class UgdgnnParams:
         alpha0: float,
         tie_xi: bool = True,
     ) -> "UgdgnnParams":
-        """Restart-style hop coefficients, identity mixing, Glorot weights.
-
-        The projection is added only when ``d_in`` differs from the class count.
-        """
+        """Restart-style hop coefficients, identity mixing, Glorot weights."""
         if not (0.0 < alpha0 < 1.0):
             raise ValueError("alpha0 must lie strictly in (0, 1)")
         c = num_classes
@@ -214,7 +213,9 @@ class TrainConfig:
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ValueError(f"lr must be finite and nonnegative, got {self.lr}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
+            raise ValueError(
+                f"weight_decay must be finite and nonnegative, got {self.weight_decay}"
+            )
         if self.epochs < 1 or self.k < 0 or self.patience < 1:
             raise ValueError("epochs and patience must be >= 1, K >= 0")
         if not (0.0 < self.alpha0 < 1.0):
