@@ -175,6 +175,10 @@ def cmd_denoise(args) -> int:
             spec = GsdSpec.from_json(_read_text(args.spec))
         except (ValueError, KeyError, TypeError) as exc:
             raise UsageError(f"bad spec JSON {args.spec}: {exc}")
+        for name in ("t_alpha", "t_beta"):  # an indefinite T leaves L unbounded below
+            eig = np.linalg.eigvalsh(getattr(spec, name))
+            if eig[0] < -1e-12 * np.abs(eig).max():
+                raise UsageError(f"bad spec {args.spec}: {name} has eigenvalue {eig[0]:.3e}")
         stepsize = "auto" if args.stepsize is None else args.stepsize
         try:
             cfg = SolveConfig(
@@ -187,9 +191,8 @@ def cmd_denoise(args) -> int:
             # a divergent run overflows on its last step; it is reported below
             with np.errstate(over="ignore", invalid="ignore"):
                 report = runner(spec, x, x, ops, cfg)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            print(f"solver error: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
+        except ValueError as exc:
+            raise UsageError(str(exc))
         if not math.isfinite(report.objective_trace[-1]):
             print(
                 f"solver error: objective diverged at iteration {report.iterations_used}; "

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .graph_core import NormalizedOperators, spmm
 
@@ -53,8 +52,9 @@ __all__ = [
 
 
 # closed_form_ppnp solves densely up to this many nodes and by conjugate
-# gradients above it: dense takes 0.1-0.4 ms against 0.5-3.3 ms for CG at
-# n <= 128, while CG wins at every n >= 384 (d in {1, 4}, gamma in {0.1, 0.5}).
+# gradients above it: on graphs of average degree 10, dense takes 0.1-1.1 ms
+# against 0.9-2.9 ms for CG at n <= 192, each is within 2x of the other at
+# n = 224-256, and CG wins at every n >= 320 (d in {1, 4, 16}, gamma in {0.1, 0.5}).
 DENSE_MAX_NODES = 256
 
 
@@ -87,6 +87,8 @@ def _symmetrized(m, d_name: str) -> np.ndarray:
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{d_name} must be a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{d_name} contains NaN or Inf entries")
     return 0.5 * (a + a.T)
 
 
@@ -106,8 +108,8 @@ class GsdSpec:
     regularizer: Regularizer = None
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be nonnegative")
+        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.beta < math.inf):
+            raise ValueError("alpha and beta must be finite and nonnegative")
         object.__setattr__(self, "t_alpha", _symmetrized(self.t_alpha, "t_alpha"))
         object.__setattr__(self, "t_beta", _symmetrized(self.t_beta, "t_beta"))
         if self.t_alpha.shape != self.t_beta.shape:
@@ -167,7 +169,7 @@ def _check_signal(spec: GsdSpec, h: np.ndarray, x: np.ndarray) -> None:
 def _laplacian(h: np.ndarray, ops: NormalizedOperators, beta: float) -> np.ndarray | None:
     """(I - A_hat) H, the one A_hat product both L(H) and its gradient read;
     None when beta = 0 and neither needs it."""
-    return h - spmm(ops, h) if beta != 0.0 else None
+    return ops.laplacian_apply(h) if beta != 0.0 else None
 
 
 def _objective_value(
@@ -260,7 +262,9 @@ def closed_form_ppnp(ops: NormalizedOperators, x: np.ndarray, gamma: float) -> n
     The system matrix is symmetric positive definite (its eigenvalues are
     1 - (1-gamma) lambda with lambda in [-1, 1], hence >= gamma), so a
     direct dense solve is used up to DENSE_MAX_NODES nodes and conjugate
-    gradients, one column at a time, beyond that.
+    gradients on all columns at once beyond that (one spmm per iteration).
+    Column j stops once ||r_j|| < max(1e-14 ||gamma x_j||, 1e-13), so a zero
+    column stays zero; RuntimeError if one has not after 20 n iterations.
     """
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in (0, 1]")
@@ -275,23 +279,28 @@ def closed_form_ppnp(ops: NormalizedOperators, x: np.ndarray, gamma: float) -> n
         system = np.eye(n) - (1.0 - gamma) * ops.a_hat.toarray()
         return np.linalg.solve(system, gamma * x)
 
-    def matvec(v):
-        return v - (1.0 - gamma) * spmm(ops, v)
-
-    lin = spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    maxiter = 20 * n
-    cols = []
-    for j in range(x.shape[1]):
-        b = gamma * x[:, j]
-        sol, info = spla.cg(lin, b, rtol=1e-14, atol=1e-13, maxiter=maxiter)
-        if info != 0:
-            resid = float(np.linalg.norm(matvec(sol) - b))
-            raise RuntimeError(
-                f"conjugate gradients did not converge on column {j}; "
-                f"residual {resid:.3e} after {maxiter} iterations"
-            )
-        cols.append(sol)
-    return np.stack(cols, axis=1)
+    h, p, rho_prev = np.zeros_like(x), np.zeros_like(x), np.ones(x.shape[1])
+    r = gamma * x  # the residual of h = 0 is the right-hand side
+    tol = np.maximum(1e-14 * np.linalg.norm(r, axis=0), 1e-13)
+    for _ in range(20 * n):
+        rho = np.einsum("ij,ij->j", r, r)
+        active = ~(np.sqrt(rho) < tol)  # a NaN residual stays active
+        if not active.any():
+            return h
+        p *= np.divide(rho, rho_prev, out=np.zeros_like(rho), where=active)
+        p += r
+        q = spmm(ops, p)
+        q *= 1.0 - gamma
+        np.subtract(p, q, out=q)  # q = (I - (1-gamma) A_hat) p
+        step = np.divide(rho, np.einsum("ij,ij->j", p, q), out=np.zeros_like(rho), where=active)
+        q *= step
+        r -= q
+        h += np.multiply(p, step, out=q)
+        rho_prev = rho
+    resid = np.linalg.norm(r, axis=0)
+    j = int(np.argmax(resid / tol))
+    raise RuntimeError(f"conjugate gradients did not converge on column {j}; "
+                       f"residual {resid[j]:.3e} after {20 * n} iterations")
 
 
 def _spectral_norm_ub(m: np.ndarray) -> float:

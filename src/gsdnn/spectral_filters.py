@@ -16,7 +16,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .graph_core import NormalizedOperators, spmm
-from .unrolled_gnn import Ugdgnn
+from .unrolled_gnn import Appnp, Ugdgnn, ugdgnn_specialize
 
 __all__ = [
     "FilterCoeffs",
@@ -127,14 +127,7 @@ def appnp_exact_expansion(k: int, gamma: float) -> tuple[float, ...]:
     tail is kept exact rather than dropped, so sum(c) = 1 and the expansion
     matches the iterative forward pass to rounding error.
     """
-    if k < 1:
-        raise ValueError("K must be at least 1")
-    if not (0.0 <= gamma <= 1.0):
-        raise ValueError("gamma must lie in [0, 1]")
-    decay = 1.0 - gamma
-    coeffs = [gamma * decay**j for j in range(k)]
-    coeffs.append(decay**k)
-    return tuple(coeffs)
+    return ugdgnn_specialize(Appnp(k=k, gamma=gamma)).gammas
 
 
 @dataclass(frozen=True)

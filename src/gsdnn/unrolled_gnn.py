@@ -65,6 +65,16 @@ __all__ = [
 PPNP_HORIZON = 400
 
 
+def _square_stack(weights) -> tuple[np.ndarray, ...]:
+    """The weights as float matrices, all d x d with d from the first."""
+    ws = tuple(_as_matrix(w, f"weights[{i}]") for i, w in enumerate(weights))
+    d = ws[0].shape[0]
+    for i, w in enumerate(ws):
+        if w.shape != (d, d):
+            raise ValueError(f"weights[{i}] must be {d}x{d}, got {w.shape}")
+    return ws
+
+
 @dataclass(frozen=True)
 class Sgc:
     """X_bar = A_hat^K X W; W may change width."""
@@ -112,12 +122,7 @@ class JkNet:
     def __post_init__(self):
         if len(self.weights) < 2:
             raise ValueError("need weights for hops 0..K with K >= 1")
-        ws = tuple(_as_matrix(w, f"weights[{i}]") for i, w in enumerate(self.weights))
-        d = ws[0].shape[0]
-        for i, w in enumerate(ws):
-            if w.shape != (d, d):
-                raise ValueError(f"weights[{i}] must be {d}x{d}, got {w.shape}")
-        object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "weights", _square_stack(self.weights))
 
     @property
     def k(self) -> int:
@@ -149,12 +154,7 @@ class Gcn:
     def __post_init__(self):
         if len(self.weights) < 1:
             raise ValueError("need at least one layer weight")
-        ws = tuple(_as_matrix(w, f"weights[{i}]") for i, w in enumerate(self.weights))
-        d = ws[0].shape[0]
-        for i, w in enumerate(ws):
-            if w.shape != (d, d):
-                raise ValueError(f"weights[{i}] must be {d}x{d}, got {w.shape}")
-        object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "weights", _square_stack(self.weights))
 
     @property
     def k(self) -> int:
@@ -174,12 +174,7 @@ class GcnII:
             raise ValueError("zeta and xi must lie in [0, 1]")
         if len(self.weights) < 1:
             raise ValueError("need at least one layer weight")
-        ws = tuple(_as_matrix(w, f"weights[{i}]") for i, w in enumerate(self.weights))
-        d = ws[0].shape[0]
-        for i, w in enumerate(ws):
-            if w.shape != (d, d):
-                raise ValueError(f"weights[{i}] must be {d}x{d}, got {w.shape}")
-        object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "weights", _square_stack(self.weights))
 
     @property
     def k(self) -> int:

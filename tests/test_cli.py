@@ -110,26 +110,44 @@ def test_denoise_unreadable_features(workdir, capsys):
     assert code == 2
 
 
-def test_denoise_solver_spec_mismatch_is_numeric_error(workdir, capsys):
-    spec = {
-        "alpha": 1.0,
-        "beta": 1.0,
-        "t_alpha": np.eye(2).tolist(),
-        "t_beta": np.eye(2).tolist(),
-        "regularizer": {"kind": "nonneg"},
-    }
-    (workdir / "spec.json").write_text(json.dumps(spec))
+def _spec(alpha=0.2, beta=1.0, t_alpha=None, t_beta=None, regularizer=None):
+    eye = np.eye(2).tolist()
+    return {"alpha": alpha, "beta": beta, "t_alpha": t_alpha or eye,
+            "t_beta": t_beta or eye, "regularizer": regularizer}
+
+
+@pytest.mark.parametrize(
+    "solver, spec",
+    [
+        ("gd", _spec(alpha=float("nan"))),
+        ("gd", _spec(t_beta=[[1.0, float("nan")], [0.0, 1.0]])),
+        ("gd", _spec(t_alpha=np.eye(3).tolist(), t_beta=np.eye(3).tolist())),
+        ("gd", _spec(regularizer={"kind": "nonneg"})),
+        ("proxgd", _spec()),
+        ("gd", _spec(alpha=0.0, beta=0.0)),
+        ("gd", _spec(t_alpha=[[1.0, 0.0], [0.0, -0.5]])),
+    ],
+    ids=["nan-alpha", "nan-t", "dim-mismatch", "gd-nonsmooth", "proxgd-smooth",
+         "zero-curvature", "indefinite-t"],
+)
+def test_denoise_bad_spec_is_usage_error(tmp_path, capsys, solver, spec):
+    (tmp_path / "cycle.txt").write_text("0 1\n1 2\n2 3\n3 0\n")
+    (tmp_path / "feats.csv").write_text("1,2\n-1,0.5\n0.3,-2\n1.5,1\n")
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    out = tmp_path / "out"
     code = main(
         [
             "denoise",
-            "--graph", str(workdir / "edges.txt"),
-            "--features", str(workdir / "feats.csv"),
-            "--solver", "gd",
-            "--spec", str(workdir / "spec.json"),
-            "--out", str(workdir / "x"),
+            "--graph", str(tmp_path / "cycle.txt"),
+            "--features", str(tmp_path / "feats.csv"),
+            "--solver", solver,
+            "--spec", str(tmp_path / "spec.json"),
+            "--out", str(out),
         ]
     )
-    assert code == 3
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_denoise_diverging_gd_exits_numeric_without_outputs(tmp_path, capsys):

@@ -1,9 +1,14 @@
-"""Every exported name resolves: each layer's ``__all__`` and the package imports."""
+"""Every exported name resolves: each layer's ``__all__`` and the package imports;
+and importing the CLI loads no scipy solver package."""
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,3 +43,18 @@ def test_package_imports_resolve_to_layer_exports():
         for alias in node.names:
             assert alias.name in mod.__all__, f"{alias.name} is not in gsdnn.{node.module}.__all__"
             assert getattr(gsdnn, alias.asname or alias.name) is getattr(mod, alias.name)
+
+
+def test_cli_import_leaves_scipy_solvers_unloaded():
+    # src/ uses scipy only for the CSR container; its solver packages would
+    # add about 80 modules and 10 MB to every command's start-up
+    src = str(Path(gsdnn.__file__).resolve().parents[1])
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    probe = (
+        "import sys, gsdnn.cli; "
+        "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,11 @@ from gsdnn.gsd_problem import (
 )
 
 from conftest import er_ops, random_signal, random_symmetric
+
+
+def _staggered(x):
+    """Columns x_0, 0 and 1e6 x_1."""
+    return np.column_stack([x[:, 0], np.zeros(len(x)), 1e6 * x[:, 1]])
 
 
 def dense_objective(spec, h, x, ops):
@@ -186,9 +193,37 @@ class TestClosedFormPpnp:
         n = DENSE_MAX_NODES + 44  # above the constant: the CG path
         ops = er_ops(rng, n, p=0.03)
         x = random_signal(rng, n, 2)
+        system = np.eye(n) - 0.9 * ops.a_hat.toarray()
         via_cg = closed_form_ppnp(ops, x, 0.1)
-        dense = np.linalg.solve(np.eye(n) - 0.9 * ops.a_hat.toarray(), 0.1 * x)
+        dense = np.linalg.solve(system, 0.1 * x)
         assert np.max(np.abs(dense - via_cg)) < 1e-9
+
+        # columns that finish at different iterations: a zero column at
+        # once, and a 1e6-scaled one, whose relative tolerance is tighter
+        # than the absolute floor the unscaled column stops at
+        staggered = _staggered(x)
+        via_cg = closed_form_ppnp(ops, staggered, 0.1)
+        dense = np.linalg.solve(system, 0.1 * staggered)
+        scale = np.maximum(1.0, np.max(np.abs(staggered), axis=0))
+        assert np.all(np.max(np.abs(dense - via_cg), axis=0) < 1e-9 * scale)
+        assert np.all(via_cg[:, 1] == 0.0)
+
+    def test_cg_makes_one_product_of_all_columns_per_iteration(self, spmm_calls):
+        rng = np.random.default_rng(13)
+        n = DENSE_MAX_NODES + 44
+        ops = er_ops(rng, n, p=0.03)
+        x = _staggered(random_signal(rng, n, 2))
+        closed_form_ppnp(ops, x, 0.1)
+        # per-column reference: scipy's CG under the same stopping rule,
+        # one callback per iteration
+        system = spla.aslinearoperator(sparse.identity(n) - 0.9 * ops.a_hat)
+        iterations = []
+        for col in x.T:
+            steps = []
+            spla.cg(system, 0.1 * col, rtol=1e-14, atol=1e-13, callback=steps.append)
+            iterations.append(len(steps))
+        assert iterations[1] == 0 and iterations[0] != iterations[2]
+        assert spmm_calls == [(n, 3)] * max(iterations)
 
     def test_gamma_out_of_range(self):
         rng = np.random.default_rng(12)
