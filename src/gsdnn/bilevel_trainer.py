@@ -651,6 +651,11 @@ def _split_masks(
 # Uniforms drawn per block of rows in sbm_generate (8 MiB of float64).
 _SBM_DRAW_ENTRIES = 1 << 20
 
+# Largest node count sbm_generate accepts. Its edge draw takes n^2 uniforms,
+# about 4 s at this size on a 2-vCPU host, so a node count of 1e6 would run
+# for hours; the benchmark's and tests' graphs have at most 2,000 nodes.
+_SBM_MAX_NODES = 20_000
+
 
 def sbm_generate(
     n: int,
@@ -667,7 +672,15 @@ def sbm_generate(
     one-hot directions scaled by 1/sqrt(2) (so any two means are exactly
     distance 1 apart), then buried in isotropic noise. Split: 20 train and
     30 val nodes per class by lowest id, rest test.
+
+    The edge draw is O(n^2), so n above ``_SBM_MAX_NODES`` (20,000) is
+    rejected before anything is drawn or allocated.
     """
+    if n > _SBM_MAX_NODES:
+        raise ValueError(
+            f"n = {n} exceeds the SBM limit of {_SBM_MAX_NODES} nodes "
+            "(the edge draw is O(n^2))"
+        )
     if blocks < 2 or n < blocks:
         raise ValueError("need at least 2 blocks and n >= blocks")
     if not (p_in > p_out >= 0.0):

@@ -29,6 +29,7 @@ import numpy as np
 
 from gsdnn import __version__
 from gsdnn.bilevel_trainer import (
+    _SBM_MAX_NODES,
     Dataset,
     TrainConfig,
     _split_masks,
@@ -143,8 +144,11 @@ def _out_dir(args) -> Path:
 
 
 def _random_er_ops(rng: np.random.Generator, n: int, p: float = 0.2):
-    upper = np.triu(rng.random((n, n)) < p, k=1)
-    return normalize(add_self_loops(Graph(num_nodes=n, edges=np.argwhere(upper))))
+    # with the loops drawn into the mask, argwhere of its upper triangle
+    # yields canonical, sorted, loop-complete edges: one Graph, no re-sort
+    mask = rng.random((n, n)) < p
+    np.fill_diagonal(mask, True)
+    return normalize(Graph(num_nodes=n, edges=np.argwhere(np.triu(mask))))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +197,7 @@ def cmd_denoise(args) -> int:
                 report = runner(spec, x, x, ops, cfg)
         except ValueError as exc:
             raise UsageError(str(exc))
-        if not math.isfinite(report.objective_trace[-1]):
+        if report.stop_reason == "diverged":
             print(
                 f"solver error: objective diverged at iteration {report.iterations_used}; "
                 "try a smaller --stepsize",
@@ -522,7 +526,9 @@ def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
         required=True,
         help="sbm, karate, or files:EDGES,FEATURES,LABELS",
     )
-    p.add_argument("--sbm-n", type=int, default=200)
+    p.add_argument(
+        "--sbm-n", type=int, default=200, help=f"SBM node count, at most {_SBM_MAX_NODES}"
+    )
     p.add_argument("--sbm-blocks", type=int, default=2)
     p.add_argument("--sbm-p-in", type=float, default=0.1)
     p.add_argument("--sbm-p-out", type=float, default=0.01)

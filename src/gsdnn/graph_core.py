@@ -13,9 +13,12 @@ and exists mainly so tests can assert that identity; algorithms only ever
 apply A_hat.
 
 Edge lists are parsed, canonicalized, given their self-loops and normalized
-as whole arrays; no step walks the edges in Python. ``Graph.edges`` turns the
-arrays into a tuple of int pairs on demand, for callers that want Python
-values.
+as whole arrays; no step walks the edges in Python. A graph is canonicalized
+once: :func:`add_self_loops` merges the loop keys into the already sorted
+edge keys, and returns a graph that already has every loop as it is, so
+edges drawn together with their loops reach :func:`normalize` through a
+single ``Graph``. ``Graph.edges`` turns the arrays into a tuple of int pairs
+on demand, for callers that want Python values.
 
 Signals are plain float64 numpy arrays of shape (num_nodes, d), validated
 by :func:`as_signal`.
@@ -84,18 +87,19 @@ class Graph:
             u, v = int(us[bad][first]), int(vs[bad][first])
             raise ValueError(f"edge ({u}, {v}) out of range for {n} nodes")
         keys = us * n + vs
-        if np.any(keys[1:] <= keys[:-1]):
-            # sort and drop repeats; np.unique gives the same keys but is
-            # about 50x slower on numpy 2.4 at 2.5e5 keys
-            keys = np.sort(keys)
-            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-            us, vs = np.divmod(keys, n)
+        if (keys[1:] <= keys[:-1]).any():
+            us, vs = np.divmod(_sorted_unique(keys), n)
+        self._set_edges(num_nodes, us, vs)
+
+    def _set_edges(self, num_nodes: int, us: np.ndarray, vs: np.ndarray) -> None:
+        """Store canonical, sorted, repeat-free edge arrays that the graph
+        owns; the tail of ``__init__``, shared with :func:`add_self_loops`."""
         us.flags.writeable = False
         vs.flags.writeable = False
         object.__setattr__(self, "num_nodes", num_nodes)
         object.__setattr__(self, "us", us)
         object.__setattr__(self, "vs", vs)
-        object.__setattr__(self, "has_self_loops", int(np.count_nonzero(us == vs)) == n)
+        object.__setattr__(self, "has_self_loops", int(np.count_nonzero(us == vs)) == num_nodes)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -104,6 +108,13 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return self.us.size
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sort ``keys`` in place and return them without repeats. np.unique gives
+    the same keys but is about 50x slower on numpy 2.4 at 2.5e5 keys."""
+    keys.sort()
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
 def _parse_edge_lines(text: str) -> tuple[int | None, np.ndarray]:
@@ -185,16 +196,18 @@ def load_edge_list(text: str) -> Graph:
 def add_self_loops(g: Graph) -> Graph:
     """Return a graph with (i, i) added for every node. Idempotent.
 
-    The missing loops are inserted at their sorted positions, so the new
-    graph's edges arrive already canonical.
+    A graph that already has every loop is returned as it is (``Graph`` is
+    frozen and its arrays are read-only). Otherwise the loop keys
+    i * (n + 1) are merged into the sorted edge keys as one array, and the
+    new graph takes the result without a second validation pass.
     """
+    if g.has_self_loops:
+        return g
     n = g.num_nodes
-    missing = np.ones(n, dtype=bool)
-    missing[g.us[g.us == g.vs]] = False
-    new = np.flatnonzero(missing)
-    at = np.searchsorted(g.us * n + g.vs, new * (n + 1))
-    pairs = np.column_stack((np.insert(g.us, at, new), np.insert(g.vs, at, new)))
-    return Graph(num_nodes=n, edges=pairs)
+    keys = _sorted_unique(np.concatenate((g.us * n + g.vs, np.arange(n) * (n + 1))))
+    looped = Graph.__new__(Graph)
+    looped._set_edges(n, *np.divmod(keys, n))
+    return looped
 
 
 @dataclass
@@ -243,6 +256,9 @@ def normalize(g: Graph) -> NormalizedOperators:
 
     Rejects graphs without full self-loops: a zero-degree node would make
     the normalization undefined, and every algorithm here assumes loops.
+    A_hat's ``indices`` and ``indptr`` are int32 whenever both n and nnz fit
+    in int32, the dtype scipy would pick itself; handing them over in that
+    dtype spares scipy its scan of int64 index contents.
     """
     if not g.has_self_loops:
         raise ValueError("graph must have self-loops on every node; call add_self_loops first")
@@ -250,17 +266,23 @@ def normalize(g: Graph) -> NormalizedOperators:
     off = g.us != g.vs
     # Both triangles as keys row * n + col; sorted, they are the CSR order,
     # with no repeats since the canonical edges have none.
-    keys = np.sort(np.concatenate([g.us * n + g.vs, g.vs[off] * n + g.us[off]]))
-    rows, cols = np.divmod(keys, n)
+    keys = np.concatenate([g.us * n + g.vs, g.vs[off] * n + g.us[off]])
+    keys.sort()
+    cols = keys % n
+    rows = np.floor_divide(keys, n, out=keys)  # the keys are not needed again
 
     counts = np.bincount(rows, minlength=n)
-    degrees = counts.astype(np.float64)
-    if np.any(degrees <= 0):
+    if counts.min() <= 0:
         raise ValueError("zero-degree node encountered after normalization setup")
+    degrees = counts.astype(np.float64)
 
     dinv = 1.0 / np.sqrt(degrees)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    a_hat = sp.csr_matrix((dinv[rows] * dinv[cols], cols, indptr), shape=(n, n))
+    data = dinv[rows]
+    data *= dinv[cols]
+    index = np.int32 if max(n, cols.size) < 2**31 else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    counts.cumsum(out=indptr[1:])
+    a_hat = sp.csr_matrix((data, cols.astype(index, copy=False), indptr), shape=(n, n))
     return NormalizedOperators(graph=g, a_hat=a_hat, degrees=degrees)
 
 

@@ -15,7 +15,7 @@ gradient and the objective trace. Objective traces always include the
 nonsmooth part, so the documented descent guarantee at stepsize 1/Lambda is
 about the true composite objective, not just its smooth half. A run stops,
 unconverged, at the first step whose objective is not finite: the iteration
-has diverged.
+has diverged, and the report's ``stop_reason`` says so.
 """
 
 from __future__ import annotations
@@ -108,11 +108,20 @@ class SolveConfig:
 
 @dataclass
 class SolveReport:
+    """Result of a descent run. ``stop_reason`` says why it stopped:
+    ``plateau`` (the objective changed by at most rel_tol, relative),
+    ``max_iters`` (the iteration budget ran out) or ``diverged`` (the
+    objective stopped being finite)."""
+
     final: np.ndarray
     objective_trace: list[float]
     iterations_used: int
-    converged: bool
+    stop_reason: str
     trajectory: list[np.ndarray] | None = field(default=None, repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "plateau"
 
     def to_json_dict(self) -> dict:
         return {
@@ -121,6 +130,7 @@ class SolveReport:
             "objective_trace": [
                 v if math.isfinite(v) else None for v in self.objective_trace
             ],
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -196,7 +206,7 @@ def _descend(
     lap_h = _laplacian(h, ops, spec.beta)
     trace = [float(_objective_value(spec, h, x, lap_h))]
     traj = [h.copy()] if cfg.capture_trajectory else None
-    converged = False
+    stop_reason = "max_iters"
     it = 0
     for it in range(1, cfg.max_iters + 1):
         h = _layer_step(layer, h, x, lap_h)
@@ -206,16 +216,17 @@ def _descend(
         if traj is not None:
             traj.append(h.copy())
         if not math.isfinite(f):
-            break  # diverged (an inf trace[0], from an infeasible h0, is not)
+            stop_reason = "diverged"  # an inf trace[0], from an infeasible h0, is not
+            break
         prev = trace[-2]
         if math.isfinite(prev) and abs(f - prev) <= cfg.rel_tol * max(1.0, abs(prev)):
-            converged = True
+            stop_reason = "plateau"
             break
     return SolveReport(
         final=h,
         objective_trace=trace,
         iterations_used=it,
-        converged=converged,
+        stop_reason=stop_reason,
         trajectory=traj,
     )
 

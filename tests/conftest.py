@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 
 from gsdnn import graph_core
-from gsdnn.graph_core import Graph, add_self_loops, normalize
+from gsdnn.graph_core import Graph, normalize
 
 
 def er_graph(rng: np.random.Generator, n: int, p: float = 0.25) -> Graph:
-    """Erdos-Renyi graph on n nodes with self-loops added."""
-    upper = np.triu(rng.random((n, n)) < p, k=1)
-    return add_self_loops(Graph(num_nodes=n, edges=np.argwhere(upper)))
+    """Erdos-Renyi graph on n nodes with self-loops, drawn into the mask as
+    ``cli._random_er_ops`` draws them."""
+    mask = rng.random((n, n)) < p
+    np.fill_diagonal(mask, True)
+    return Graph(num_nodes=n, edges=np.argwhere(np.triu(mask)))
 
 
 def er_ops(rng: np.random.Generator, n: int, p: float = 0.25):

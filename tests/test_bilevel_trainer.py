@@ -662,6 +662,35 @@ def test_karate_structure():
     assert int(ds.train_mask.sum()) == 8 and int(ds.val_mask.sum()) == 8
 
 
+def test_karate_edges_match_networkx():
+    nx = pytest.importorskip("networkx")
+    graph = karate_dataset().ops.graph
+    off = graph.us != graph.vs
+    ours = set(zip(graph.us[off].tolist(), graph.vs[off].tolist()))
+    theirs = {(min(u, v), max(u, v)) for u, v in nx.karate_club_graph().edges()}
+    assert len(ours) == 78
+    assert ours == theirs
+
+
+def test_karate_factions_match_networkx():
+    nx = pytest.importorskip("networkx")
+    ref = nx.karate_club_graph()
+    assert sorted(ref.nodes) == list(range(34))
+    clubs = np.array([ref.nodes[i]["club"] == "Officer" for i in range(34)], dtype=np.int64)
+    labels = karate_dataset().labels
+    assert np.array_equal(clubs, labels) or np.array_equal(clubs, 1 - labels)
+
+
+def test_sbm_rejects_oversized_n_before_drawing(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sbm_generate drew before checking n")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match="SBM limit of 20000 nodes"):
+        sbm_generate(n=bilevel_trainer._SBM_MAX_NODES + 1, blocks=2, p_in=0.1,
+                     p_out=0.01, d=2, noise_sigma=1.0, seed=0)
+
+
 def test_dataset_rejects_overlapping_masks():
     ds = karate_dataset()
     bad_val = ds.val_mask.copy()

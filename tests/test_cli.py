@@ -427,3 +427,24 @@ def test_non_finite_numeric_flag_is_usage_error(workdir, capsys, base, flags, re
     assert main([*base(workdir), *flags, "--out", str(out)]) == 2
     assert reason in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["train"], ["sweep", "--ks", "1"]], ids=["train", "sweep"])
+def test_oversized_sbm_is_usage_error_without_drawing(tmp_path, capsys, monkeypatch, command):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the SBM was drawn before its size was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    out = tmp_path / "x"
+    assert main([*command, "--dataset", "sbm", "--sbm-n", "20001", "--out", str(out)]) == 2
+    assert "exceeds the SBM limit of 20000 nodes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_report_states_stop_reason(workdir):
+    for iters, reason in (("1", "max_iters"), ("5000", "plateau")):
+        out = workdir / reason
+        assert main([*_denoise_gd(workdir), "--iters", iters, "--out", str(out)]) == 0
+        report = read_json(out / "solve_report.json")
+        assert report["stop_reason"] == reason
+        assert report["converged"] == (reason == "plateau")

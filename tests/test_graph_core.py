@@ -2,9 +2,11 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsdnn.cli import _random_er_ops
 from gsdnn.graph_core import (
     Graph,
     add_self_loops,
@@ -239,3 +241,64 @@ def test_adjacency_spectrum_in_unit_interval(seed, n):
     eigs = np.linalg.eigvalsh(ops.a_hat.toarray())
     assert eigs.min() >= -1.0 - 1e-10
     assert eigs.max() <= 1.0 + 1e-10
+
+
+def _reference_a_hat(n: int, pairs: list[tuple[int, int]]):
+    """(A_hat, degrees) of the looped graph, built independently: scipy COO
+    of both triangles plus the missing loops, then tocsr and sort_indices."""
+    edges = {(min(u, v), max(u, v)) for u, v in pairs}
+    edges |= {(i, i) for i in range(n)}
+    rows = [u for u, v in edges] + [v for u, v in edges if u != v]
+    cols = [v for u, v in edges] + [u for u, v in edges if u != v]
+    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    degrees = np.bincount(rows, minlength=n).astype(np.float64)
+    dinv = 1.0 / np.sqrt(degrees)
+    a = sp.coo_matrix((dinv[rows] * dinv[cols], (rows, cols)), shape=(n, n)).tocsr()
+    a.sort_indices()
+    return a, degrees
+
+
+def _assert_bit_equal(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 30), loops=st.sampled_from(["none", "some", "all"]), data=st.data())
+def test_looped_operators_bit_equal_scipy_reference(n, loops, data):
+    node = st.integers(0, n - 1)
+    pairs = [(u, v) for u, v in data.draw(st.lists(st.tuples(node, node), max_size=80)) if u != v]
+    if loops == "some":
+        pairs += [(i, i) for i in data.draw(st.lists(node, max_size=n))]
+    elif loops == "all":
+        pairs += [(i, i) for i in range(n)]
+    pairs = data.draw(st.permutations(pairs))
+    g = Graph(num_nodes=n, edges=np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    ops = normalize(add_self_loops(g))
+    want, degrees = _reference_a_hat(n, pairs)
+    for name in ("indptr", "indices", "data"):
+        _assert_bit_equal(getattr(ops.a_hat, name), getattr(want, name))
+    _assert_bit_equal(ops.degrees, degrees)
+
+
+def test_add_self_loops_returns_a_loop_complete_graph_itself():
+    g = add_self_loops(load_edge_list("0 1\n1 2"))
+    assert g.has_self_loops
+    assert add_self_loops(g) is g
+    full = Graph(num_nodes=3, edges=((0, 0), (1, 1), (2, 2), (0, 2)))
+    assert add_self_loops(full) is full
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50))
+def test_loop_drawn_er_mask_gives_the_added_loop_graph(seed, n):
+    # the helpers draw the loops into the mask; the graph must be the one
+    # that adding loops to the loop-free draw gives
+    for p, drawn in ((0.25, er_graph(np.random.default_rng(seed), n)),
+                     (0.2, _random_er_ops(np.random.default_rng(seed), n).graph)):
+        upper = np.triu(np.random.default_rng(seed).random((n, n)) < p, k=1)
+        want = add_self_loops(Graph(num_nodes=n, edges=np.argwhere(upper)))
+        _assert_bit_equal(drawn.us, want.us)
+        _assert_bit_equal(drawn.vs, want.vs)
+        assert drawn.has_self_loops

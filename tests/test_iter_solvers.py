@@ -102,7 +102,19 @@ class TestGdRun:
         x = random_signal(rng, 4, 1)
         report = gd_run(eye_spec(1), x, x, ops, SolveConfig(max_iters=3))
         doc = report.to_json_dict()
-        assert set(doc) == {"converged", "iterations", "objective_trace"}
+        assert set(doc) == {"converged", "iterations", "objective_trace", "stop_reason"}
+        assert doc["stop_reason"] == report.stop_reason
+
+    def test_stop_reasons(self):
+        rng = np.random.default_rng(4)
+        ops = er_ops(rng, 6)
+        x = random_signal(rng, 6, 2)
+        budget = gd_run(eye_spec(2), x, x, ops, SolveConfig(max_iters=2, rel_tol=0.0))
+        assert (budget.stop_reason, budget.converged, budget.iterations_used) == (
+            "max_iters", False, 2)
+        plateau = gd_run(eye_spec(2), x, x, ops, SolveConfig(max_iters=5000))
+        assert (plateau.stop_reason, plateau.converged) == ("plateau", True)
+        assert plateau.iterations_used < 5000
 
 
 class TestProxNonneg:
@@ -242,6 +254,7 @@ class TestDivergence:
 
     def check_stopped_at_first_overflow(self, report):
         assert not report.converged
+        assert report.stop_reason == "diverged"
         assert report.iterations_used < self.cfg.max_iters
         assert len(report.objective_trace) == report.iterations_used + 1
         assert not math.isfinite(report.objective_trace[-1])
@@ -252,6 +265,14 @@ class TestDivergence:
         with np.errstate(over="ignore", invalid="ignore"):
             report = gd_run(spec, self.x, self.x, self.ops, self.cfg)
         self.check_stopped_at_first_overflow(report)
+
+    def test_divergence_on_the_last_allowed_step_is_reported_as_diverged(self):
+        spec = eye_spec(2, alpha=0.2, beta=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            first = gd_run(spec, self.x, self.x, self.ops, self.cfg)
+            cfg = SolveConfig(max_iters=first.iterations_used, stepsize=10.0, rel_tol=0.0)
+            report = gd_run(spec, self.x, self.x, self.ops, cfg)
+        assert (report.stop_reason, report.iterations_used) == ("diverged", cfg.max_iters)
 
     def test_proxgd_stops_at_first_nonfinite_objective(self):
         spec = eye_spec(2, alpha=0.2, beta=1.0, reg=RowL21(weight=0.05))
