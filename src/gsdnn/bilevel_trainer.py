@@ -226,6 +226,11 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
+    """Per-epoch history of one training run. ``stop_reason`` says why it
+    stopped: ``patience`` (no better validation epoch for patience epochs),
+    ``epochs`` (the epoch budget ran out) or ``diverged`` (the training loss
+    stopped being finite; the history ends at the last finite epoch)."""
+
     train_losses: list[float]
     val_accs: list[float]
     test_accs: list[float]
@@ -235,7 +240,11 @@ class TrainReport:
     final_gammas: list[float]
     final_zetas: list[float]
     wall_clock_seconds: float
-    diverged: bool = False
+    stop_reason: str = "epochs"
+
+    @property
+    def diverged(self) -> bool:
+        return self.stop_reason == "diverged"
 
     def to_json_dict(self) -> dict:
         # wall clock deliberately left out: rerunning with the same seed
@@ -251,6 +260,7 @@ class TrainReport:
             "final_gammas": self.final_gammas,
             "final_zetas": self.final_zetas,
             "diverged": self.diverged,
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -528,7 +538,7 @@ class _SeedRun:
         """Record one epoch; True when this seed stops training here."""
         rep = self.report
         if not math.isfinite(loss):
-            rep.diverged = True
+            rep.stop_reason = "diverged"
             return True
         rep.train_losses.append(loss)
         rep.val_accs.append(val_acc)
@@ -543,7 +553,10 @@ class _SeedRun:
             self.best_val_loss = val_loss
             rep.best_epoch = epoch
             rep.test_acc_at_best = test_acc
-        return epoch - rep.best_epoch >= patience
+        if epoch - rep.best_epoch >= patience:
+            rep.stop_reason = "patience"
+            return True
+        return False
 
     def finish(self, gammas: np.ndarray, zetas: np.ndarray, seconds: float) -> None:
         self.report.final_gammas = gammas.tolist()

@@ -40,6 +40,7 @@ from gsdnn.bilevel_trainer import (
 )
 from gsdnn.graph_core import (
     Graph,
+    NormalizedOperators,
     add_self_loops,
     as_signal,
     load_edge_list,
@@ -49,6 +50,7 @@ from gsdnn.graph_core import (
 from gsdnn.gsd_problem import GsdSpec, closed_form_ppnp
 from gsdnn.iter_solvers import SolveConfig, gd_run, proxgd_run
 from gsdnn.spectral_filters import (
+    _check_eig_size,
     apply_polynomial_filter,
     frequency_response,
     theta_to_ugdgnn,
@@ -87,8 +89,10 @@ def _read_text(path: str) -> str:
 
 
 def _load_graph(path: str) -> Graph:
+    """The parsed edge list, without its loops: a caller checks the declared
+    node count against its other inputs before building anything that size."""
     try:
-        return add_self_loops(load_edge_list(_read_text(path)))
+        return load_edge_list(_read_text(path))
     except ValueError as exc:
         raise UsageError(f"bad edge list {path}: {exc}")
 
@@ -100,6 +104,14 @@ def _load_features(path: str, num_nodes: int | None = None) -> np.ndarray:
         raise UsageError(f"cannot read {path}: {exc}")
     except ValueError as exc:
         raise UsageError(f"bad feature CSV {path}: {exc}")
+
+
+def _load_graph_signal(graph_path: str, feat_path: str) -> tuple[NormalizedOperators, np.ndarray]:
+    """A_hat of the edge list and its features, whose row count is checked
+    against the declared node count before anything of that size is built."""
+    graph = _load_graph(graph_path)
+    x = _load_features(feat_path, num_nodes=graph.num_nodes)
+    return normalize(add_self_loops(graph)), x
 
 
 def _sha256(path: str) -> str:
@@ -121,6 +133,7 @@ def _write_manifest(
     input_paths: list[str],
     outputs: list[str],
     timing: dict | None = None,
+    sizes: dict | None = None,
 ) -> None:
     doc = {
         "command": command,
@@ -132,6 +145,8 @@ def _write_manifest(
     }
     if timing:
         doc["timing"] = timing
+    if sizes:
+        doc["sizes"] = sizes
     _dump_json(out_dir / "manifest.json", doc)
 
 
@@ -157,8 +172,9 @@ def _random_er_ops(rng: np.random.Generator, n: int, p: float = 0.2):
 
 def cmd_denoise(args) -> int:
     inputs = [args.graph, args.features]
-    ops = normalize(_load_graph(args.graph))
-    x = _load_features(args.features, num_nodes=ops.num_nodes)
+    started = time.perf_counter()
+    ops, x = _load_graph_signal(args.graph, args.features)
+    loaded = time.perf_counter()
 
     if args.solver == "closed-form":
         if args.gamma is None:
@@ -207,9 +223,15 @@ def cmd_denoise(args) -> int:
         final = report.final
         report_doc = {"solver": args.solver, **report.to_json_dict()}
 
+    solved = time.perf_counter()
     out = _out_dir(args)
     np.savetxt(out / "denoised.csv", final, delimiter=",", fmt="%.17g")
     _dump_json(out / "solve_report.json", report_doc)
+    timing = {
+        "load_seconds": round(loaded - started, 3),
+        "solve_seconds": round(solved - loaded, 3),
+        "write_seconds": round(time.perf_counter() - solved, 3),
+    }
     _write_manifest(
         out,
         "denoise",
@@ -222,6 +244,8 @@ def cmd_denoise(args) -> int:
         },
         inputs,
         ["denoised.csv", "solve_report.json"],
+        timing=timing,
+        sizes={"n": ops.num_nodes, "nnz": int(ops.a_hat.nnz), "d": x.shape[1]},
     )
     return EXIT_OK
 
@@ -321,7 +345,12 @@ def cmd_filter(args) -> int:
     inputs = []
     if args.graph is not None:
         inputs.append(args.graph)
-        ops = normalize(_load_graph(args.graph))
+        graph = _load_graph(args.graph)
+        try:
+            _check_eig_size(graph.num_nodes)  # before a graph too large to analyse is built
+        except ValueError as exc:
+            raise UsageError(str(exc))
+        ops = normalize(add_self_loops(graph))
         verify_graph = args.graph
     else:
         ops = _random_er_ops(np.random.default_rng((args.seed, 101)), n=24)
@@ -336,10 +365,7 @@ def cmd_filter(args) -> int:
     outputs = ["filter_report.json"]
     lines = None
     if args.graph is not None:
-        try:
-            table = frequency_response(theta, ops)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        table = frequency_response(theta, ops)  # the graph's size was checked on loading
         lines = ["lambda,response"]
         lines += [f"{lam:.17g},{resp:.17g}" for lam, resp in table]
     out = _out_dir(args)
@@ -396,9 +422,7 @@ def _load_dataset(args) -> tuple[Dataset, list[str]]:
                 "edges,features,labels"
             )
         edge_path, feat_path, label_path = parts
-        graph = _load_graph(edge_path)
-        ops = normalize(graph)
-        x = _load_features(feat_path, num_nodes=graph.num_nodes)
+        ops, x = _load_graph_signal(edge_path, feat_path)
         try:
             labels = np.loadtxt(label_path, dtype=np.int64, ndmin=1)
         except (OSError, ValueError) as exc:

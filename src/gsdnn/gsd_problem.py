@@ -19,11 +19,11 @@ The gradient of the smooth part is
     grad L = 2 alpha (H - X) T_alpha + 2 beta (I - A_hat) H T_beta
              [+ 2 beta (H - H T_beta) under RidgeComplement].
 
-That formula is written once, for a given (I - A_hat) H: ``gradient_smooth``
-evaluates it, and so does the one layer step in ``iter_solvers`` that both
-the solvers and the unrolled plans of ``unrolled_gnn`` run. The solver loop
-likewise passes the same (I - A_hat) H to the objective evaluator, so an
-iterate costs one A_hat product.
+``_layer_of`` decodes a ``GsdSpec`` once into the ``LayerParams`` of one
+descent step (an identity T becomes None). The objective, the gradient, the
+curvature bound and the layer step that the solvers and the unrolled plans
+run all read that record, so the gradient formula is written once; each is
+given (I - A_hat) H, so a solver iterate costs one A_hat product.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .graph_core import NormalizedOperators, spmm
 
 __all__ = [
     "GsdSpec",
+    "LayerParams",
     "NonNegIndicator",
     "RidgeComplement",
     "RowL21",
@@ -148,6 +149,67 @@ class GsdSpec:
         return cls.from_json_dict(json.loads(text))
 
 
+def _as_matrix(w, name: str) -> np.ndarray:
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 2:
+        raise ValueError(f"{name} must be a matrix, got shape {w.shape}")
+    return w
+
+
+@dataclass(frozen=True)
+class LayerParams:
+    """One descent step on a GSD objective, which is one unrolled layer.
+
+    ``t_alpha`` / ``t_beta`` equal to None mean the identity. They are not
+    required to be symmetric: the scheme builders put raw weight matrices
+    here, and the layer algebra never needs symmetry. ``ridge`` weighs the
+    term ||H||^2_{I - T_beta} (it vanishes when T_beta is None). ``prox``
+    is the regularizer whose proximal map ends the step; a ``RowL21``
+    shrinks rows toward X with threshold eta * weight.
+    """
+
+    eta: float
+    alpha: float
+    beta: float
+    t_alpha: np.ndarray | None = None
+    t_beta: np.ndarray | None = None
+    ridge: float = 0.0
+    prox: Union[None, NonNegIndicator, RowL21] = None
+
+    def __post_init__(self):
+        if self.eta <= 0:
+            raise ValueError("eta must be positive")
+        if self.alpha < 0 or self.beta < 0:
+            raise ValueError("alpha and beta must be nonnegative")
+        for name in ("t_alpha", "t_beta"):
+            t = getattr(self, name)
+            if t is not None:
+                object.__setattr__(self, name, _as_matrix(t, name))
+
+
+def _layer_of(spec: GsdSpec, eta: float = 1.0) -> LayerParams:
+    """The step of stepsize eta on spec's objective: the one place a
+    regularizer becomes ``ridge`` and ``prox`` and an exactly-identity T
+    becomes None (any other T is kept as the same array). Only the step
+    reads eta, so the objective, gradient and bound take the default."""
+    reg, eye = spec.regularizer, np.eye(spec.dim)
+    t_alpha, t_beta = (None if np.array_equal(t, eye) else t for t in (spec.t_alpha, spec.t_beta))
+    return LayerParams(
+        eta=eta, alpha=spec.alpha, beta=spec.beta, t_alpha=t_alpha, t_beta=t_beta,
+        ridge=spec.beta if isinstance(reg, RidgeComplement) else 0.0,
+        prox=reg if isinstance(reg, (NonNegIndicator, RowL21)) else None,
+    )
+
+
+def _times(m: np.ndarray, t: np.ndarray | None) -> np.ndarray:
+    return m if t is None else m @ t
+
+
+def _norm_sq(m: np.ndarray, t: np.ndarray | None) -> float:
+    """tr(M T M^T), with None as the identity."""
+    return float(np.sum(_times(m, t) * m))
+
+
 def weighted_norm_sq(m: np.ndarray, t: np.ndarray) -> float:
     """tr(M T M^T); equals the squared Frobenius norm when t = I."""
     m = np.asarray(m, dtype=np.float64)
@@ -156,7 +218,7 @@ def weighted_norm_sq(m: np.ndarray, t: np.ndarray) -> float:
         raise ValueError(
             f"matrix has {m.shape[1]} columns but the weight is {t.shape[0]}x{t.shape[1]}"
         )
-    return float(np.sum((m @ t) * m))
+    return _norm_sq(m, t)
 
 
 def _check_signal(spec: GsdSpec, h: np.ndarray, x: np.ndarray) -> None:
@@ -173,24 +235,21 @@ def _laplacian(h: np.ndarray, ops: NormalizedOperators, beta: float) -> np.ndarr
 
 
 def _objective_value(
-    spec: GsdSpec, h: np.ndarray, x: np.ndarray, lap_h: np.ndarray | None
+    layer: LayerParams, h: np.ndarray, x: np.ndarray, lap_h: np.ndarray | None
 ) -> float:
     """L(H), given lap_h = (I - A_hat) H."""
-    if isinstance(spec.regularizer, NonNegIndicator) and np.any(h < 0):
+    if isinstance(layer.prox, NonNegIndicator) and np.any(h < 0):
         return math.inf
 
     value = 0.0
-    if spec.alpha != 0.0:
-        value += spec.alpha * weighted_norm_sq(h - x, spec.t_alpha)
-    if spec.beta != 0.0:
-        value += spec.beta * float(np.sum((h @ spec.t_beta) * lap_h))
-    if isinstance(spec.regularizer, RidgeComplement):
-        eye = np.eye(spec.dim)
-        value += spec.beta * weighted_norm_sq(h, eye - spec.t_beta)
-    elif isinstance(spec.regularizer, RowL21):
-        value += spec.regularizer.weight * float(
-            np.sum(np.linalg.norm(h - x, axis=1))
-        )
+    if layer.alpha != 0.0:
+        value += layer.alpha * _norm_sq(h - x, layer.t_alpha)
+    if layer.beta != 0.0:
+        value += layer.beta * float(np.sum(_times(h, layer.t_beta) * lap_h))
+    if layer.ridge != 0.0 and layer.t_beta is not None:
+        value += layer.ridge * _norm_sq(h, np.eye(h.shape[1]) - layer.t_beta)
+    if isinstance(layer.prox, RowL21):
+        value += layer.prox.weight * float(np.sum(np.linalg.norm(h - x, axis=1)))
     return value
 
 
@@ -204,36 +263,24 @@ def objective(
     h = np.asarray(h, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     _check_signal(spec, h, x)
-    return _objective_value(spec, h, x, _laplacian(h, ops, spec.beta))
-
-
-def _times(m: np.ndarray, t: np.ndarray | None) -> np.ndarray:
-    return m if t is None else m @ t
+    return _objective_value(_layer_of(spec), h, x, _laplacian(h, ops, spec.beta))
 
 
 def _smooth_grad(
-    h: np.ndarray,
-    x: np.ndarray,
-    lap_h: np.ndarray | None,
-    alpha: float,
-    beta: float,
-    t_alpha: np.ndarray | None,
-    t_beta: np.ndarray | None,
-    ridge: float,
+    layer: LayerParams, h: np.ndarray, x: np.ndarray, lap_h: np.ndarray | None
 ) -> np.ndarray:
     """2 alpha (H - X) T_alpha + 2 beta lap_h T_beta + 2 ridge (H - H T_beta).
 
-    The one gradient formula: gradient_smooth and every unrolled layer
-    evaluate it. A T of None is the identity (and then the ridge term
-    vanishes); lap_h = (I - A_hat) H is read only when beta != 0.
+    The one gradient formula: gradient_smooth and every layer step evaluate
+    it. lap_h = (I - A_hat) H is read only when beta != 0.
     """
     grad = np.zeros_like(h)
-    if alpha != 0.0:
-        grad += 2.0 * alpha * _times(h - x, t_alpha)
-    if beta != 0.0:
-        grad += 2.0 * beta * _times(lap_h, t_beta)
-    if ridge != 0.0 and t_beta is not None:
-        grad += 2.0 * ridge * (h - h @ t_beta)
+    if layer.alpha != 0.0:
+        grad += 2.0 * layer.alpha * _times(h - x, layer.t_alpha)
+    if layer.beta != 0.0:
+        grad += 2.0 * layer.beta * _times(lap_h, layer.t_beta)
+    if layer.ridge != 0.0 and layer.t_beta is not None:
+        grad += 2.0 * layer.ridge * (h - h @ layer.t_beta)
     return grad
 
 
@@ -251,9 +298,7 @@ def gradient_smooth(
     h = np.asarray(h, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     _check_signal(spec, h, x)
-    lap_h = _laplacian(h, ops, spec.beta)
-    ridge = spec.beta if isinstance(spec.regularizer, RidgeComplement) else 0.0
-    return _smooth_grad(h, x, lap_h, spec.alpha, spec.beta, spec.t_alpha, spec.t_beta, ridge)
+    return _smooth_grad(_layer_of(spec), h, x, _laplacian(h, ops, spec.beta))
 
 
 def closed_form_ppnp(ops: NormalizedOperators, x: np.ndarray, gamma: float) -> np.ndarray:
@@ -303,9 +348,9 @@ def closed_form_ppnp(ops: NormalizedOperators, x: np.ndarray, gamma: float) -> n
                        f"residual {resid[j]:.3e} after {20 * n} iterations")
 
 
-def _spectral_norm_ub(m: np.ndarray) -> float:
-    """||M||_2 from the library SVD, inflated slightly to stay an upper bound."""
-    return float(np.linalg.norm(m, 2)) * (1.0 + 1e-10)
+def _spectral_norm_ub(t: np.ndarray | None) -> float:
+    """||T||_2 (1 for None) from the library SVD, inflated to stay an upper bound."""
+    return (1.0 if t is None else float(np.linalg.norm(t, 2))) * (1.0 + 1e-10)
 
 
 def smoothness_bound(spec: GsdSpec) -> float:
@@ -320,9 +365,9 @@ def smoothness_bound(spec: GsdSpec) -> float:
     bound needs no graph. Each spectral norm is the largest singular value
     (``np.linalg.norm(T, 2)``) times 1 + 1e-10.
     """
-    bound = 2.0 * spec.alpha * _spectral_norm_ub(spec.t_alpha)
-    bound += 4.0 * spec.beta * _spectral_norm_ub(spec.t_beta)
-    if isinstance(spec.regularizer, RidgeComplement):
-        eye = np.eye(spec.dim)
-        bound += 2.0 * spec.beta * _spectral_norm_ub(eye - spec.t_beta)
+    layer = _layer_of(spec)
+    bound = 2.0 * layer.alpha * _spectral_norm_ub(layer.t_alpha)
+    bound += 4.0 * layer.beta * _spectral_norm_ub(layer.t_beta)
+    if layer.ridge != 0.0 and layer.t_beta is not None:
+        bound += 2.0 * layer.ridge * _spectral_norm_ub(np.eye(spec.dim) - layer.t_beta)
     return bound

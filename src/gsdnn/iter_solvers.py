@@ -9,9 +9,9 @@ then the layer's proximal map,
     prox of t * ||. - X||_{2,1} (row-wise) = shrink each row of V toward
         the matching row of X by max(0, 1 - t / ||v_i - x_i||).
 
-``gd_run`` and ``proxgd_run`` map a ``GsdSpec`` to its layer and repeat it
-in one loop, which computes A_hat H once per iterate for both the next
-gradient and the objective trace. Objective traces always include the
+``gd_run`` and ``proxgd_run`` decode a ``GsdSpec`` into its layer once and
+repeat it in one loop, which computes A_hat H once per iterate for both the
+next gradient and the objective trace. Objective traces always include the
 nonsmooth part, so the documented descent guarantee at stepsize 1/Lambda is
 about the true composite objective, not just its smooth half. A run stops,
 unconverged, at the first step whose objective is not finite: the iteration
@@ -29,11 +29,12 @@ import numpy as np
 from .graph_core import NormalizedOperators
 from .gsd_problem import (
     GsdSpec,
+    LayerParams,
     NonNegIndicator,
-    RidgeComplement,
     RowL21,
     _check_signal,
     _laplacian,
+    _layer_of,
     _objective_value,
     _smooth_grad,
     smoothness_bound,
@@ -48,43 +49,6 @@ __all__ = [
     "prox_nonneg",
     "row_shrink",
 ]
-
-
-def _as_matrix(w, name: str) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise ValueError(f"{name} must be a matrix, got shape {w.shape}")
-    return w
-
-
-@dataclass(frozen=True)
-class LayerParams:
-    """Parameters of one unrolled layer, which is one solver iteration.
-
-    ``t_alpha`` / ``t_beta`` equal to None mean the identity. They are not
-    required to be symmetric: the scheme builders put raw weight matrices
-    here, and the layer algebra never needs symmetry. ``prox`` is the
-    regularizer whose proximal map ends the layer; a ``RowL21`` shrinks
-    rows toward X with threshold eta * weight.
-    """
-
-    eta: float
-    alpha: float
-    beta: float
-    t_alpha: np.ndarray | None = None
-    t_beta: np.ndarray | None = None
-    ridge: float = 0.0
-    prox: Union[None, NonNegIndicator, RowL21] = None
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be nonnegative")
-        for name in ("t_alpha", "t_beta"):
-            t = getattr(self, name)
-            if t is not None:
-                object.__setattr__(self, name, _as_matrix(t, name))
 
 
 @dataclass(frozen=True)
@@ -172,9 +136,7 @@ def _layer_step(
 ) -> np.ndarray:
     """One unrolled layer, which is one solver iteration: a gradient step on
     the smooth part at H, given lap_h = (I - A_hat) H, then the layer's prox."""
-    v = h - layer.eta * _smooth_grad(
-        h, x, lap_h, layer.alpha, layer.beta, layer.t_alpha, layer.t_beta, layer.ridge
-    )
+    v = h - layer.eta * _smooth_grad(layer, h, x, lap_h)
     if isinstance(layer.prox, NonNegIndicator):
         return prox_nonneg(v)
     if isinstance(layer.prox, RowL21):
@@ -190,28 +152,19 @@ def _descend(
     cfg: SolveConfig,
 ) -> SolveReport:
     """Repeat the spec's layer from h0 until the objective plateaus or diverges."""
-    reg = spec.regularizer
-    layer = LayerParams(
-        eta=_resolve_stepsize(spec, cfg),
-        alpha=spec.alpha,
-        beta=spec.beta,
-        t_alpha=spec.t_alpha,
-        t_beta=spec.t_beta,
-        ridge=spec.beta if isinstance(reg, RidgeComplement) else 0.0,
-        prox=reg if isinstance(reg, (NonNegIndicator, RowL21)) else None,
-    )
+    layer = _layer_of(spec, _resolve_stepsize(spec, cfg))
     h = np.array(h0, dtype=np.float64, copy=True)
     x = np.asarray(x, dtype=np.float64)
     _check_signal(spec, h, x)
-    lap_h = _laplacian(h, ops, spec.beta)
-    trace = [float(_objective_value(spec, h, x, lap_h))]
+    lap_h = _laplacian(h, ops, layer.beta)
+    trace = [float(_objective_value(layer, h, x, lap_h))]
     traj = [h.copy()] if cfg.capture_trajectory else None
     stop_reason = "max_iters"
     it = 0
     for it in range(1, cfg.max_iters + 1):
         h = _layer_step(layer, h, x, lap_h)
-        lap_h = _laplacian(h, ops, spec.beta)  # for this trace entry and the next step
-        f = float(_objective_value(spec, h, x, lap_h))
+        lap_h = _laplacian(h, ops, layer.beta)  # for this trace entry and the next step
+        f = float(_objective_value(layer, h, x, lap_h))
         trace.append(f)
         if traj is not None:
             traj.append(h.copy())

@@ -194,6 +194,14 @@ def gcnii_linearized_apply(
     return h
 
 
+def _check_eig_size(n: int) -> None:
+    if n > DENSE_EIG_NODE_LIMIT:
+        raise ValueError(
+            f"graph has {n} nodes; dense eigensolve is limited to "
+            f"{DENSE_EIG_NODE_LIMIT}"
+        )
+
+
 def frequency_response(
     theta: Union[FilterCoeffs, Sequence[float]],
     ops: NormalizedOperators,
@@ -204,11 +212,7 @@ def frequency_response(
     responses are the filter polynomial evaluated at each eigenvalue.
     """
     n = ops.num_nodes
-    if n > DENSE_EIG_NODE_LIMIT:
-        raise ValueError(
-            f"graph has {n} nodes; dense eigensolve is limited to "
-            f"{DENSE_EIG_NODE_LIMIT}"
-        )
+    _check_eig_size(n)
     coeffs = as_filter_coeffs(theta)
     lap = np.eye(n) - ops.a_hat.toarray()
     lam = np.linalg.eigvalsh(lap)

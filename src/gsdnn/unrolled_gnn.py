@@ -12,7 +12,7 @@ initial-residual scheme (the two-mixing-scalar model below) cancel their
 identity component exactly, since a plain gradient step always carries an
 H(I - ...) passthrough.
 
-A layer is an ``iter_solvers.LayerParams`` and ``run_unrolled`` applies it
+A layer is a ``gsd_problem.LayerParams`` and ``run_unrolled`` applies it
 with the same private layer step that ``gd_run`` and ``proxgd_run`` repeat:
 a solver iteration on a GSD objective and an unrolled layer are one
 computation, with one A_hat product each.
@@ -34,8 +34,10 @@ from typing import Union
 import numpy as np
 
 from .graph_core import NormalizedOperators, spmm
-from .gsd_problem import NonNegIndicator, RowL21, _laplacian, closed_form_ppnp
-from .iter_solvers import LayerParams, _as_matrix, _layer_step, prox_nonneg, row_shrink
+from .gsd_problem import (
+    LayerParams, NonNegIndicator, RowL21, _as_matrix, _laplacian, closed_form_ppnp,
+)
+from .iter_solvers import _layer_step, prox_nonneg, row_shrink
 
 __all__ = [
     "Sgc",

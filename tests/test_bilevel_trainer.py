@@ -782,6 +782,8 @@ def test_divergence_is_reported_not_raised():
     )
     rep = train(ds2, TrainConfig(epochs=20, patience=20))
     assert rep.diverged
+    assert rep.stop_reason == "diverged"
+    assert rep.to_json_dict()["stop_reason"] == "diverged"
     assert all(math.isfinite(v) for v in rep.train_losses)
 
 
@@ -790,6 +792,8 @@ def test_early_stopping_respects_patience():
     rep = train(ds, TrainConfig(lr=0.0, epochs=400, patience=7))
     # frozen model: best stays at epoch 0, so exactly patience+1 epochs run
     assert len(rep.train_losses) == 8
+    assert rep.stop_reason == "patience"
+    assert not rep.diverged
 
 
 def test_report_json_has_no_wall_clock():
@@ -797,6 +801,9 @@ def test_report_json_has_no_wall_clock():
     rep = train(ds, TrainConfig(epochs=5, patience=5))
     doc = rep.to_json_dict()
     assert "wall_clock_seconds" not in doc
+    # patience equals the budget, so the budget runs out first
+    assert (doc["stop_reason"], doc["diverged"]) == ("epochs", False)
+    assert len(rep.train_losses) == 5
     assert rep.wall_clock_seconds > 0.0
     assert set(doc) >= {"train_losses", "val_accs", "best_epoch", "final_gammas"}
 

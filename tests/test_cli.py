@@ -50,6 +50,19 @@ def test_denoise_closed_form_identity_at_full_teleport(workdir, capsys):
     assert sorted(manifest["outputs"]) == ["denoised.csv", "solve_report.json"]
 
 
+def test_denoise_manifest_records_sizes_and_timing(workdir):
+    out = workdir / "out"
+    assert main([*_denoise_gd(workdir), "--out", str(out)]) == 0
+    manifest = read_json(out / "manifest.json")
+    # 6 nodes, 7 edges stored in both triangles plus 6 self-loops, 2 columns
+    assert manifest["sizes"] == {"n": 6, "nnz": 20, "d": 2}
+    timing = manifest["timing"]
+    assert sorted(timing) == ["load_seconds", "solve_seconds", "write_seconds"]
+    assert all(isinstance(v, float) and v >= 0.0 for v in timing.values())
+    assert sorted(read_json(out / "solve_report.json")) == [
+        "converged", "iterations", "objective_trace", "solver", "stop_reason"]
+
+
 def test_denoise_gd_approaches_closed_form(workdir):
     spec = {
         "alpha": 0.2,
@@ -283,6 +296,9 @@ def test_train_zero_lr_keeps_initial_evaluation(tmp_path, capsys):
     report = read_json(out / "train_report.json")
     assert len(set(report["val_accs"])) == 1
     assert report["best_epoch"] == 0
+    # a frozen model never improves on epoch 0, so patience ends the run
+    assert (report["stop_reason"], report["diverged"]) == ("patience", False)
+    assert len(report["train_losses"]) == 6
     assert "wall_clock_seconds" not in report
     manifest = read_json(out / "manifest.json")
     assert "timing" in manifest and manifest["config"]["lr"] == 0.0
@@ -448,3 +464,36 @@ def test_solve_report_states_stop_reason(workdir):
         report = read_json(out / "solve_report.json")
         assert report["stop_reason"] == reason
         assert report["converged"] == (reason == "plateau")
+
+
+# A header that declares far more nodes than the 2-row feature file holds:
+# building the looped graph alone would allocate several GB.
+HUGE_EDGES = "nodes 300000000\n0 1\n"
+
+
+@pytest.mark.parametrize("command", ["denoise", "filter", "train"])
+def test_oversized_declared_graph_is_usage_error_without_building(
+    tmp_path, capsys, monkeypatch, command
+):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the graph was built before its node count was checked")
+
+    monkeypatch.setattr("gsdnn.cli.add_self_loops", no_build)
+    monkeypatch.setattr("gsdnn.cli.normalize", no_build)
+    edges, feats, labels = (tmp_path / name for name in ("e.txt", "f.csv", "l.csv"))
+    edges.write_text(HUGE_EDGES)
+    feats.write_text("1,2\n3,4\n")
+    labels.write_text("0\n1\n")
+    argv, reason = {
+        "denoise": (["denoise", "--graph", str(edges), "--features", str(feats),
+                     "--solver", "closed-form", "--gamma", "0.5"],
+                    "signal has 2 rows, expected 300000000"),
+        "filter": (["filter", "--theta", "1,0.5", "--graph", str(edges)],
+                   "graph has 300000000 nodes; dense eigensolve is limited to 500"),
+        "train": (["train", "--dataset", f"files:{edges},{feats},{labels}"],
+                  "signal has 2 rows, expected 300000000"),
+    }[command]
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert reason in capsys.readouterr().err
+    assert not out.exists()

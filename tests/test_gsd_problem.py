@@ -14,6 +14,7 @@ from gsdnn.gsd_problem import (
     NonNegIndicator,
     RidgeComplement,
     RowL21,
+    _layer_of,
     closed_form_ppnp,
     gradient_smooth,
     objective,
@@ -244,6 +245,13 @@ class TestSmoothnessBound:
         spec = GsdSpec(alpha=0.0, beta=1.0, t_alpha=np.eye(2), t_beta=np.eye(2))
         assert smoothness_bound(spec) == pytest.approx(4.0, rel=1e-9)
 
+    def test_ridge_complement_adds_its_norm(self):
+        # ||I - T_beta|| = 0.5 adds 2 beta * 0.5; with T_beta = I it adds nothing
+        for t_beta, want in ((0.5 * np.eye(3), 3.0), (np.eye(3), 4.0)):
+            spec = GsdSpec(alpha=0.0, beta=1.0, t_alpha=np.eye(3), t_beta=t_beta,
+                           regularizer=RidgeComplement())
+            assert smoothness_bound(spec) == pytest.approx(want, rel=1e-9)
+
     @pytest.mark.parametrize("reg", [None, RidgeComplement()])
     def test_dominates_dense_hessian(self, reg):
         rng = np.random.default_rng(13)
@@ -294,6 +302,31 @@ class TestSpecConstruction:
             "t_beta": [[1.0, 0.0], [0.0, 1.0]], "regularizer": {"kind": "nonneg"},
         }))
         assert isinstance(back.regularizer, NonNegIndicator)
+
+
+class TestLayerDecoding:
+    def test_identity_becomes_none_and_any_other_t_is_kept(self):
+        t = np.array([[2.0, 0.5], [0.5, 1.0]])
+        near_eye = np.eye(2) * (1.0 + 2.0**-52)
+        for t_alpha, t_beta in ((np.eye(2), t), (t, np.eye(2)), (near_eye, np.zeros((2, 2)))):
+            spec = GsdSpec(alpha=0.3, beta=0.7, t_alpha=t_alpha, t_beta=t_beta)
+            layer = _layer_of(spec, 0.25)
+            assert (layer.eta, layer.alpha, layer.beta) == (0.25, 0.3, 0.7)
+            for name in ("t_alpha", "t_beta"):
+                if np.array_equal(getattr(spec, name), np.eye(2)):
+                    assert getattr(layer, name) is None
+                else:
+                    assert getattr(layer, name) is getattr(spec, name)
+
+    @pytest.mark.parametrize(
+        "reg", [None, RidgeComplement(), NonNegIndicator(), RowL21(weight=0.4)]
+    )
+    def test_ridge_is_beta_only_under_ridge_complement(self, reg):
+        t = np.array([[2.0, 0.5], [0.5, 1.0]])
+        layer = _layer_of(GsdSpec(alpha=0.3, beta=0.7, t_alpha=t, t_beta=t, regularizer=reg))
+        assert layer.ridge == (0.7 if isinstance(reg, RidgeComplement) else 0.0)
+        smooth = reg is None or isinstance(reg, RidgeComplement)
+        assert layer.prox is (None if smooth else reg)
 
 
 @settings(max_examples=40, deadline=None)

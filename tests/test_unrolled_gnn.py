@@ -144,33 +144,32 @@ def test_one_spmm_per_layer_with_smoothness_term(spmm_calls):
     "reg", [None, RidgeComplement(), NonNegIndicator(), RowL21(weight=0.4)]
 )
 def test_solver_iterations_are_the_plan_layers(reg):
-    # the same layer step: bit-identical, not just close
+    # the same layer step: bit-identical, not just close. With T = I the
+    # solver's layer holds None where the hand-built one holds the spec's
+    # np.eye(3), so this also pins that None and the identity give the same bits.
     rng = np.random.default_rng(32)
     ops = er_ops(rng, 20)
     x = random_signal(rng, 20, 3)
-    spec = GsdSpec(
-        alpha=0.6,
-        beta=0.9,
-        t_alpha=random_symmetric(rng, 3, 0.2) + np.eye(3),
-        t_beta=random_symmetric(rng, 3, 0.2) + 0.5 * np.eye(3),
-        regularizer=reg,
-    )
-    eta = 0.1
-    layer = LayerParams(
-        eta=eta,
-        alpha=spec.alpha,
-        beta=spec.beta,
-        t_alpha=spec.t_alpha,
-        t_beta=spec.t_beta,
-        ridge=spec.beta if isinstance(reg, RidgeComplement) else 0.0,
-        prox=reg if isinstance(reg, (NonNegIndicator, RowL21)) else None,
-    )
-    run = proxgd_run if layer.prox is not None else gd_run
-    report = run(spec, x, x, ops, SolveConfig(max_iters=4, stepsize=eta, rel_tol=0.0))
-    assert report.iterations_used == 4
-    np.testing.assert_array_equal(
-        report.final, run_unrolled(UnrollPlan(layers=(layer,) * 4), ops, x)
-    )
+    random_ts = (random_symmetric(rng, 3, 0.2) + np.eye(3),
+                 random_symmetric(rng, 3, 0.2) + 0.5 * np.eye(3))
+    for t_alpha, t_beta, eta, iters in ((*random_ts, 0.1, 4), (np.eye(3), np.eye(3), 0.2, 9)):
+        spec = GsdSpec(alpha=0.6, beta=0.9, t_alpha=t_alpha, t_beta=t_beta, regularizer=reg)
+        layer = LayerParams(
+            eta=eta,
+            alpha=spec.alpha,
+            beta=spec.beta,
+            t_alpha=spec.t_alpha,
+            t_beta=spec.t_beta,
+            ridge=spec.beta if isinstance(reg, RidgeComplement) else 0.0,
+            prox=reg if isinstance(reg, (NonNegIndicator, RowL21)) else None,
+        )
+        run = proxgd_run if layer.prox is not None else gd_run
+        cfg = SolveConfig(max_iters=iters, stepsize=eta, rel_tol=0.0)
+        report = run(spec, x, x, ops, cfg)
+        assert report.iterations_used == iters
+        np.testing.assert_array_equal(
+            report.final, run_unrolled(UnrollPlan(layers=(layer,) * iters), ops, x)
+        )
 
 
 def test_gprgnn_inversion_hand_case():
