@@ -3,14 +3,16 @@
 Subcommands: ``denoise`` (run a solver on a graph signal), ``equiv``
 (randomized propagation-vs-unrolling checks), ``filter`` (polynomial
 filter to hop-coefficient mapping), ``train`` and ``sweep`` (toy node
-classification). Every run writes a ``manifest.json`` next to its
-outputs recording the command, the resolved configuration, sha256
-digests of the input files, and the output file names.
+classification). A run that writes an output also writes a
+``manifest.json`` beside it, recording the command, every parsed flag,
+sha256 digests of the files read, the files written, per-phase timing,
+the problem sizes where the command has one graph, and the software and
+machine it ran on.
 
 Exit codes: 0 success, 1 a requested check failed, 2 usage or input
 error, 3 numeric/solver error. All outputs are byte-identical across
-reruns with the same inputs and seeds, except the timestamp and timing
-fields inside the manifest.
+reruns with the same inputs and seeds, except the timestamp, timing and
+environment fields inside the manifest.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from gsdnn import __version__
 from gsdnn.bilevel_trainer import (
@@ -42,7 +46,6 @@ from gsdnn.graph_core import (
     Graph,
     NormalizedOperators,
     add_self_loops,
-    as_signal,
     load_edge_list,
     load_signal_csv,
     normalize,
@@ -78,40 +81,7 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# shared plumbing
-
-
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}")
-
-
-def _load_graph(path: str) -> Graph:
-    """The parsed edge list, without its loops: a caller checks the declared
-    node count against its other inputs before building anything that size."""
-    try:
-        return load_edge_list(_read_text(path))
-    except ValueError as exc:
-        raise UsageError(f"bad edge list {path}: {exc}")
-
-
-def _load_features(path: str, num_nodes: int | None = None) -> np.ndarray:
-    try:
-        return load_signal_csv(path, num_nodes=num_nodes)
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}")
-    except ValueError as exc:
-        raise UsageError(f"bad feature CSV {path}: {exc}")
-
-
-def _load_graph_signal(graph_path: str, feat_path: str) -> tuple[NormalizedOperators, np.ndarray]:
-    """A_hat of the edge list and its features, whose row count is checked
-    against the declared node count before anything of that size is built."""
-    graph = _load_graph(graph_path)
-    x = _load_features(feat_path, num_nodes=graph.num_nodes)
-    return normalize(add_self_loops(graph)), x
+# the run record
 
 
 def _sha256(path: str) -> str:
@@ -126,36 +96,101 @@ def _dump_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(
-    out_dir: Path,
-    command: str,
-    config: dict,
-    input_paths: list[str],
-    outputs: list[str],
-    timing: dict | None = None,
-    sizes: dict | None = None,
-) -> None:
-    doc = {
-        "command": command,
-        "config": config,
-        "inputs": {p: _sha256(p) for p in input_paths},
-        "outputs": sorted(outputs),
-        "tool_version": __version__,
-        "created_at": datetime.now(timezone.utc).isoformat(),
-    }
-    if timing:
-        doc["timing"] = timing
-    if sizes:
-        doc["sizes"] = sizes
-    _dump_json(out_dir / "manifest.json", doc)
+class _Run:
+    """What one command read, wrote and timed. ``main`` writes it as
+    ``manifest.json`` only once the handler has written an output, so a
+    command that fails on its inputs or its solve leaves no --out behind."""
+
+    def __init__(self, args: argparse.Namespace):
+        self.command = args.command
+        self.config = {
+            k: v for k, v in vars(args).items() if k not in ("command", "handler", "out")
+        }
+        self.out = Path(args.out)
+        self.inputs: list[str] = []
+        self.outputs: list[str] = []
+        self.timing: dict[str, float] = {}
+        self.sizes: dict[str, int] | None = None
+        self._mark = time.perf_counter()
+
+    def input(self, path: str) -> str:
+        """Record a file that a path-based loader reads; hashed at the end."""
+        self.inputs.append(path)
+        return path
+
+    def read_text(self, path: str) -> str:
+        try:
+            return Path(self.input(path)).read_text()
+        except OSError as exc:
+            raise UsageError(f"cannot read {path}: {exc}")
+
+    def path(self, name: str) -> Path:
+        """Where output ``name`` goes; creates --out on the first call."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(name)
+        return self.out / name
+
+    def lap(self, phase: str) -> None:
+        """Time the phase that ends here, from the end of the last one."""
+        now = time.perf_counter()
+        self.timing[f"{phase}_seconds"] = round(now - self._mark, 3)
+        self._mark = now
+
+    def size(self, ops: NormalizedOperators, x: np.ndarray) -> None:
+        self.sizes = {"n": ops.num_nodes, "nnz": int(ops.a_hat.nnz), "d": x.shape[1]}
+
+    def write_manifest(self) -> None:
+        self.lap("write")
+        uname = os.uname()
+        doc = {
+            "command": self.command,
+            "config": self.config,
+            "inputs": {p: _sha256(p) for p in self.inputs},
+            "outputs": sorted(self.outputs),
+            "timing": self.timing,
+            "env": {
+                "python": sys.version.split()[0],
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "system": uname.sysname,
+                "release": uname.release,
+                "machine": uname.machine,
+                "cpu_count": os.cpu_count(),
+            },
+            "tool_version": __version__,
+            "created_at": datetime.now(timezone.utc).isoformat(),
+        }
+        if self.sizes is not None:
+            doc["sizes"] = self.sizes
+        _dump_json(self.out / "manifest.json", doc)
 
 
-def _out_dir(args) -> Path:
-    """Create --out; called just before a command's first write, so a command
-    that fails on its inputs or its solve leaves no empty directory behind."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# ---------------------------------------------------------------------------
+# shared loaders
+
+
+def _load_graph(run: _Run, path: str) -> Graph:
+    """The parsed edge list, without its loops: a caller checks the declared
+    node count against its other inputs before building anything that size."""
+    try:
+        return load_edge_list(run.read_text(path))
+    except ValueError as exc:
+        raise UsageError(f"bad edge list {path}: {exc}")
+
+
+def _load_graph_signal(
+    run: _Run, graph_path: str, feat_path: str
+) -> tuple[NormalizedOperators, np.ndarray]:
+    """A_hat of the edge list and its features, whose row count is checked
+    against the declared node count before anything of that size is built."""
+    graph = _load_graph(run, graph_path)
+    try:
+        x = load_signal_csv(run.input(feat_path), num_nodes=graph.num_nodes)
+    except OSError as exc:
+        raise UsageError(f"cannot read {feat_path}: {exc}")
+    except ValueError as exc:
+        raise UsageError(f"bad feature CSV {feat_path}: {exc}")
+    return normalize(add_self_loops(graph)), x
 
 
 def _random_er_ops(rng: np.random.Generator, n: int, p: float = 0.2):
@@ -170,11 +205,10 @@ def _random_er_ops(rng: np.random.Generator, n: int, p: float = 0.2):
 # denoise
 
 
-def cmd_denoise(args) -> int:
-    inputs = [args.graph, args.features]
-    started = time.perf_counter()
-    ops, x = _load_graph_signal(args.graph, args.features)
-    loaded = time.perf_counter()
+def cmd_denoise(args, run: _Run) -> int:
+    ops, x = _load_graph_signal(run, args.graph, args.features)
+    run.size(ops, x)
+    run.lap("load")
 
     if args.solver == "closed-form":
         if args.gamma is None:
@@ -190,9 +224,8 @@ def cmd_denoise(args) -> int:
     else:
         if args.spec is None:
             raise UsageError(f"--solver {args.solver} requires --spec")
-        inputs.append(args.spec)
         try:
-            spec = GsdSpec.from_json(_read_text(args.spec))
+            spec = GsdSpec.from_json(run.read_text(args.spec))
         except (ValueError, KeyError, TypeError) as exc:
             raise UsageError(f"bad spec JSON {args.spec}: {exc}")
         for name in ("t_alpha", "t_beta"):  # an indefinite T leaves L unbounded below
@@ -201,9 +234,7 @@ def cmd_denoise(args) -> int:
                 raise UsageError(f"bad spec {args.spec}: {name} has eigenvalue {eig[0]:.3e}")
         stepsize = "auto" if args.stepsize is None else args.stepsize
         try:
-            cfg = SolveConfig(
-                max_iters=args.iters, stepsize=stepsize, rel_tol=args.rel_tol
-            )
+            cfg = SolveConfig(max_iters=args.iters, stepsize=stepsize, rel_tol=args.rel_tol)
         except ValueError as exc:
             raise UsageError(str(exc))
         runner = gd_run if args.solver == "gd" else proxgd_run
@@ -223,30 +254,9 @@ def cmd_denoise(args) -> int:
         final = report.final
         report_doc = {"solver": args.solver, **report.to_json_dict()}
 
-    solved = time.perf_counter()
-    out = _out_dir(args)
-    np.savetxt(out / "denoised.csv", final, delimiter=",", fmt="%.17g")
-    _dump_json(out / "solve_report.json", report_doc)
-    timing = {
-        "load_seconds": round(loaded - started, 3),
-        "solve_seconds": round(solved - loaded, 3),
-        "write_seconds": round(time.perf_counter() - solved, 3),
-    }
-    _write_manifest(
-        out,
-        "denoise",
-        {
-            "solver": args.solver,
-            "gamma": args.gamma,
-            "iters": args.iters,
-            "stepsize": args.stepsize,
-            "rel_tol": args.rel_tol,
-        },
-        inputs,
-        ["denoised.csv", "solve_report.json"],
-        timing=timing,
-        sizes={"n": ops.num_nodes, "nnz": int(ops.a_hat.nnz), "d": x.shape[1]},
-    )
+    run.lap("solve")
+    np.savetxt(run.path("denoised.csv"), final, delimiter=",", fmt="%.17g")
+    _dump_json(run.path("solve_report.json"), report_doc)
     return EXIT_OK
 
 
@@ -269,50 +279,29 @@ def _check_tol(tol: float) -> None:
         raise UsageError(f"--tol must be finite, got {tol}")
 
 
-def cmd_equiv(args) -> int:
+def cmd_equiv(args, run: _Run) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
     _check_tol(args.tol)
+    run.config["graph_distribution"] = EQUIV_GRAPHS
     names = list(MODEL_KINDS) if args.model == "all" else [args.model]
-    cells = [
-        (name, mi, t)
-        for mi, name in enumerate(names)
-        for t in range(args.trials)
-    ]
-    started = time.perf_counter()
-    checks = [_equiv_cell(name, mi, t, args.seed, args.tol) for name, mi, t in cells]
-    elapsed = time.perf_counter() - started
-
     results = []
     for mi, name in enumerate(names):
-        own = checks[mi * args.trials : (mi + 1) * args.trials]
+        checks = [_equiv_cell(name, mi, t, args.seed, args.tol) for t in range(args.trials)]
         results.append(
             {
                 "model": name,
                 "trials": args.trials,
-                "max_abs_diff": max((c["max_abs_diff"] for c in own), default=0.0),
-                "pass": all(c["pass"] for c in own),
+                "max_abs_diff": max(c["max_abs_diff"] for c in checks),
+                "pass": all(c["pass"] for c in checks),
             }
         )
+    run.lap("check")
+
     all_pass = all(r["pass"] for r in results)
-    out = _out_dir(args)
     _dump_json(
-        out / "equiv_report.json",
+        run.path("equiv_report.json"),
         {"seed": args.seed, "tol": args.tol, "results": results, "all_pass": all_pass},
-    )
-    _write_manifest(
-        out,
-        "equiv",
-        {
-            "model": args.model,
-            "trials": args.trials,
-            "seed": args.seed,
-            "tol": args.tol,
-            "graph_distribution": EQUIV_GRAPHS,
-        },
-        [],
-        ["equiv_report.json"],
-        timing={"seconds": round(elapsed, 3)},
     )
     for r in results:
         status = "ok" if r["pass"] else "FAIL"
@@ -334,7 +323,7 @@ def _parse_theta(raw: str) -> tuple[float, ...]:
     return theta
 
 
-def cmd_filter(args) -> int:
+def cmd_filter(args, run: _Run) -> int:
     _check_tol(args.tol)
     theta = _parse_theta(args.theta)
     try:
@@ -342,51 +331,40 @@ def cmd_filter(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
 
-    inputs = []
     if args.graph is not None:
-        inputs.append(args.graph)
-        graph = _load_graph(args.graph)
+        graph = _load_graph(run, args.graph)
         try:
             _check_eig_size(graph.num_nodes)  # before a graph too large to analyse is built
         except ValueError as exc:
             raise UsageError(str(exc))
         ops = normalize(add_self_loops(graph))
-        verify_graph = args.graph
     else:
         ops = _random_er_ops(np.random.default_rng((args.seed, 101)), n=24)
-        verify_graph = "builtin-er-24"
+    x = np.random.default_rng((args.seed, 202)).standard_normal((ops.num_nodes, 2))
+    run.size(ops, x)
+    run.lap("load")
 
-    rng = np.random.default_rng((args.seed, 202))
-    x = rng.standard_normal((ops.num_nodes, 2))
     diff = float(
         np.max(np.abs(forward(model, ops, x) - apply_polynomial_filter(theta, ops, x)))
     )
+    # the graph's size was checked on loading
+    table = None if args.graph is None else frequency_response(theta, ops)
+    run.lap("check")
 
-    outputs = ["filter_report.json"]
-    lines = None
-    if args.graph is not None:
-        table = frequency_response(theta, ops)  # the graph's size was checked on loading
-        lines = ["lambda,response"]
-        lines += [f"{lam:.17g},{resp:.17g}" for lam, resp in table]
-    out = _out_dir(args)
-    if lines is not None:
-        (out / "response.csv").write_text("\n".join(lines) + "\n")
-        outputs.append("response.csv")
-
+    if table is not None:
+        lines = ["lambda,response", *(f"{lam:.17g},{resp:.17g}" for lam, resp in table)]
+        run.path("response.csv").write_text("\n".join(lines) + "\n")
     _dump_json(
-        out / "filter_report.json",
+        run.path("filter_report.json"),
         {
             "theta": list(theta),
             "gammas": list(model.gammas),
-            "verification": {"graph": verify_graph, "max_abs_diff": diff, "tol": args.tol},
+            "verification": {
+                "graph": args.graph or "builtin-er-24",
+                "max_abs_diff": diff,
+                "tol": args.tol,
+            },
         },
-    )
-    _write_manifest(
-        out,
-        "filter",
-        {"theta": list(theta), "seed": args.seed, "tol": args.tol},
-        inputs,
-        outputs,
     )
     print(f"gamma = {list(model.gammas)}  max_abs_diff = {diff:.3e}")
     return EXIT_OK if diff < args.tol else EXIT_CHECK_FAILED
@@ -396,8 +374,15 @@ def cmd_filter(args) -> int:
 # train / sweep
 
 
-def _load_dataset(args) -> tuple[Dataset, list[str]]:
+def _load_dataset(args, run: _Run) -> Dataset:
     name = args.dataset
+    if name in ("sbm", "karate"):
+        for flag in ("train_per_class", "val_per_class"):
+            if getattr(args, flag) is not None:
+                raise UsageError(
+                    f"--{flag.replace('_', '-')} applies only to --dataset files:; "
+                    f"{name} has a fixed split"
+                )
     if name == "sbm":
         try:
             ds = sbm_generate(
@@ -411,10 +396,9 @@ def _load_dataset(args) -> tuple[Dataset, list[str]]:
             )
         except ValueError as exc:
             raise UsageError(str(exc))
-        return ds, []
-    if name == "karate":
-        return karate_dataset(), []
-    if name.startswith("files:"):
+    elif name == "karate":
+        ds = karate_dataset()
+    elif name.startswith("files:"):
         parts = name[len("files:") :].split(",")
         if len(parts) != 3:
             raise UsageError(
@@ -422,77 +406,42 @@ def _load_dataset(args) -> tuple[Dataset, list[str]]:
                 "edges,features,labels"
             )
         edge_path, feat_path, label_path = parts
-        ops, x = _load_graph_signal(edge_path, feat_path)
+        ops, x = _load_graph_signal(run, edge_path, feat_path)
         try:
-            labels = np.loadtxt(label_path, dtype=np.int64, ndmin=1)
+            labels = np.loadtxt(run.input(label_path), dtype=np.int64, ndmin=1)
         except (OSError, ValueError) as exc:
             raise UsageError(f"bad label file {label_path}: {exc}")
-        try:
-            train_mask, val_mask, test_mask = _split_masks(
-                labels, args.train_per_class, args.val_per_class
-            )
-            ds = Dataset(
-                ops=ops,
-                x=x,
-                labels=labels,
-                train_mask=train_mask,
-                val_mask=val_mask,
-                test_mask=test_mask,
-            )
+        per_train = 20 if args.train_per_class is None else args.train_per_class
+        per_val = 30 if args.val_per_class is None else args.val_per_class
+        try:  # masks in field order: train, val, test
+            ds = Dataset(ops, x, labels, *_split_masks(labels, per_train, per_val))
         except ValueError as exc:
             raise UsageError(str(exc))
-        return ds, [edge_path, feat_path, label_path]
-    raise UsageError(f"unknown dataset {name!r}; expected sbm, karate, or files:...")
+    else:
+        raise UsageError(f"unknown dataset {name!r}; expected sbm, karate, or files:...")
+    run.size(ds.ops, ds.x)
+    return ds
 
 
 def _train_config(args) -> TrainConfig:
+    """The training flags are TrainConfig's fields, one flag per field."""
     try:
-        return TrainConfig(
-            lr=args.lr,
-            weight_decay=args.weight_decay,
-            epochs=args.epochs,
-            seed=args.seed,
-            k=args.k,
-            alpha0=args.alpha0,
-            patience=args.patience,
-            feature_dropout=args.feature_dropout,
-        )
+        fields = dataclasses.fields(TrainConfig)
+        return TrainConfig(**{f.name: getattr(args, f.name) for f in fields})
     except ValueError as exc:
         raise UsageError(str(exc))
 
 
-def _dataset_config(args) -> dict:
-    doc = {"dataset": args.dataset}
-    if args.dataset == "sbm":
-        doc.update(
-            n=args.sbm_n,
-            blocks=args.sbm_blocks,
-            p_in=args.sbm_p_in,
-            p_out=args.sbm_p_out,
-            d=args.sbm_d,
-            noise_sigma=args.sbm_noise,
-            data_seed=args.data_seed,
-        )
-    return doc
-
-
-def cmd_train(args) -> int:
-    ds, inputs = _load_dataset(args)
+def cmd_train(args, run: _Run) -> int:
+    ds = _load_dataset(args, run)
     cfg = _train_config(args)
+    run.lap("load")
     try:
         report = train(ds, cfg)
     except ValueError as exc:
         raise UsageError(str(exc))
-    out = _out_dir(args)
-    _dump_json(out / "train_report.json", report.to_json_dict())
-    _write_manifest(
-        out,
-        "train",
-        {**_dataset_config(args), **dataclasses.asdict(cfg)},
-        inputs,
-        ["train_report.json"],
-        timing={"seconds": round(report.wall_clock_seconds, 3)},
-    )
+    run.lap("train")
+    _dump_json(run.path("train_report.json"), report.to_json_dict())
     if report.diverged:
         print("training diverged; last finite epoch written", file=sys.stderr)
         return EXIT_NUMERIC
@@ -513,28 +462,19 @@ def _parse_ks(raw: str) -> tuple[int, ...]:
     return ks
 
 
-def cmd_sweep(args) -> int:
-    ds, inputs = _load_dataset(args)
+def cmd_sweep(args, run: _Run) -> int:
+    ds = _load_dataset(args, run)
     cfg = _train_config(args)
     ks = _parse_ks(args.ks)
-    started = time.perf_counter()
+    run.lap("load")
     try:
         rows = depth_sweep(ds, cfg, ks=ks, n_seeds=args.n_seeds)
     except ValueError as exc:
         raise UsageError(str(exc))
-    elapsed = time.perf_counter() - started
+    run.lap("train")
     lines = ["k,mean_acc,std_acc"]
     lines += [f"{r['k']},{r['mean_acc']:.17g},{r['std_acc']:.17g}" for r in rows]
-    out = _out_dir(args)
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
-    _write_manifest(
-        out,
-        "sweep",
-        {**_dataset_config(args), **dataclasses.asdict(cfg), "ks": list(ks), "n_seeds": args.n_seeds},
-        inputs,
-        ["sweep.csv"],
-        timing={"seconds": round(elapsed, 3)},
-    )
+    run.path("sweep.csv").write_text("\n".join(lines) + "\n")
     for r in rows:
         print(f"k={r['k']:3d} mean_acc={r['mean_acc']:.4f} std={r['std_acc']:.4f}")
     return EXIT_OK
@@ -544,12 +484,19 @@ def cmd_sweep(args) -> int:
 # parser
 
 
+def _seed(raw: str) -> int:
+    """Type of --seed and --data-seed: numpy takes only nonnegative seeds."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {raw!r}")
+    return value
+
+
 def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--dataset",
-        required=True,
-        help="sbm, karate, or files:EDGES,FEATURES,LABELS",
-    )
+    p.add_argument("--dataset", required=True, help="sbm, karate, or files:EDGES,FEATURES,LABELS")
     p.add_argument(
         "--sbm-n", type=int, default=200, help=f"SBM node count, at most {_SBM_MAX_NODES}"
     )
@@ -558,16 +505,16 @@ def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sbm-p-out", type=float, default=0.01)
     p.add_argument("--sbm-d", type=int, default=2)
     p.add_argument("--sbm-noise", type=float, default=1.0)
-    p.add_argument("--data-seed", type=int, default=0)
-    p.add_argument("--train-per-class", type=int, default=20)
-    p.add_argument("--val-per-class", type=int, default=30)
+    p.add_argument("--data-seed", type=_seed, default=0)
+    p.add_argument("--train-per-class", type=int, help="files: datasets only (default 20)")
+    p.add_argument("--val-per-class", type=int, help="files: datasets only (default 30)")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float, default=0.005)
     p.add_argument("--weight-decay", type=float, default=5e-4)
     p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--alpha0", type=float, default=0.1)
     p.add_argument("--patience", type=int, default=100)
@@ -597,29 +544,25 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="objective plateau stop; 0 runs the full --iters budget",
     )
-    p.add_argument("--out", default=".")
     p.set_defaults(handler=cmd_denoise)
 
     p = sub.add_parser("equiv", help="randomized propagation-vs-unrolling checks")
     p.add_argument("--model", default="all", choices=[*MODEL_KINDS, "all"])
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--out", default=".")
     p.set_defaults(handler=cmd_equiv)
 
     p = sub.add_parser("filter", help="map polynomial filter coefficients to a model")
     p.add_argument("--theta", required=True, help="comma-separated coefficients")
     p.add_argument("--graph", help="edge list; adds a (lambda,response) CSV")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--out", default=".")
     p.set_defaults(handler=cmd_filter)
 
     p = sub.add_parser("train", help="train the hop-coefficient model on a dataset")
     _add_dataset_flags(p)
     _add_train_flags(p)
-    p.add_argument("--out", default=".")
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("sweep", help="train across propagation depths")
@@ -627,9 +570,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     p.add_argument("--ks", default="1,2,4,6,8,10")
     p.add_argument("--n-seeds", type=int, default=10)
-    p.add_argument("--out", default=".")
     p.set_defaults(handler=cmd_sweep)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=".", help="output directory, created on first write")
     return parser
 
 
@@ -639,11 +583,15 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
+    run = _Run(args)
     try:
-        return args.handler(args)
+        code = args.handler(args, run)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if run.outputs:
+        run.write_manifest()
+    return code
 
 
 if __name__ == "__main__":

@@ -1,12 +1,17 @@
 """End-to-end checks of the command-line interface via main()."""
 
+import hashlib
 import json
+import os
+import runpy
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gsdnn.cli import main
+from gsdnn.cli import EQUIV_GRAPHS, build_parser, main
 
 EDGES = "nodes 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n1 4\n"
 
@@ -497,3 +502,148 @@ def test_oversized_declared_graph_is_usage_error_without_building(
     assert main([*argv, "--out", str(out)]) == 2
     assert reason in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# manifest.json, one record per command
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _labels(workdir):
+    (workdir / "labels.csv").write_text("0\n0\n0\n1\n1\n1\n")
+    return workdir / "labels.csv"
+
+
+# command -> (argv from the work dir, files read, timing phases, sizes)
+MANIFEST_CASES = {
+    "denoise": (
+        _denoise_gd,
+        lambda w: [w / "edges.txt", w / "feats.csv", w / "spec.json"],
+        ["load", "solve"],
+        {"n": 6, "nnz": 20, "d": 2},
+    ),
+    "equiv": (
+        lambda w: ["equiv", "--model", "sgc", "--trials", "2", "--seed", "3"],
+        lambda w: [],
+        ["check"],
+        None,
+    ),
+    "filter": (
+        lambda w: ["filter", "--theta", "0.5,0.25", "--graph", str(w / "edges.txt")],
+        lambda w: [w / "edges.txt"],
+        ["load", "check"],
+        {"n": 6, "nnz": 20, "d": 2},
+    ),
+    "train": (
+        lambda w: ["train", "--dataset", f"files:{w / 'edges.txt'},{w / 'feats.csv'},"
+                   f"{_labels(w)}", "--train-per-class", "1", "--val-per-class", "1",
+                   "--epochs", "3", "--patience", "3", "--k", "2"],
+        lambda w: [w / "edges.txt", w / "feats.csv", w / "labels.csv"],
+        ["load", "train"],
+        {"n": 6, "nnz": 20, "d": 2},
+    ),
+    "sweep": (
+        lambda w: ["sweep", "--dataset", "karate", "--ks", "0,1", "--n-seeds", "1",
+                   "--epochs", "3", "--patience", "3"],
+        lambda w: [],
+        ["load", "train"],
+        # 34 members, 78 ties stored both ways plus the loops; one-hot
+        # degree features up to the largest degree, 17
+        {"n": 34, "nnz": 2 * 78 + 34, "d": 18},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_CASES))
+def test_manifest_records_the_run(workdir, capsys, command):
+    argv_of, read_of, phases, sizes = MANIFEST_CASES[command]
+    argv = argv_of(workdir)
+    out = workdir / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    manifest = read_json(out / "manifest.json")
+    assert manifest["command"] == command
+    assert manifest["inputs"] == {str(p): _sha256(p) for p in read_of(workdir)}
+    assert manifest["outputs"] == sorted(
+        p.name for p in out.iterdir() if p.name != "manifest.json"
+    )
+    assert sorted(manifest["timing"]) == sorted(f"{p}_seconds" for p in [*phases, "write"])
+    assert all(isinstance(v, float) and v >= 0.0 for v in manifest["timing"].values())
+    assert manifest.get("sizes") == sizes
+    parsed = vars(build_parser().parse_args(argv))
+    want = {k: v for k, v in parsed.items() if k not in ("command", "handler", "out")}
+    if command == "equiv":
+        want["graph_distribution"] = EQUIV_GRAPHS
+    assert manifest["config"] == want
+    env = manifest["env"]
+    assert (env["numpy"], env["cpu_count"]) == (np.__version__, os.cpu_count())
+    assert sorted(env) == ["cpu_count", "machine", "numpy", "python", "release",
+                           "scipy", "system"]
+
+
+def test_manifest_config_keeps_flag_values_as_parsed(workdir, capsys):
+    out = workdir / "out"
+    assert main(["filter", "--theta", "1,0.5", "--seed", "4", "--out", str(out)]) == 0
+    assert read_json(out / "manifest.json")["config"] == {
+        "theta": "1,0.5", "graph": None, "seed": 4, "tol": 1e-8}
+
+
+def test_failed_check_still_writes_its_manifest(workdir, capsys):
+    out = workdir / "out"
+    assert main(["filter", "--theta", "1,0.5", "--tol", "0", "--out", str(out)]) == 1
+    assert read_json(out / "manifest.json")["outputs"] == ["filter_report.json"]
+
+
+# ---------------------------------------------------------------------------
+# flags rejected at parse time or before any work
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["equiv", "--trials", "1", "--seed", "-1"], "--seed"),
+        (["filter", "--theta", "1", "--seed", "-1"], "--seed"),
+        (["train", "--dataset", "karate", "--epochs", "2", "--seed", "-1"], "--seed"),
+        (["sweep", "--dataset", "karate", "--ks", "1", "--seed", "-1"], "--seed"),
+        (["train", "--dataset", "sbm", "--epochs", "2", "--data-seed", "-3"], "--data-seed"),
+    ],
+    ids=["equiv", "filter", "train", "sweep", "data-seed"],
+)
+def test_negative_seed_is_usage_error(tmp_path, capsys, argv, flag):
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"argument {flag}: must be a nonnegative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--train-per-class", "--val-per-class"])
+@pytest.mark.parametrize("dataset", ["sbm", "karate"])
+def test_split_flag_on_fixed_split_dataset_is_usage_error(tmp_path, capsys, dataset, flag):
+    out = tmp_path / "x"
+    assert main(["train", "--dataset", dataset, flag, "2", "--out", str(out)]) == 2
+    assert f"{flag} applies only to --dataset files:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the experiment scripts
+
+
+@pytest.mark.parametrize(
+    "script, flags, outputs",
+    [
+        ("run_equiv_suite.py", ["--trials", "1"], ["equiv_report.json"]),
+        ("run_depth_sweep.py", ["--ks", "1", "--n-seeds", "1", "--epochs", "2"],
+         ["sweep.csv"]),
+    ],
+)
+def test_script_runs_end_to_end(tmp_path, capsys, monkeypatch, script, flags, outputs):
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", [str(path), *flags, "--out", str(out)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exit_info.value.code == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "manifest.json"])
