@@ -643,6 +643,11 @@ def _split_masks(
     labels: np.ndarray, per_class_train: int, per_class_val: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lowest node ids per class go to train, the next block to val."""
+    if per_class_train < 1 or per_class_val < 1:
+        raise ValueError(
+            f"per-class train and val counts must be at least 1, "
+            f"got {per_class_train} and {per_class_val}"
+        )
     n = labels.shape[0]
     train = np.zeros(n, dtype=bool)
     val = np.zeros(n, dtype=bool)

@@ -24,6 +24,13 @@ descent step (an identity T becomes None). The objective, the gradient, the
 curvature bound and the layer step that the solvers and the unrolled plans
 run all read that record, so the gradient formula is written once; each is
 given (I - A_hat) H, so a solver iterate costs one A_hat product.
+
+The objective and the gradient also take H - X from a caller that has it,
+so a solver iterate forms H - X once for the trace entry and the next step.
+The objective reduces each term with an einsum contraction and makes no
+n x d product array (a non-identity T costs one M T product). The gradient
+writes into n x d buffers that a solver owns and passes in; every other
+caller passes none and gets a fresh array from the same code.
 """
 
 from __future__ import annotations
@@ -205,9 +212,21 @@ def _times(m: np.ndarray, t: np.ndarray | None) -> np.ndarray:
     return m if t is None else m @ t
 
 
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """sum_ij a_ij b_ij without an n x d product array. einsum, not the BLAS
+    dot: with two OpenBLAS threads a 5e4 x 16 ddot took 5-8 ms, against
+    0.45 ms here, and its sum would depend on the thread count."""
+    return float(np.einsum("ij,ij->", a, b))
+
+
 def _norm_sq(m: np.ndarray, t: np.ndarray | None) -> float:
     """tr(M T M^T), with None as the identity."""
-    return float(np.sum(_times(m, t) * m))
+    return _inner(_times(m, t), m)
+
+
+def _row_norms(m: np.ndarray) -> np.ndarray:
+    """The l2 norm of each row of M, without an n x d array of squares."""
+    return np.sqrt(np.einsum("ij,ij->i", m, m))
 
 
 def weighted_norm_sq(m: np.ndarray, t: np.ndarray) -> float:
@@ -235,21 +254,29 @@ def _laplacian(h: np.ndarray, ops: NormalizedOperators, beta: float) -> np.ndarr
 
 
 def _objective_value(
-    layer: LayerParams, h: np.ndarray, x: np.ndarray, lap_h: np.ndarray | None
+    layer: LayerParams,
+    h: np.ndarray,
+    x: np.ndarray,
+    lap_h: np.ndarray | None,
+    diff: np.ndarray | None = None,
 ) -> float:
-    """L(H), given lap_h = (I - A_hat) H."""
+    """L(H), given lap_h = (I - A_hat) H and, when the caller has it,
+    diff = H - X. Each term is reduced by an einsum contraction, so no
+    n x d product array is made when T is the identity."""
     if isinstance(layer.prox, NonNegIndicator) and np.any(h < 0):
         return math.inf
+    if diff is None:
+        diff = h - x
 
     value = 0.0
     if layer.alpha != 0.0:
-        value += layer.alpha * _norm_sq(h - x, layer.t_alpha)
+        value += layer.alpha * _norm_sq(diff, layer.t_alpha)
     if layer.beta != 0.0:
-        value += layer.beta * float(np.sum(_times(h, layer.t_beta) * lap_h))
+        value += layer.beta * _inner(_times(h, layer.t_beta), lap_h)
     if layer.ridge != 0.0 and layer.t_beta is not None:
         value += layer.ridge * _norm_sq(h, np.eye(h.shape[1]) - layer.t_beta)
     if isinstance(layer.prox, RowL21):
-        value += layer.prox.weight * float(np.sum(np.linalg.norm(h - x, axis=1)))
+        value += layer.prox.weight * float(np.sum(_row_norms(diff)))
     return value
 
 
@@ -266,21 +293,61 @@ def objective(
     return _objective_value(_layer_of(spec), h, x, _laplacian(h, ops, spec.beta))
 
 
+def _accumulate(
+    grad: np.ndarray | None,
+    c: float,
+    m: np.ndarray,
+    t: np.ndarray | None,
+    out: np.ndarray | None,
+    work: np.ndarray | None,
+) -> np.ndarray:
+    """grad + c M T, with None as the identity: the term is formed in out
+    when there is no grad yet, and otherwise in work and then added to grad
+    in place. A None buffer gives a fresh array."""
+    dest = out if grad is None else work
+    if t is None:
+        term = np.multiply(m, c, out=dest)
+    else:
+        term = np.matmul(m, t, out=dest)
+        term *= c
+    if grad is None:
+        return term
+    grad += term
+    return grad
+
+
 def _smooth_grad(
-    layer: LayerParams, h: np.ndarray, x: np.ndarray, lap_h: np.ndarray | None
+    layer: LayerParams,
+    h: np.ndarray,
+    x: np.ndarray,
+    lap_h: np.ndarray | None,
+    diff: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """2 alpha (H - X) T_alpha + 2 beta lap_h T_beta + 2 ridge (H - H T_beta).
 
     The one gradient formula: gradient_smooth and every layer step evaluate
-    it. lap_h = (I - A_hat) H is read only when beta != 0.
+    it. lap_h = (I - A_hat) H is read only when beta != 0, and diff = H - X
+    is formed here unless the caller passes it. The first term is written
+    into ``out`` and each later one into ``work`` before it is added; a
+    solver passes n x d buffers it owns, any other caller None, which gives
+    fresh arrays. ``work`` may be diff, which only the first term reads;
+    otherwise neither buffer may share memory with h, x, lap_h or diff.
     """
-    grad = np.zeros_like(h)
+    grad = None
     if layer.alpha != 0.0:
-        grad += 2.0 * layer.alpha * _times(h - x, layer.t_alpha)
+        m = h - x if diff is None else diff
+        grad = _accumulate(grad, 2.0 * layer.alpha, m, layer.t_alpha, out, work)
     if layer.beta != 0.0:
-        grad += 2.0 * layer.beta * _times(lap_h, layer.t_beta)
+        grad = _accumulate(grad, 2.0 * layer.beta, lap_h, layer.t_beta, out, work)
     if layer.ridge != 0.0 and layer.t_beta is not None:
-        grad += 2.0 * layer.ridge * (h - h @ layer.t_beta)
+        h_t = np.matmul(h, layer.t_beta, out=out if grad is None else work)
+        np.subtract(h, h_t, out=h_t)
+        grad = _accumulate(grad, 2.0 * layer.ridge, h_t, None, h_t, h_t)
+    if grad is None:  # no term: the smooth part is constant
+        grad = np.zeros_like(h) if out is None else out
+        grad.fill(0.0)
     return grad
 
 
@@ -301,7 +368,9 @@ def gradient_smooth(
     return _smooth_grad(_layer_of(spec), h, x, _laplacian(h, ops, spec.beta))
 
 
-def closed_form_ppnp(ops: NormalizedOperators, x: np.ndarray, gamma: float) -> np.ndarray:
+def closed_form_ppnp(
+    ops: NormalizedOperators, x: np.ndarray, gamma: float, stats: dict | None = None
+) -> np.ndarray:
     """Solve (I - (1-gamma) A_hat) Xbar = gamma X.
 
     The system matrix is symmetric positive definite (its eigenvalues are
@@ -310,6 +379,12 @@ def closed_form_ppnp(ops: NormalizedOperators, x: np.ndarray, gamma: float) -> n
     gradients on all columns at once beyond that (one spmm per iteration).
     Column j stops once ||r_j|| < max(1e-14 ||gamma x_j||, 1e-13), so a zero
     column stays zero; RuntimeError if one has not after 20 n iterations.
+
+    A ``stats`` dict receives ``cg_iterations``, the conjugate-gradient
+    iterations of the slowest column (0 on the dense branch and for
+    gamma = 1), and ``relative_residuals``, ||r_j|| / ||gamma x_j|| for each
+    column (0 for a zero column). r is the residual that the CG recurrence
+    carries, or on the dense branch the one computed from the solution.
     """
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in (0, 1]")
@@ -318,20 +393,37 @@ def closed_form_ppnp(ops: NormalizedOperators, x: np.ndarray, gamma: float) -> n
     if x.shape[0] != n:
         raise ValueError(f"signal has {x.shape[0]} rows, expected {n}")
     if gamma == 1.0:
-        return x.copy()
-
-    if n <= DENSE_MAX_NODES:
+        h, iterations, resid = x.copy(), 0, np.zeros_like(x)
+    elif n <= DENSE_MAX_NODES:
         system = np.eye(n) - (1.0 - gamma) * ops.a_hat.toarray()
-        return np.linalg.solve(system, gamma * x)
+        h = np.linalg.solve(system, gamma * x)
+        iterations, resid = 0, None  # formed below only if stats asks for it
+    else:
+        h, iterations, resid = _ppnp_cg(ops, x, gamma)
+    if stats is not None:
+        if resid is None:
+            resid = gamma * x - system @ h
+        rhs_norms = np.linalg.norm(gamma * x, axis=0)
+        rel = np.divide(np.linalg.norm(resid, axis=0), rhs_norms,
+                        out=np.zeros(x.shape[1]), where=rhs_norms > 0)
+        stats.update(cg_iterations=iterations, relative_residuals=rel.tolist())
+    return h
 
+
+def _ppnp_cg(
+    ops: NormalizedOperators, x: np.ndarray, gamma: float
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """(Xbar, iterations, residual) of closed_form_ppnp's conjugate gradients
+    on all columns at once."""
+    n = ops.num_nodes
     h, p, rho_prev = np.zeros_like(x), np.zeros_like(x), np.ones(x.shape[1])
     r = gamma * x  # the residual of h = 0 is the right-hand side
     tol = np.maximum(1e-14 * np.linalg.norm(r, axis=0), 1e-13)
-    for _ in range(20 * n):
+    for it in range(20 * n):
         rho = np.einsum("ij,ij->j", r, r)
         active = ~(np.sqrt(rho) < tol)  # a NaN residual stays active
         if not active.any():
-            return h
+            return h, it, r
         p *= np.divide(rho, rho_prev, out=np.zeros_like(rho), where=active)
         p += r
         q = spmm(ops, p)

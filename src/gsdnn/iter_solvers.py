@@ -10,10 +10,15 @@ then the layer's proximal map,
         the matching row of X by max(0, 1 - t / ||v_i - x_i||).
 
 ``gd_run`` and ``proxgd_run`` decode a ``GsdSpec`` into its layer once and
-repeat it in one loop, which computes A_hat H once per iterate for both the
-next gradient and the objective trace. Objective traces always include the
-nonsmooth part, so the documented descent guarantee at stepsize 1/Lambda is
-about the true composite objective, not just its smooth half. A run stops,
+repeat it in one loop, which computes A_hat H and H - X once per iterate for
+both the objective trace and the next gradient. The loop runs in a fixed
+set of n x d buffers that the solve allocates once: the layer step, the
+gradient inside it and the prox write into them, so that with an identity T
+an iterate allocates no n x d array besides the A_hat product. The unrolled
+plans run the same step without buffers and get fresh arrays from the same
+code. Objective traces always include the nonsmooth part, so the documented
+descent guarantee at stepsize 1/Lambda is about the true composite
+objective, not just its smooth half. A run stops,
 unconverged, at the first step whose objective is not finite: the iteration
 has diverged, and the report's ``stop_reason`` says so.
 """
@@ -36,6 +41,7 @@ from .gsd_problem import (
     _laplacian,
     _layer_of,
     _objective_value,
+    _row_norms,
     _smooth_grad,
     smoothness_bound,
 )
@@ -107,40 +113,58 @@ def _resolve_stepsize(spec: GsdSpec, cfg: SolveConfig) -> float:
     return float(cfg.stepsize)
 
 
-def prox_nonneg(m: np.ndarray) -> np.ndarray:
-    """Projection onto the nonnegative orthant (elementwise ReLU)."""
-    return np.maximum(m, 0.0)
+def prox_nonneg(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Projection onto the nonnegative orthant (elementwise ReLU), written
+    into out (which may be m itself) when given."""
+    return np.maximum(m, 0.0, out=out)
 
 
-def row_shrink(v: np.ndarray, anchor: np.ndarray, threshold: float) -> np.ndarray:
+def row_shrink(
+    v: np.ndarray, anchor: np.ndarray, threshold: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """prox of threshold * ||. - anchor||_{2,1} at v, row by row.
 
     Rows whose residual norm is below the threshold collapse onto the
     anchor; a zero residual maps to the anchor exactly (that is the
     subproblem's minimizer, even though the shrink formula reads 0/0).
+    The result is written into out when given; out may be v itself but
+    must not share memory with anchor.
     """
     v = np.asarray(v, dtype=np.float64)
     anchor = np.asarray(anchor, dtype=np.float64)
     if v.shape != anchor.shape:
         raise ValueError(f"shapes differ: {v.shape} vs {anchor.shape}")
-    resid = v - anchor
-    norms = np.linalg.norm(resid, axis=1)
+    resid = np.subtract(v, anchor, out=out)
+    norms = _row_norms(resid)
     factor = np.zeros_like(norms)
     active = norms > 0.0
     factor[active] = np.maximum(0.0, 1.0 - threshold / norms[active])
-    return anchor + factor[:, None] * resid
+    resid *= factor[:, None]
+    resid += anchor
+    return resid
 
 
 def _layer_step(
-    layer: LayerParams, h: np.ndarray, x: np.ndarray, lap_h: np.ndarray | None
+    layer: LayerParams,
+    h: np.ndarray,
+    x: np.ndarray,
+    lap_h: np.ndarray | None,
+    diff: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """One unrolled layer, which is one solver iteration: a gradient step on
-    the smooth part at H, given lap_h = (I - A_hat) H, then the layer's prox."""
-    v = h - layer.eta * _smooth_grad(layer, h, x, lap_h)
+    the smooth part at H, given lap_h = (I - A_hat) H and optionally
+    diff = H - X, then the layer's prox. The gradient, the step and the prox
+    all land in ``out``, with ``work`` for the gradient's later terms (see
+    ``_smooth_grad``); both None give a fresh array. H itself is only read."""
+    v = _smooth_grad(layer, h, x, lap_h, diff, out, work)
+    v *= layer.eta
+    np.subtract(h, v, out=v)
     if isinstance(layer.prox, NonNegIndicator):
-        return prox_nonneg(v)
+        return prox_nonneg(v, out=v)
     if isinstance(layer.prox, RowL21):
-        return row_shrink(v, x, layer.eta * layer.prox.weight)
+        return row_shrink(v, x, layer.eta * layer.prox.weight, out=v)
     return v
 
 
@@ -151,20 +175,31 @@ def _descend(
     ops: NormalizedOperators,
     cfg: SolveConfig,
 ) -> SolveReport:
-    """Repeat the spec's layer from h0 until the objective plateaus or diverges."""
+    """Repeat the spec's layer from h0 until the objective plateaus or diverges.
+
+    The iterate lives in buffers allocated here, once per solve: two for H
+    (each step writes the next iterate into the spare one and they swap) and
+    one for H - X, which the objective and the next gradient share. Only the
+    gradient's first term reads H - X, so its later terms are formed in that
+    buffer too. Neither x nor h0 is written, and the A_hat product is the one
+    fresh n x d array of a step.
+    """
     layer = _layer_of(spec, _resolve_stepsize(spec, cfg))
     h = np.array(h0, dtype=np.float64, copy=True)
     x = np.asarray(x, dtype=np.float64)
     _check_signal(spec, h, x)
+    spare, diff = np.empty_like(h), np.subtract(h, x)
     lap_h = _laplacian(h, ops, layer.beta)
-    trace = [float(_objective_value(layer, h, x, lap_h))]
+    trace = [_objective_value(layer, h, x, lap_h, diff)]
     traj = [h.copy()] if cfg.capture_trajectory else None
     stop_reason = "max_iters"
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        h = _layer_step(layer, h, x, lap_h)
-        lap_h = _laplacian(h, ops, layer.beta)  # for this trace entry and the next step
-        f = float(_objective_value(layer, h, x, lap_h))
+        h, spare = _layer_step(layer, h, x, lap_h, diff, out=spare, work=diff), h
+        np.subtract(h, x, out=diff)  # for this trace entry and the next step
+        lap_h = None  # spent: free it before the next product is made
+        lap_h = _laplacian(h, ops, layer.beta)
+        f = _objective_value(layer, h, x, lap_h, diff)
         trace.append(f)
         if traj is not None:
             traj.append(h.copy())

@@ -706,6 +706,14 @@ def test_dataset_rejects_overlapping_masks():
         )
 
 
+@pytest.mark.parametrize("per_train, per_val", [(-8, 12), (0, 5), (3, 0), (2, -1)])
+def test_split_masks_reject_counts_below_one(per_train, per_val):
+    # a negative count would slice from the end of each class's ids
+    labels = np.repeat([0, 1], 10)
+    with pytest.raises(ValueError, match="must be at least 1"):
+        _split_masks(labels, per_train, per_val)
+
+
 def test_dataset_requires_all_classes_in_train():
     ds = karate_dataset()
     only_zero = ds.train_mask & (ds.labels == 0)

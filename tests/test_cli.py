@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gsdnn import cli
 from gsdnn.cli import EQUIV_GRAPHS, build_parser, main
 
 EDGES = "nodes 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n1 4\n"
@@ -53,6 +54,34 @@ def test_denoise_closed_form_identity_at_full_teleport(workdir, capsys):
     assert manifest["command"] == "denoise"
     assert str(workdir / "edges.txt") in manifest["inputs"]
     assert sorted(manifest["outputs"]) == ["denoised.csv", "solve_report.json"]
+
+
+def _ring(tmp_path, n):
+    """Edge list and 2-column features of an n-node cycle."""
+    (tmp_path / "ring.txt").write_text("".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+    x = np.random.default_rng(5).standard_normal((n, 2))
+    np.savetxt(tmp_path / "ring.csv", x, delimiter=",", fmt="%.17g")
+    return ["--graph", str(tmp_path / "ring.txt"), "--features", str(tmp_path / "ring.csv")]
+
+
+@pytest.mark.parametrize("nodes, gamma", [(6, "0.3"), (6, "1.0"), (300, "0.3")],
+                         ids=["dense", "identity", "cg"])
+def test_closed_form_report_states_cg_iterations_and_residuals(tmp_path, nodes, gamma):
+    out = tmp_path / "out"
+    argv = ["denoise", *_ring(tmp_path, nodes), "--solver", "closed-form", "--gamma", gamma]
+    assert main([*argv, "--out", str(out)]) == 0
+    report = read_json(out / "solve_report.json")
+    assert sorted(report) == ["cg_iterations", "converged", "gamma", "relative_residuals",
+                              "solver"]
+    # the dense branch is taken up to DENSE_MAX_NODES = 256 nodes
+    if nodes == 300:
+        assert 0 < report["cg_iterations"] < 20 * nodes
+    else:
+        assert report["cg_iterations"] == 0
+    resid = report["relative_residuals"]
+    assert len(resid) == 2 and all(0.0 <= r < 1e-12 for r in resid)
+    if gamma == "1.0":
+        assert resid == [0.0, 0.0]
 
 
 def test_denoise_manifest_records_sizes_and_timing(workdir):
@@ -625,6 +654,29 @@ def test_split_flag_on_fixed_split_dataset_is_usage_error(tmp_path, capsys, data
     assert main(["train", "--dataset", dataset, flag, "2", "--out", str(out)]) == 2
     assert f"{flag} applies only to --dataset files:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-8", "0", "two"])
+@pytest.mark.parametrize("flag", ["--train-per-class", "--val-per-class"])
+def test_split_count_below_one_is_usage_error(workdir, capsys, flag, value):
+    # a negative count would index each class's nodes from the end
+    spec = f"files:{workdir / 'edges.txt'},{workdir / 'feats.csv'},{_labels(workdir)}"
+    out = workdir / "x"
+    assert main(["train", "--dataset", spec, flag, value, "--out", str(out)]) == 2
+    assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_commands_share_one_parser_and_look_up_their_handler(workdir, capsys, monkeypatch):
+    assert main(["filter", "--theta", "1,0.5", "--out", str(workdir / "a")]) == 0
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("the parser was rebuilt"))
+    # a wrapper put over a handler after the parser exists (as a tracer
+    # does) is the one that runs
+    seen, real = [], cli.cmd_filter
+    monkeypatch.setattr(cli, "cmd_filter", lambda args, run: seen.append(args.theta)
+                        or real(args, run))
+    assert main(["filter", "--theta", "1,0.25", "--out", str(workdir / "b")]) == 0
+    assert seen == ["1,0.25"]
 
 
 # ---------------------------------------------------------------------------

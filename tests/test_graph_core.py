@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsdnn import graph_core
 from gsdnn.cli import _random_er_ops
 from gsdnn.graph_core import (
     Graph,
@@ -79,6 +81,62 @@ class TestLoadEdgeList:
     def test_malformed_line_error_names_its_line(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             load_edge_list(text)
+
+
+# Pieces of edge-list texts: the separators str.splitlines breaks lines at
+# but np.loadtxt does not, and tokens that int() and loadtxt read differently.
+_LINE_ENDS = ["\n"] * 40 + ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                          "\x85", "\u2028", "\u2029"]
+_GAPS = [" "] * 24 + ["\t", "  ", "\xa0", "\x1f", "\u3000", "\x0c", "\x1c", "\u2028"]
+_ODD_TOKENS = ["+1", "1_0", "007", "-0", "-1", "x", "1.0", "#", "nodes", "٣",
+               "99999999999999999999"]
+
+
+@st.composite
+def _edge_texts(draw) -> str:
+    token = st.sampled_from([str(i) for i in range(10)] * 6 + _ODD_TOKENS)
+    gap = st.sampled_from(_GAPS)
+    lines = []
+    if draw(st.booleans()):
+        lines.append(f"nodes{draw(gap)}{draw(st.sampled_from(['0', '12', '+12', '1_2', 'x']))}")
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["pair"] * 12 + ["blank"] * 2 + ["comment", "tokens"]))
+        if kind == "pair":
+            line = draw(token) + draw(gap) + draw(token)
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t", "\xa0"]))
+        elif kind == "comment":
+            line = "# " + draw(token)
+        else:
+            line = draw(gap).join(draw(st.lists(token, max_size=3)))
+        lines.append(draw(st.sampled_from(["", " "])) + line)
+    ends = [draw(st.sampled_from(_LINE_ENDS)) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _parse_outcome(text: str):
+    try:
+        g = load_edge_list(text)
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return g.num_nodes, g.us.tolist(), g.vs.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_edge_texts())
+def test_loadtxt_fast_path_matches_line_parser(text):
+    """Every text parses to the same graph, or fails with the same message,
+    whether or not the np.loadtxt path may take it."""
+    fast = _parse_outcome(text)
+    with mock.patch.object(graph_core, "_loadtxt_edges", return_value=None):
+        assert _parse_outcome(text) == fast
+
+
+def test_loadtxt_fast_path_takes_plain_lists_and_passes_odd_ones_on():
+    assert graph_core._loadtxt_edges("nodes 4\r\n 0 1\r\n\r\n+2\t1 \n") is not None
+    assert graph_core._loadtxt_edges("nodes 4\n  \n")[1].shape == (0, 2)
+    for text in ["0 1\n# c\n", "1\x0c2", "1\r2", "1_0 2", "0 1\n-1 2", "5\n", "nodes 0"]:
+        assert graph_core._loadtxt_edges(text) is None, text
 
 
 class TestGraph:

@@ -214,7 +214,8 @@ class TestClosedFormPpnp:
         n = DENSE_MAX_NODES + 44
         ops = er_ops(rng, n, p=0.03)
         x = _staggered(random_signal(rng, n, 2))
-        closed_form_ppnp(ops, x, 0.1)
+        stats = {}
+        closed_form_ppnp(ops, x, 0.1, stats)
         # per-column reference: scipy's CG under the same stopping rule,
         # one callback per iteration
         system = spla.aslinearoperator(sparse.identity(n) - 0.9 * ops.a_hat)
@@ -225,6 +226,9 @@ class TestClosedFormPpnp:
             iterations.append(len(steps))
         assert iterations[1] == 0 and iterations[0] != iterations[2]
         assert spmm_calls == [(n, 3)] * max(iterations)
+        assert stats["cg_iterations"] == max(iterations)
+        rel = stats["relative_residuals"]
+        assert rel[1] == 0.0 and 0.0 < rel[0] < 1e-12 and 0.0 < rel[2] < 1e-13
 
     def test_gamma_out_of_range(self):
         rng = np.random.default_rng(12)

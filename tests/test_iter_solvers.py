@@ -12,12 +12,16 @@ from gsdnn.gsd_problem import (
     NonNegIndicator,
     RidgeComplement,
     RowL21,
+    _laplacian,
+    _layer_of,
+    _smooth_grad,
     closed_form_ppnp,
     smoothness_bound,
 )
 from gsdnn.iter_solvers import (
     SolveConfig,
     SolveReport,
+    _layer_step,
     gd_run,
     prox_nonneg,
     proxgd_run,
@@ -242,6 +246,67 @@ class TestSharedWork:
         report = run(spec, x, x, ops, SolveConfig(max_iters=30, rel_tol=1e-12))
         assert report.iterations_used > 1
         assert len(spmm_calls) == report.iterations_used + 1
+
+
+class TestBufferedIterate:
+    """The solvers run each iterate in buffers they own: the caller's arrays
+    are never written, and no later iteration writes over what the report
+    holds."""
+
+    REGS = [(None, gd_run), (RidgeComplement(), gd_run), (NonNegIndicator(), proxgd_run),
+            (RowL21(weight=0.3), proxgd_run)]
+
+    @staticmethod
+    def _problem(reg, identity):
+        rng = np.random.default_rng(23)
+        ops = er_ops(rng, 14)
+        x = random_signal(rng, 14, 3)
+        t_alpha, t_beta = (np.eye(3), np.eye(3)) if identity else (
+            random_spd(rng, 3) / 4.0, random_symmetric(rng, 3, 0.3) + np.eye(3))
+        spec = GsdSpec(alpha=0.5, beta=0.8, t_alpha=t_alpha, t_beta=t_beta, regularizer=reg)
+        return rng, ops, x, spec
+
+    @pytest.mark.parametrize("reg, run", REGS)
+    def test_shared_x_and_h0_are_left_bit_unchanged(self, reg, run):
+        _, ops, x, spec = self._problem(reg, identity=False)
+        before = x.tobytes()
+        report = run(spec, x, x, ops, SolveConfig(max_iters=8, rel_tol=0.0))
+        assert x.tobytes() == before
+        assert not np.shares_memory(report.final, x)
+
+    @pytest.mark.parametrize("reg, run", REGS)
+    def test_report_arrays_are_distinct_and_never_overwritten(self, reg, run):
+        _, ops, x, spec = self._problem(reg, identity=True)
+        cfg = SolveConfig(max_iters=6, rel_tol=0.0, capture_trajectory=True)
+        report = run(spec, x, x, ops, cfg)
+        held = [report.final, *report.trajectory]
+        for i, a in enumerate(held):
+            assert not any(np.shares_memory(a, b) for b in held[i + 1:])
+        for k in range(1, 7):
+            short = run(spec, x, x, ops, SolveConfig(max_iters=k, rel_tol=0.0))
+            np.testing.assert_array_equal(report.trajectory[k], short.final)
+        np.testing.assert_array_equal(report.final, report.trajectory[-1])
+
+    @pytest.mark.parametrize("identity", [True, False], ids=["T=None", "general T"])
+    @pytest.mark.parametrize("reg", [None, RidgeComplement(), NonNegIndicator(), RowL21(0.3)])
+    def test_buffered_step_matches_the_allocating_formula(self, reg, identity):
+        rng, ops, x, spec = self._problem(reg, identity)
+        layer = _layer_of(spec, 1.0 / smoothness_bound(spec))
+        assert (layer.t_alpha is None) == identity
+        h = x + random_signal(rng, 14, 3, 0.5)
+        lap_h = _laplacian(h, ops, layer.beta)
+        want = h - layer.eta * _smooth_grad(layer, h, x, lap_h)
+        if isinstance(reg, NonNegIndicator):
+            want = prox_nonneg(want)
+        elif isinstance(reg, RowL21):
+            want = row_shrink(want, x, layer.eta * reg.weight)
+        out = np.full_like(h, np.nan)  # stale contents
+        h_before = h.copy()
+        diff = h - x  # the solver forms later terms in the spent H - X
+        got = _layer_step(layer, h, x, lap_h, diff, out=out, work=diff)
+        assert got is out
+        np.testing.assert_array_equal(h, h_before)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
 
 class TestDivergence:
