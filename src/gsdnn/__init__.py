@@ -16,7 +16,9 @@ from .graph_core import (
     add_self_loops,
     as_signal,
     load_edge_list,
+    load_signal_csv,
     normalize,
+    save_signal_csv,
     spmm,
 )
 from .gsd_problem import (

@@ -46,10 +46,12 @@ from gsdnn.bilevel_trainer import (
 from gsdnn.graph_core import (
     Graph,
     NormalizedOperators,
+    _loadtxt_rows,
     add_self_loops,
     load_edge_list,
     load_signal_csv,
     normalize,
+    save_signal_csv,
 )
 from gsdnn.gsd_problem import GsdSpec, closed_form_ppnp
 from gsdnn.iter_solvers import SolveConfig, gd_run, proxgd_run
@@ -257,7 +259,7 @@ def cmd_denoise(args, run: _Run) -> int:
         report_doc = {"solver": args.solver, **report.to_json_dict()}
 
     run.lap("solve")
-    np.savetxt(run.path("denoised.csv"), final, delimiter=",", fmt="%.17g")
+    save_signal_csv(run.path("denoised.csv"), final)
     _dump_json(run.path("solve_report.json"), report_doc)
     return EXIT_OK
 
@@ -410,7 +412,7 @@ def _load_dataset(args, run: _Run) -> Dataset:
         edge_path, feat_path, label_path = parts
         ops, x = _load_graph_signal(run, edge_path, feat_path)
         try:
-            labels = np.loadtxt(run.input(label_path), dtype=np.int64, ndmin=1)
+            labels = _loadtxt_rows(run.input(label_path), dtype=np.int64, ndmin=1)
         except (OSError, ValueError) as exc:
             raise UsageError(f"bad label file {label_path}: {exc}")
         per_train = 20 if args.train_per_class is None else args.train_per_class

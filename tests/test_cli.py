@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface via main()."""
 
 import hashlib
+import io
 import json
 import os
 import runpy
@@ -11,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gsdnn import cli
+from gsdnn import cli, graph_core
 from gsdnn.cli import EQUIV_GRAPHS, build_parser, main
+from gsdnn.graph_core import add_self_loops, load_edge_list, load_signal_csv, normalize
+from gsdnn.gsd_problem import closed_form_ppnp
 
 EDGES = "nodes 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n1 4\n"
 
@@ -56,10 +59,10 @@ def test_denoise_closed_form_identity_at_full_teleport(workdir, capsys):
     assert sorted(manifest["outputs"]) == ["denoised.csv", "solve_report.json"]
 
 
-def _ring(tmp_path, n):
-    """Edge list and 2-column features of an n-node cycle."""
+def _ring(tmp_path, n, d=2):
+    """Edge list and d-column features of an n-node cycle."""
     (tmp_path / "ring.txt").write_text("".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
-    x = np.random.default_rng(5).standard_normal((n, 2))
+    x = np.random.default_rng(5).standard_normal((n, d))
     np.savetxt(tmp_path / "ring.csv", x, delimiter=",", fmt="%.17g")
     return ["--graph", str(tmp_path / "ring.txt"), "--features", str(tmp_path / "ring.csv")]
 
@@ -82,6 +85,50 @@ def test_closed_form_report_states_cg_iterations_and_residuals(tmp_path, nodes, 
     assert len(resid) == 2 and all(0.0 <= r < 1e-12 for r in resid)
     if gamma == "1.0":
         assert resid == [0.0, 0.0]
+
+
+def test_denoised_csv_of_two_writer_blocks_is_the_savetxt_bytes(tmp_path):
+    # 2100 rows are two blocks of the CSV writer, so its forked path runs
+    n, gamma = 2100, 0.3
+    assert n >= 2 * graph_core._CSV_BLOCK_ROWS
+    out = tmp_path / "out"
+    argv = ["denoise", *_ring(tmp_path, n, d=3), "--solver", "closed-form", "--gamma", str(gamma)]
+    assert main([*argv, "--out", str(out)]) == 0
+    ops = normalize(add_self_loops(load_edge_list((tmp_path / "ring.txt").read_text())))
+    stats = {}
+    final = closed_form_ppnp(ops, load_signal_csv(tmp_path / "ring.csv"), gamma, stats)
+    want = io.BytesIO()
+    np.savetxt(want, final, delimiter=",", fmt="%.17g")
+    assert (out / "denoised.csv").read_bytes() == want.getvalue()
+    assert read_json(out / "manifest.json")["outputs"] == ["denoised.csv", "solve_report.json"]
+    assert read_json(out / "solve_report.json") == {
+        "solver": "closed-form", "gamma": gamma, "converged": True, **stats}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_empty_feature_file_is_usage_error(workdir, capsys):
+    (workdir / "empty.csv").write_text("")
+    out = workdir / "out"
+    code = main(["denoise", "--graph", str(workdir / "edges.txt"),
+                 "--features", str(workdir / "empty.csv"), "--solver", "closed-form",
+                 "--gamma", "0.5", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"bad feature CSV {workdir / 'empty.csv'}: file has no data rows" in err
+    assert "Warning" not in err
+    assert not out.exists()
+
+
+def test_empty_label_file_is_usage_error(workdir, capsys):
+    (workdir / "labels.csv").write_text("\n# no labels\n")
+    spec = f"files:{workdir / 'edges.txt'},{workdir / 'feats.csv'},{workdir / 'labels.csv'}"
+    out = workdir / "out"
+    assert main(["train", "--dataset", spec, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad label file {workdir / 'labels.csv'}: file has no data rows" in err
+    assert "Warning" not in err
+    assert not out.exists()
 
 
 def test_denoise_manifest_records_sizes_and_timing(workdir):

@@ -1,3 +1,5 @@
+import io
+import os
 import re
 from unittest import mock
 
@@ -14,7 +16,9 @@ from gsdnn.graph_core import (
     add_self_loops,
     as_signal,
     load_edge_list,
+    load_signal_csv,
     normalize,
+    save_signal_csv,
     spmm,
 )
 
@@ -96,7 +100,9 @@ _ODD_TOKENS = ["+1", "1_0", "007", "-0", "-1", "x", "1.0", "#", "nodes", "٣",
 def _edge_texts(draw) -> str:
     token = st.sampled_from([str(i) for i in range(10)] * 6 + _ODD_TOKENS)
     gap = st.sampled_from(_GAPS)
-    lines = []
+    # a leading block of comments and blank lines, as a file header has
+    lines = [draw(st.sampled_from(["", " ", "\xa0", "#", "# c", " # 0 1", "\t#nodes 3"]))
+             for _ in range(draw(st.integers(0, 3)))]
     if draw(st.booleans()):
         lines.append(f"nodes{draw(gap)}{draw(st.sampled_from(['0', '12', '+12', '1_2', 'x']))}")
     for _ in range(draw(st.integers(0, 6))):
@@ -135,8 +141,33 @@ def test_loadtxt_fast_path_matches_line_parser(text):
 def test_loadtxt_fast_path_takes_plain_lists_and_passes_odd_ones_on():
     assert graph_core._loadtxt_edges("nodes 4\r\n 0 1\r\n\r\n+2\t1 \n") is not None
     assert graph_core._loadtxt_edges("nodes 4\n  \n")[1].shape == (0, 2)
+    declared, pairs = graph_core._loadtxt_edges("# c\n \n  # c")
+    assert declared is None and pairs.shape == (0, 2)
     for text in ["0 1\n# c\n", "1\x0c2", "1\r2", "1_0 2", "0 1\n-1 2", "5\n", "nodes 0"]:
         assert graph_core._loadtxt_edges(text) is None, text
+
+
+@pytest.mark.parametrize("text, declared", [
+    ("# header\n\n# more\r\nnodes 4\n0 1\n2 1\n1 0\n3 3\n", 4),
+    ("  # header\n\t\n0 1\n2 1\n1 0\n3 3", None),
+])
+def test_leading_comments_keep_the_loadtxt_path(monkeypatch, text, declared):
+    def line_parser(text):
+        raise AssertionError("the line parser ran")
+
+    monkeypatch.setattr(graph_core, "_parse_edge_lines", line_parser)
+    g = load_edge_list(text)
+    assert (g.num_nodes, g.edges) == (4, ((0, 1), (1, 2), (3, 3)))
+    assert graph_core._loadtxt_edges(text)[0] == declared
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# header\n\n0 1\n# c\n1 2 3\n", "line 5: expected 'u v'"),
+    ("# header\n \n0 #\n1 2\n", "line 3: expected two integers"),
+])
+def test_malformed_line_after_leading_comments_names_its_line(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_edge_list(text)
 
 
 class TestGraph:
@@ -360,3 +391,126 @@ def test_loop_drawn_er_mask_gives_the_added_loop_graph(seed, n):
         _assert_bit_equal(drawn.us, want.us)
         _assert_bit_equal(drawn.vs, want.vs)
         assert drawn.has_self_loops
+
+
+# ---------------------------------------------------------------------------
+# signal CSV files
+
+# Values whose %.17g text is easy to get wrong: signed zero, the smallest
+# subnormal, the extremes, a decimal that does not round-trip at 16 digits,
+# and integer-valued floats, one above 2**53.
+_CSV_VALUES = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               0.1, 1e16, 3.0, -7.0, 2.0**53 + 2, 123456789.0]
+_BLOCK = 4
+
+
+def _savetxt_bytes(x):
+    buf = io.BytesIO()
+    np.savetxt(buf, x, delimiter=",", fmt="%.17g")
+    return buf.getvalue()
+
+
+def _csv_signal(rows, width, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, width))
+    flat = x.ravel()
+    flat[: len(_CSV_VALUES)] = _CSV_VALUES[: flat.size]
+    return x
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Small writer blocks, so that the forked path runs on small signals,
+    and a list that gets one entry per fork."""
+    monkeypatch.setattr(graph_core, "_CSV_BLOCK_ROWS", _BLOCK)
+    calls, real = [], os.fork
+
+    def counting_fork():
+        calls.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+@pytest.mark.parametrize("width", [1, 2, 16, 17])
+@pytest.mark.parametrize("rows", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK,
+                                  2 * _BLOCK + 1, 5 * _BLOCK + 3])
+@pytest.mark.parametrize("fork", [True, False], ids=["fork", "no-fork"])
+def test_save_signal_csv_writes_the_savetxt_bytes(tmp_path, monkeypatch, forks, width, rows,
+                                                 fork):
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    x = _csv_signal(rows, width)
+    save_signal_csv(tmp_path / "x.csv", x)
+    assert (tmp_path / "x.csv").read_bytes() == _savetxt_bytes(x)
+    assert len(forks) == (fork and rows >= 2 * _BLOCK)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", ["raises", "writes-then-fails"])
+def test_failed_child_gives_the_same_bytes(tmp_path, monkeypatch, forks, failure):
+    parent, real_format, real_exit = os.getpid(), graph_core._format_csv_block, os._exit
+
+    def format_in_child(block):
+        if os.getpid() == parent:
+            return real_format(block)
+        if failure == "raises":
+            raise MemoryError("child fails")
+        return real_format(block) * 2  # too many bytes, then a failing status
+
+    def exit_in_child(status):
+        real_exit(1 if failure == "writes-then-fails" else status)
+
+    monkeypatch.setattr(graph_core, "_format_csv_block", format_in_child)
+    monkeypatch.setattr(os, "_exit", exit_in_child)
+    x = _csv_signal(7 * _BLOCK + 2, 5)
+    save_signal_csv(tmp_path / "x.csv", x)
+    assert (tmp_path / "x.csv").read_bytes() == _savetxt_bytes(x)
+    assert forks == [parent]
+    _assert_no_child_left()
+
+
+def test_failed_fork_gives_the_same_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(graph_core, "_CSV_BLOCK_ROWS", _BLOCK)
+
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    x = _csv_signal(3 * _BLOCK, 2)
+    save_signal_csv(tmp_path / "x.csv", x)
+    assert (tmp_path / "x.csv").read_bytes() == _savetxt_bytes(x)
+
+
+@pytest.mark.parametrize("rows", [1, 3 * _BLOCK])
+def test_unwritable_path_raises_and_leaves_no_child(tmp_path, forks, rows):
+    with pytest.raises(OSError):
+        save_signal_csv(tmp_path / "missing" / "x.csv", _csv_signal(rows, 2))
+    assert len(forks) == (rows >= 2 * _BLOCK)
+    _assert_no_child_left()
+
+
+def test_save_signal_csv_rejects_a_signal_that_is_not_2d(tmp_path):
+    with pytest.raises(ValueError, match="2-D"):
+        save_signal_csv(tmp_path / "x.csv", np.zeros(3))
+
+
+def test_saved_signal_loads_back_bit_for_bit(tmp_path, forks):
+    x = _csv_signal(3 * _BLOCK + 1, 4)
+    save_signal_csv(tmp_path / "x.csv", x)
+    np.testing.assert_array_equal(load_signal_csv(tmp_path / "x.csv", num_nodes=x.shape[0]), x)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "\n\n", "# header\n", " \t\n# c\r\n"])
+def test_signal_file_without_rows_is_rejected_before_loadtxt(tmp_path, text):
+    (tmp_path / "x.csv").write_text(text)
+    with pytest.raises(ValueError, match="no data rows"):
+        load_signal_csv(tmp_path / "x.csv")
+    with pytest.raises(ValueError, match="no data rows"):
+        load_signal_csv(tmp_path / "x.csv", num_nodes=3)
