@@ -348,12 +348,18 @@ def cmd_filter(args, run: _Run) -> int:
     run.size(ops, x)
     run.lap("load")
 
-    diff = float(
-        np.max(np.abs(forward(model, ops, x) - apply_polynomial_filter(theta, ops, x)))
-    )
-    # the graph's size was checked on loading
-    table = None if args.graph is None else frequency_response(theta, ops)
+    # coefficients near the float range overflow here; that is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = float(
+            np.max(np.abs(forward(model, ops, x) - apply_polynomial_filter(theta, ops, x)))
+        )
+        # the graph's size was checked on loading
+        table = None if args.graph is None else frequency_response(theta, ops)
     run.lap("check")
+    if not (math.isfinite(diff) and (table is None or np.isfinite(table).all())):
+        print("numeric error: the filter output or its frequency response is not finite",
+              file=sys.stderr)
+        return EXIT_NUMERIC
 
     if table is not None:
         lines = ["lambda,response", *(f"{lam:.17g},{resp:.17g}" for lam, resp in table)]
@@ -523,14 +529,11 @@ def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lr", type=float, default=0.005)
-    p.add_argument("--weight-decay", type=float, default=5e-4)
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--alpha0", type=float, default=0.1)
-    p.add_argument("--patience", type=int, default=100)
-    p.add_argument("--feature-dropout", type=float, default=0.0)
+    """One flag per TrainConfig field, with the field's default; each flag
+    parses as the type of its default, --seed as a nonnegative integer."""
+    for f in dataclasses.fields(TrainConfig):
+        kind = _seed if f.name == "seed" else type(f.default)
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=kind, default=f.default)
 
 
 def build_parser() -> argparse.ArgumentParser:

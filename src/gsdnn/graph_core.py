@@ -13,16 +13,16 @@ and exists mainly so tests can assert that identity; algorithms only ever
 apply A_hat.
 
 Edge lists are parsed, canonicalized, given their self-loops and normalized
-as whole arrays; no step walks the edges in Python. The parse is one
-``np.loadtxt`` pass over the lines after any leading blank and comment
-lines; texts that loadtxt cannot take, such as those with a comment further
-down, go to a line-by-line parser, which accepts the same texts and reads
-them the same way. A graph is canonicalized once: :func:`add_self_loops`
-merges the loop keys into the already sorted edge keys, and returns a graph
-that already has every loop as it is, so edges drawn together with their
-loops reach :func:`normalize` through a single ``Graph``. ``Graph.edges``
-turns the arrays into a tuple of int pairs on demand, for callers that want
-Python values.
+as whole arrays. The parse is one ``np.loadtxt`` pass that skips comment
+and blank lines wherever they are. The grammar itself is written once, in
+a line walker that also names the first bad line; it reads only the texts
+loadtxt cannot take the same way: a ``#`` after data on its line, a line
+break other than LF or CRLF, and malformed lines. A graph is canonicalized
+once: :func:`add_self_loops` merges the loop keys into the already sorted
+edge keys, and returns a graph that already has every loop as it is, so
+edges drawn together with their loops reach :func:`normalize` through a
+single ``Graph``. ``Graph.edges`` turns the arrays into a tuple of int
+pairs on demand, for callers that want Python values.
 
 Signals are plain float64 numpy arrays of shape (num_nodes, d), validated
 by :func:`as_signal`. On disk they are headerless CSV: :func:`load_signal_csv`
@@ -35,11 +35,11 @@ processes.
 from __future__ import annotations
 
 import io
+import operator
 import os
 import shutil
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -73,7 +73,8 @@ class Graph:
     true iff (i, i) is present for every node.
 
     ``edges`` may be given as (u, v) pairs in any order and orientation,
-    with repeats, or as an (m, 2) integer array.
+    with repeats, or as an (m, 2) integer array; ``num_nodes`` and the
+    entries of a non-empty ``edges`` must be integers, not floats.
     """
 
     num_nodes: int
@@ -82,14 +83,17 @@ class Graph:
     has_self_loops: bool
 
     def __init__(self, num_nodes: int, edges: Sequence[tuple[int, int]] | np.ndarray) -> None:
-        if num_nodes <= 0:
+        n = operator.index(num_nodes)
+        if n <= 0:
             raise ValueError("num_nodes must be positive")
-        if num_nodes > _MAX_NODES:
-            raise ValueError(f"num_nodes {num_nodes} exceeds the maximum {_MAX_NODES}")
-        n = num_nodes
-        pairs = np.asarray(edges, dtype=np.int64)
+        if n > _MAX_NODES:
+            raise ValueError(f"num_nodes {n} exceeds the maximum {_MAX_NODES}")
+        pairs = np.asarray(edges)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
+        elif pairs.dtype.kind not in "iu":
+            raise TypeError(f"edges must hold integers, got dtype {pairs.dtype}")
+        pairs = pairs.astype(np.int64, copy=False)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
         us = np.minimum(pairs[:, 0], pairs[:, 1])
@@ -102,7 +106,7 @@ class Graph:
         keys = us * n + vs
         if (keys[1:] <= keys[:-1]).any():
             us, vs = np.divmod(_sorted_unique(keys), n)
-        self._set_edges(num_nodes, us, vs)
+        self._set_edges(n, us, vs)
 
     def _set_edges(self, num_nodes: int, us: np.ndarray, vs: np.ndarray) -> None:
         """Store canonical, sorted, repeat-free edge arrays that the graph
@@ -130,54 +134,68 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
-def _parse_edge_lines(text: str) -> tuple[int | None, np.ndarray]:
-    """(declared node count or None, (m, 2) int64 pairs) of an edge list.
+_INT64_MAX = np.iinfo(np.int64).max
 
-    Raises ValueError or OverflowError on any malformed line without saying
-    which; :func:`_first_bad_line` words the message.
-    """
-    lines = [s for s in map(str.strip, text.splitlines()) if s and not s.startswith("#")]
-    declared = None
-    if lines:
-        head = lines[0].split()
-        if len(head) == 2 and head[0] == "nodes":
-            declared = int(head[1])
-            del lines[0]
-    if (declared is not None and declared <= 0) or not set(map(len, map(str.split, lines))) <= {2}:
-        raise ValueError("malformed edge list")
-    tokens = chain.from_iterable(map(str.split, lines))
-    pairs = np.fromiter(map(int, tokens), dtype=np.int64, count=2 * len(lines)).reshape(-1, 2)
-    if pairs.size and pairs.min() < 0:
-        raise ValueError("malformed edge list")
-    return declared, pairs
+
+def _parse_edge_lines(text: str) -> tuple[int | None, np.ndarray]:
+    """(declared node count or None, (m, 2) int64 pairs) of an edge list,
+    read line by line: the edge-list grammar. Raises the ValueError that
+    names the first line it rejects."""
+    declared, flat, first_data_line = None, [], True
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if first_data_line and len(parts) == 2 and parts[0] == "nodes":
+            first_data_line = False
+            try:
+                declared = int(parts[1])
+            except ValueError:
+                raise ValueError(f"line {lineno}: malformed node-count header {line!r}") from None
+            if declared <= 0:
+                raise ValueError(f"line {lineno}: node count must be positive")
+            continue
+        first_data_line = False
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected two integers, got {line!r}") from None
+        if u < 0 or v < 0:
+            raise ValueError(f"line {lineno}: negative node index in {line!r}")
+        if max(u, v) > _INT64_MAX:
+            raise ValueError(f"line {lineno}: node index too large in {line!r}")
+        flat += (u, v)
+    return declared, np.array(flat, dtype=np.int64).reshape(-1, 2)
 
 
 # str.splitlines breaks a line at each of these, as at a lone \r, but
 # np.loadtxt reads them as whitespace; so "1\x0c2" is two malformed lines to
-# the line parser and the row [1, 2] to loadtxt.
+# the line walker and the row [1, 2] to loadtxt.
 _SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def _loadtxt_edges(text: str) -> tuple[int | None, np.ndarray] | None:
     """What :func:`_parse_edge_lines` returns, from one ``np.loadtxt`` pass
-    over the lines after any leading blank and comment lines and an optional
-    "nodes N" line: about 6x faster at 2.5e5 lines. None when the text needs
-    the line parser: a comment after the first data line, a line break that
-    loadtxt does not split at, or anything loadtxt rejects, such as ``1_0``,
-    which ``int`` reads as 10."""
+    over the lines after an optional "nodes N" line: about 6x faster at
+    2.5e5 lines. None when the text needs the line walker: a ``#`` after data
+    on its line, which the walker rejects and loadtxt would cut off, a line
+    break that loadtxt does not split at, or anything loadtxt rejects, such
+    as ``1_0``, which ``int`` reads as 10."""
     if any(c in text for c in _SPLITLINES_ONLY) or (
         "\r" in text and text.count("\r") != text.count("\r\n")
     ):
         return None
-    # the only line breaks left are \n and \r\n, and strip() takes the \r
+    # the only line breaks left are \n and \r\n, and strip() takes the \r;
+    # skip the blank and comment lines before the first data line
     start = 0
     while (end := text.find("\n", start)) >= 0 and (
         not (line := text[start:end].strip()) or line.startswith("#")
     ):
         start = end + 1
     body, declared = text[start:].lstrip(), None
-    if body.startswith("#"):  # a last line that is a comment, with no break after it
-        body = ""
     if body.startswith("nodes"):
         head, _, body = body.partition("\n")
         parts = head.split()
@@ -189,60 +207,33 @@ def _loadtxt_edges(text: str) -> tuple[int | None, np.ndarray] | None:
             return None
         if declared <= 0:
             return None
-    if not body or body.isspace():  # loadtxt warns on a text with no rows
-        return declared, np.empty((0, 2), dtype=np.int64)
-    try:
-        pairs = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
-    except (ValueError, OverflowError):
+    # the text before each "#", back to its line break, is blank on a comment line
+    if "#" in body and any(p.rpartition("\n")[2].strip() for p in body.split("#")[:-1]):
         return None
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
+        try:
+            pairs = np.loadtxt(io.StringIO(body), dtype=np.int64, comments="#", ndmin=2)
+        except UserWarning:  # every line is blank or a comment
+            return declared, np.empty((0, 2), dtype=np.int64)
+        except (ValueError, OverflowError):
+            return None
     if pairs.shape[1] != 2 or pairs.min() < 0:
         return None
     return declared, pairs
-
-
-def _first_bad_line(text: str) -> ValueError:
-    """The error naming the first line that :func:`_parse_edge_lines` rejects."""
-    first_data_line = True
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if first_data_line and len(parts) == 2 and parts[0] == "nodes":
-            first_data_line = False
-            try:
-                declared = int(parts[1])
-            except ValueError:
-                return ValueError(f"line {lineno}: malformed node-count header {line!r}")
-            if declared <= 0:
-                return ValueError(f"line {lineno}: node count must be positive")
-            continue
-        first_data_line = False
-        if len(parts) != 2:
-            return ValueError(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            return ValueError(f"line {lineno}: expected two integers, got {line!r}")
-        if u < 0 or v < 0:
-            return ValueError(f"line {lineno}: negative node index in {line!r}")
-        if max(u, v) > np.iinfo(np.int64).max:
-            return ValueError(f"line {lineno}: node index too large in {line!r}")
-    return ValueError("malformed edge list")
 
 
 def load_edge_list(text: str) -> Graph:
     """Parse a line-oriented edge list into a Graph.
 
     Each non-empty, non-comment line holds two nonnegative integers "u v".
-    Lines starting with '#' are comments. An optional first data line
-    "nodes N" fixes the node count; otherwise it is 1 + the largest index.
+    Lines starting with '#' are comments; a '#' after data on its line is
+    an error. An optional first data line "nodes N" fixes the node count;
+    otherwise it is 1 + the largest index. A malformed text raises the
+    ValueError that names its first bad line.
     """
-    try:
-        parsed = _loadtxt_edges(text)
-        declared, pairs = _parse_edge_lines(text) if parsed is None else parsed
-    except (ValueError, OverflowError):
-        raise _first_bad_line(text) from None
+    parsed = _loadtxt_edges(text)
+    declared, pairs = _parse_edge_lines(text) if parsed is None else parsed
     if declared is None:
         if not len(pairs):
             raise ValueError("empty edge list and no 'nodes N' header")

@@ -16,7 +16,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .graph_core import NormalizedOperators, spmm
-from .unrolled_gnn import Appnp, Ugdgnn, ugdgnn_specialize
+from .unrolled_gnn import Appnp, Ugdgnn, _hop_sum, ugdgnn_specialize
 
 __all__ = [
     "FilterCoeffs",
@@ -83,7 +83,8 @@ def theta_to_ugdgnn(theta: Union[FilterCoeffs, Sequence[float]]) -> Ugdgnn:
     """Hop-sum model realizing the filter: gamma_i = sum_k theta_k (-1)^i C(k,i).
 
     The identity behind it is L_hat^k = (I - A_hat)^k expanded binomially,
-    with all mixing on the identity branch (zeta = 1, xi = 0).
+    with all mixing on the identity branch (zeta = 1, xi = 0). Rejects
+    finite coefficients whose gammas overflow.
     """
     coeffs = as_filter_coeffs(theta)
     kk = coeffs.k
@@ -96,13 +97,9 @@ def theta_to_ugdgnn(theta: Union[FilterCoeffs, Sequence[float]]) -> Ugdgnn:
         for k in range(i, kk + 1):
             total += coeffs.theta[k] * float(math.comb(k, i))
         gammas.append(sign * total)
-    kp1 = kk + 1
-    return Ugdgnn(
-        gammas=tuple(gammas),
-        zetas=tuple([1.0] * kp1),
-        xis=tuple([0.0] * kp1),
-        weights=tuple([None] * kp1),
-    )
+    if not all(math.isfinite(g) for g in gammas):
+        raise ValueError("coefficients overflow: their hop coefficients are not finite")
+    return _hop_sum(gammas)
 
 
 def sgc_implied_theta(k: int) -> FilterCoeffs:

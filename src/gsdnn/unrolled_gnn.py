@@ -29,7 +29,7 @@ from inside it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -539,6 +539,13 @@ def equivalence_check(
     }
 
 
+def _hop_sum(gammas: Sequence[float]) -> Ugdgnn:
+    """The weightless model sum_k gamma_k A_hat^k X: all mixing on the
+    identity branch (zeta = 1, xi = 0)."""
+    kp1 = len(gammas)
+    return Ugdgnn(tuple(gammas), (1.0,) * kp1, (0.0,) * kp1, (None,) * kp1)
+
+
 def ugdgnn_specialize(model: ModelSpec) -> Ugdgnn:
     """Express one of the linear schemes as the general hop-sum model."""
     if isinstance(model, Sgc):
@@ -550,13 +557,7 @@ def ugdgnn_specialize(model: ModelSpec) -> Ugdgnn:
         return Ugdgnn(tuple(gammas), tuple(zetas), tuple(xis), tuple(weights))
     if isinstance(model, Appnp):
         kk, gam = model.k, model.gamma
-        gammas = [gam * (1.0 - gam) ** k for k in range(kk)] + [(1.0 - gam) ** kk]
-        return Ugdgnn(
-            tuple(gammas),
-            tuple([1.0] * (kk + 1)),
-            tuple([0.0] * (kk + 1)),
-            tuple([None] * (kk + 1)),
-        )
+        return _hop_sum([gam * (1.0 - gam) ** k for k in range(kk)] + [(1.0 - gam) ** kk])
     if isinstance(model, JkNet):
         kp1 = model.k + 1
         return Ugdgnn(
@@ -566,13 +567,7 @@ def ugdgnn_specialize(model: ModelSpec) -> Ugdgnn:
             tuple(model.weights),
         )
     if isinstance(model, GprGnn):
-        kp1 = model.k + 1
-        return Ugdgnn(
-            model.gammas,
-            tuple([1.0] * kp1),
-            tuple([0.0] * kp1),
-            tuple([None] * kp1),
-        )
+        return _hop_sum(model.gammas)
     raise TypeError(f"no hop-sum specialization for {type(model).__name__}")
 
 

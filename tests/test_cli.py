@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface via main()."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from gsdnn import cli, graph_core
+from gsdnn.bilevel_trainer import TrainConfig
 from gsdnn.cli import EQUIV_GRAPHS, build_parser, main
 from gsdnn.graph_core import add_self_loops, load_edge_list, load_signal_csv, normalize
 from gsdnn.gsd_problem import closed_form_ppnp
@@ -363,8 +365,40 @@ def test_filter_malformed_theta(workdir, capsys):
     assert main(["filter", "--theta", "1,abc", "--out", str(workdir / "x")]) == 2
 
 
+def test_filter_theta_whose_gammas_overflow_is_usage_error(workdir, capsys):
+    out = workdir / "x"
+    assert main(["filter", "--theta", "1e308,1e308", "--out", str(out)]) == 2
+    assert "hop coefficients are not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("graph", [False, True], ids=["builtin", "graph"])
+def test_filter_that_overflows_exits_numeric_without_outputs(workdir, capsys, graph):
+    # the gammas 1.5e308 and -5e307 are finite, the filtered signal is not
+    out = workdir / "x"
+    argv = ["filter", "--theta", "1e308,5e307", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warnings either
+        code = main(argv + (["--graph", str(workdir / "edges.txt")] if graph else []))
+    assert code == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train / sweep
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_train_flags_are_the_train_config_fields_in_order(command):
+    parser = build_parser()
+    args = parser.parse_args([command, "--dataset", "karate"])
+    assert cli._train_config(args) == TrainConfig()
+    sub = parser._subparsers._group_actions[0].choices[command]
+    flags = [a.option_strings[0] for a in sub._actions]
+    names = [f"--{f.name.replace('_', '-')}" for f in dataclasses.fields(TrainConfig)]
+    start = flags.index(names[0])
+    assert flags[start : start + len(names)] == names
 
 
 def test_train_zero_lr_keeps_initial_evaluation(tmp_path, capsys):

@@ -88,12 +88,15 @@ class TestLoadEdgeList:
 
 
 # Pieces of edge-list texts: the separators str.splitlines breaks lines at
-# but np.loadtxt does not, and tokens that int() and loadtxt read differently.
+# but np.loadtxt does not, tokens that int() and loadtxt read differently,
+# and comment lines, some of which only look like comments.
 _LINE_ENDS = ["\n"] * 40 + ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
                           "\x85", "\u2028", "\u2029"]
-_GAPS = [" "] * 24 + ["\t", "  ", "\xa0", "\x1f", "\u3000", "\x0c", "\x1c", "\u2028"]
+_GAPS = [" "] * 24 + ["\t", "  ", "\xa0", "\x1f", "\u3000", "\x0c", "\x1c", "\u2028",
+                      "\x00", "\ufeff"]
 _ODD_TOKENS = ["+1", "1_0", "007", "-0", "-1", "x", "1.0", "#", "nodes", "٣",
-               "99999999999999999999"]
+               "99999999999999999999", "\x00", "\ufeff1", "2\x00"]
+_COMMENTS = ["#", "# c", " # 0 1", "\t#nodes 3", "\xa0# 1 2", "## #", "\x1f#", "\ufeff# c"]
 
 
 @st.composite
@@ -101,18 +104,21 @@ def _edge_texts(draw) -> str:
     token = st.sampled_from([str(i) for i in range(10)] * 6 + _ODD_TOKENS)
     gap = st.sampled_from(_GAPS)
     # a leading block of comments and blank lines, as a file header has
-    lines = [draw(st.sampled_from(["", " ", "\xa0", "#", "# c", " # 0 1", "\t#nodes 3"]))
+    lines = [draw(st.sampled_from(["", " ", "\xa0", "\ufeff", *_COMMENTS]))
              for _ in range(draw(st.integers(0, 3)))]
     if draw(st.booleans()):
         lines.append(f"nodes{draw(gap)}{draw(st.sampled_from(['0', '12', '+12', '1_2', 'x']))}")
     for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(["pair"] * 12 + ["blank"] * 2 + ["comment", "tokens"]))
+        kind = draw(st.sampled_from(["pair"] * 12 + ["blank"] * 2 + ["comment"] * 3
+                                    + ["inline", "tokens"]))
         if kind == "pair":
             line = draw(token) + draw(gap) + draw(token)
         elif kind == "blank":
             line = draw(st.sampled_from(["", " ", "\t", "\xa0"]))
         elif kind == "comment":
-            line = "# " + draw(token)
+            line = draw(st.sampled_from(["# " + draw(token), *_COMMENTS]))
+        elif kind == "inline":  # a "#" after data on its line
+            line = draw(token) + draw(gap) + draw(token) + draw(st.sampled_from(["", " "])) + "#"
         else:
             line = draw(gap).join(draw(st.lists(token, max_size=3)))
         lines.append(draw(st.sampled_from(["", " "])) + line)
@@ -143,13 +149,15 @@ def test_loadtxt_fast_path_takes_plain_lists_and_passes_odd_ones_on():
     assert graph_core._loadtxt_edges("nodes 4\n  \n")[1].shape == (0, 2)
     declared, pairs = graph_core._loadtxt_edges("# c\n \n  # c")
     assert declared is None and pairs.shape == (0, 2)
-    for text in ["0 1\n# c\n", "1\x0c2", "1\r2", "1_0 2", "0 1\n-1 2", "5\n", "nodes 0"]:
+    for text in ["0 1 # c\n", "1\x0c2", "1\r2", "1_0 2", "0 1\n-1 2", "5\n", "nodes 0"]:
         assert graph_core._loadtxt_edges(text) is None, text
 
 
 @pytest.mark.parametrize("text, declared", [
     ("# header\n\n# more\r\nnodes 4\n0 1\n2 1\n1 0\n3 3\n", 4),
     ("  # header\n\t\n0 1\n2 1\n1 0\n3 3", None),
+    ("nodes 4\n0 1\n# c\n2 1\n\n  # 7 7\n1 0\n3 3\n# end", 4),
+    ("0 1\r\n\t#\r\n2 1\r\n1 0\r\n## #\r\n3 3\r\n", None),
 ])
 def test_leading_comments_keep_the_loadtxt_path(monkeypatch, text, declared):
     def line_parser(text):
@@ -174,6 +182,20 @@ class TestGraph:
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph(num_nodes=2, edges=((0, 3),))
+
+    @pytest.mark.parametrize("num_nodes, edges", [
+        (2.5, [(0, 1)]),
+        (3, [(0, 1.7)]),
+        (3, np.array([[0.0, 1.0]])),
+    ])
+    def test_rejects_entries_that_are_not_integers(self, num_nodes, edges):
+        with pytest.raises(TypeError):
+            Graph(num_nodes=num_nodes, edges=edges)
+
+    def test_takes_numpy_integers_and_empty_edges(self):
+        g = Graph(num_nodes=np.int64(3), edges=np.array([[2, 1]], dtype=np.uint8))
+        assert (type(g.num_nodes), g.edges) == (int, ((1, 2),))
+        assert Graph(num_nodes=2, edges=[]).num_edges == 0
 
     def test_rejects_array_that_is_not_pairs(self):
         with pytest.raises(ValueError, match="pairs"):
