@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph_core import Graph, NormalizedOperators, add_self_loops, normalize, spmm
+from .graph_core import Graph, NormalizedOperators, normalize, spmm
 
 __all__ = [
     "Dataset",
@@ -720,7 +720,7 @@ def sbm_generate(
         prob = np.where(rows == labels[None, :], p_in, p_out)
         upper = np.triu(rng.random(prob.shape) < prob, k=r0 + 1)
         edges.append(np.argwhere(upper) + (r0, 0))
-    graph = add_self_loops(Graph(num_nodes=n, edges=np.concatenate(edges)))
+    graph = Graph(num_nodes=n, edges=np.concatenate(edges))
     means = np.zeros((blocks, d))
     means[np.arange(blocks), np.arange(blocks)] = 1.0 / math.sqrt(2.0)
     x = means[labels] + noise_sigma * rng.standard_normal((n, d))
@@ -780,12 +780,11 @@ def karate_dataset() -> Dataset:
         (u, v) for u, nbrs in sorted(_KARATE_ADJ.items()) for v in nbrs
     )
     n = 34
-    graph_plain = Graph(num_nodes=n, edges=edges)
-    degrees = np.bincount(np.concatenate((graph_plain.us, graph_plain.vs)), minlength=n)
+    graph = Graph(num_nodes=n, edges=edges)
+    degrees = np.bincount(np.concatenate((graph.us, graph.vs)), minlength=n)
     x = np.zeros((n, int(degrees.max()) + 1))
     x[np.arange(n), degrees] = 1.0
     labels = np.asarray(_KARATE_LABELS, dtype=np.int64)
-    graph = add_self_loops(graph_plain)
     train, val, test = _split_masks(labels, 4, 4)
     return Dataset(
         ops=normalize(graph),

@@ -10,7 +10,12 @@ the problem sizes where the command has one graph, and the software and
 machine it ran on.
 
 Exit codes: 0 success, 1 a requested check failed, 2 usage or input
-error, 3 numeric/solver error. All outputs are byte-identical across
+error, 3 numeric/solver error. Exit 2 has one route: a handler raises
+ValueError for a bad flag or input file (a library check's own message,
+or a loader's with the path in front) and lets the OSError of an --out
+it cannot create or write pass, and ``main`` prints ``error: <message>``
+and writes no manifest. Input errors are raised before the first output,
+so they leave no --out behind. All outputs are byte-identical across
 reruns with the same inputs and seeds, except the timestamp, timing and
 environment fields inside the manifest.
 """
@@ -47,7 +52,6 @@ from gsdnn.graph_core import (
     Graph,
     NormalizedOperators,
     _loadtxt_rows,
-    add_self_loops,
     load_edge_list,
     load_signal_csv,
     normalize,
@@ -77,10 +81,6 @@ EQUIV_GRAPHS = {
     "edge_prob": 0.2,
     "self_loops": True,
 }
-
-
-class UsageError(Exception):
-    """Bad flags or unreadable/malformed input files (exit 2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +125,7 @@ class _Run:
         try:
             return Path(self.input(path)).read_text()
         except OSError as exc:
-            raise UsageError(f"cannot read {path}: {exc}")
+            raise ValueError(f"cannot read {path}: {exc}")
 
     def path(self, name: str) -> Path:
         """Where output ``name`` goes; creates --out on the first call."""
@@ -175,10 +175,11 @@ class _Run:
 def _load_graph(run: _Run, path: str) -> Graph:
     """The parsed edge list, without its loops: a caller checks the declared
     node count against its other inputs before building anything that size."""
+    text = run.read_text(path)
     try:
-        return load_edge_list(run.read_text(path))
+        return load_edge_list(text)
     except ValueError as exc:
-        raise UsageError(f"bad edge list {path}: {exc}")
+        raise ValueError(f"bad edge list {path}: {exc}")
 
 
 def _load_graph_signal(
@@ -190,10 +191,10 @@ def _load_graph_signal(
     try:
         x = load_signal_csv(run.input(feat_path), num_nodes=graph.num_nodes)
     except OSError as exc:
-        raise UsageError(f"cannot read {feat_path}: {exc}")
+        raise ValueError(f"cannot read {feat_path}: {exc}")
     except ValueError as exc:
-        raise UsageError(f"bad feature CSV {feat_path}: {exc}")
-    return normalize(add_self_loops(graph)), x
+        raise ValueError(f"bad feature CSV {feat_path}: {exc}")
+    return normalize(graph), x
 
 
 def _random_er_ops(rng: np.random.Generator, n: int, p: float = 0.2):
@@ -215,39 +216,32 @@ def cmd_denoise(args, run: _Run) -> int:
 
     if args.solver == "closed-form":
         if args.gamma is None:
-            raise UsageError("--solver closed-form requires --gamma")
+            raise ValueError("--solver closed-form requires --gamma")
         stats: dict = {}
         try:
             final = closed_form_ppnp(ops, x, args.gamma, stats)
-        except ValueError as exc:
-            raise UsageError(str(exc))
         except RuntimeError as exc:
             print(f"solver error: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
         report_doc = {"solver": "closed-form", "gamma": args.gamma, "converged": True, **stats}
     else:
         if args.spec is None:
-            raise UsageError(f"--solver {args.solver} requires --spec")
+            raise ValueError(f"--solver {args.solver} requires --spec")
+        text = run.read_text(args.spec)
         try:
-            spec = GsdSpec.from_json(run.read_text(args.spec))
+            spec = GsdSpec.from_json(text)
         except (ValueError, KeyError, TypeError) as exc:
-            raise UsageError(f"bad spec JSON {args.spec}: {exc}")
+            raise ValueError(f"bad spec JSON {args.spec}: {exc}")
         for name in ("t_alpha", "t_beta"):  # an indefinite T leaves L unbounded below
             eig = np.linalg.eigvalsh(getattr(spec, name))
             if eig[0] < -1e-12 * np.abs(eig).max():
-                raise UsageError(f"bad spec {args.spec}: {name} has eigenvalue {eig[0]:.3e}")
+                raise ValueError(f"bad spec {args.spec}: {name} has eigenvalue {eig[0]:.3e}")
         stepsize = "auto" if args.stepsize is None else args.stepsize
-        try:
-            cfg = SolveConfig(max_iters=args.iters, stepsize=stepsize, rel_tol=args.rel_tol)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        cfg = SolveConfig(max_iters=args.iters, stepsize=stepsize, rel_tol=args.rel_tol)
         runner = gd_run if args.solver == "gd" else proxgd_run
-        try:
-            # a divergent run overflows on its last step; it is reported below
-            with np.errstate(over="ignore", invalid="ignore"):
-                report = runner(spec, x, x, ops, cfg)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        # a divergent run overflows on its last step; it is reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = runner(spec, x, x, ops, cfg)
         if report.stop_reason == "diverged":
             print(
                 f"solver error: objective diverged at iteration {report.iterations_used}; "
@@ -280,12 +274,12 @@ def _equiv_cell(name: str, model_index: int, trial: int, seed: int, tol: float) 
 
 def _check_tol(tol: float) -> None:
     if not math.isfinite(tol):
-        raise UsageError(f"--tol must be finite, got {tol}")
+        raise ValueError(f"--tol must be finite, got {tol}")
 
 
 def cmd_equiv(args, run: _Run) -> int:
     if args.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {args.trials}")
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     _check_tol(args.tol)
     run.config["graph_distribution"] = EQUIV_GRAPHS
     names = list(MODEL_KINDS) if args.model == "all" else [args.model]
@@ -321,27 +315,21 @@ def _parse_theta(raw: str) -> tuple[float, ...]:
     try:
         theta = tuple(float(part) for part in raw.split(",") if part.strip())
     except ValueError:
-        raise UsageError(f"--theta must be a comma-separated float list, got {raw!r}")
+        raise ValueError(f"--theta must be a comma-separated float list, got {raw!r}")
     if not theta:
-        raise UsageError("--theta must contain at least one coefficient")
+        raise ValueError("--theta must contain at least one coefficient")
     return theta
 
 
 def cmd_filter(args, run: _Run) -> int:
     _check_tol(args.tol)
     theta = _parse_theta(args.theta)
-    try:
-        model = theta_to_ugdgnn(theta)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    model = theta_to_ugdgnn(theta)
 
     if args.graph is not None:
         graph = _load_graph(run, args.graph)
-        try:
-            _check_eig_size(graph.num_nodes)  # before a graph too large to analyse is built
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        ops = normalize(add_self_loops(graph))
+        _check_eig_size(graph.num_nodes)  # before a graph too large to analyse is built
+        ops = normalize(graph)
     else:
         ops = _random_er_ops(np.random.default_rng((args.seed, 101)), n=24)
     x = np.random.default_rng((args.seed, 202)).standard_normal((ops.num_nodes, 2))
@@ -389,29 +377,26 @@ def _load_dataset(args, run: _Run) -> Dataset:
     if name in ("sbm", "karate"):
         for flag in ("train_per_class", "val_per_class"):
             if getattr(args, flag) is not None:
-                raise UsageError(
+                raise ValueError(
                     f"--{flag.replace('_', '-')} applies only to --dataset files:; "
                     f"{name} has a fixed split"
                 )
     if name == "sbm":
-        try:
-            ds = sbm_generate(
-                n=args.sbm_n,
-                blocks=args.sbm_blocks,
-                p_in=args.sbm_p_in,
-                p_out=args.sbm_p_out,
-                d=args.sbm_d,
-                noise_sigma=args.sbm_noise,
-                seed=args.data_seed,
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        ds = sbm_generate(
+            n=args.sbm_n,
+            blocks=args.sbm_blocks,
+            p_in=args.sbm_p_in,
+            p_out=args.sbm_p_out,
+            d=args.sbm_d,
+            noise_sigma=args.sbm_noise,
+            seed=args.data_seed,
+        )
     elif name == "karate":
         ds = karate_dataset()
     elif name.startswith("files:"):
         parts = name[len("files:") :].split(",")
         if len(parts) != 3:
-            raise UsageError(
+            raise ValueError(
                 "--dataset files: expects three comma-separated paths, "
                 "edges,features,labels"
             )
@@ -420,36 +405,28 @@ def _load_dataset(args, run: _Run) -> Dataset:
         try:
             labels = _loadtxt_rows(run.input(label_path), dtype=np.int64, ndmin=1)
         except (OSError, ValueError) as exc:
-            raise UsageError(f"bad label file {label_path}: {exc}")
+            raise ValueError(f"bad label file {label_path}: {exc}")
         per_train = 20 if args.train_per_class is None else args.train_per_class
         per_val = 30 if args.val_per_class is None else args.val_per_class
-        try:  # masks in field order: train, val, test
-            ds = Dataset(ops, x, labels, *_split_masks(labels, per_train, per_val))
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        # masks in field order: train, val, test
+        ds = Dataset(ops, x, labels, *_split_masks(labels, per_train, per_val))
     else:
-        raise UsageError(f"unknown dataset {name!r}; expected sbm, karate, or files:...")
+        raise ValueError(f"unknown dataset {name!r}; expected sbm, karate, or files:...")
     run.size(ds.ops, ds.x)
     return ds
 
 
 def _train_config(args) -> TrainConfig:
     """The training flags are TrainConfig's fields, one flag per field."""
-    try:
-        fields = dataclasses.fields(TrainConfig)
-        return TrainConfig(**{f.name: getattr(args, f.name) for f in fields})
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    fields = dataclasses.fields(TrainConfig)
+    return TrainConfig(**{f.name: getattr(args, f.name) for f in fields})
 
 
 def cmd_train(args, run: _Run) -> int:
     ds = _load_dataset(args, run)
     cfg = _train_config(args)
     run.lap("load")
-    try:
-        report = train(ds, cfg)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    report = train(ds, cfg)
     run.lap("train")
     _dump_json(run.path("train_report.json"), report.to_json_dict())
     if report.diverged:
@@ -466,9 +443,9 @@ def _parse_ks(raw: str) -> tuple[int, ...]:
     try:
         ks = tuple(int(part) for part in raw.split(",") if part.strip())
     except ValueError:
-        raise UsageError(f"--ks must be a comma-separated int list, got {raw!r}")
+        raise ValueError(f"--ks must be a comma-separated int list, got {raw!r}")
     if not ks or any(k < 0 for k in ks):
-        raise UsageError("--ks must list nonnegative depths")
+        raise ValueError("--ks must list nonnegative depths")
     return ks
 
 
@@ -477,10 +454,7 @@ def cmd_sweep(args, run: _Run) -> int:
     cfg = _train_config(args)
     ks = _parse_ks(args.ks)
     run.lap("load")
-    try:
-        rows = depth_sweep(ds, cfg, ks=ks, n_seeds=args.n_seeds)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    rows = depth_sweep(ds, cfg, ks=ks, n_seeds=args.n_seeds)
     run.lap("train")
     lines = ["k,mean_acc,std_acc"]
     lines += [f"{r['k']},{r['mean_acc']:.17g},{r['std_acc']:.17g}" for r in rows]
@@ -604,11 +578,11 @@ def main(argv: list[str] | None = None) -> int:
         # looked up on each call, not bound into the shared parser, so a
         # wrapper put over a cmd_* function later is the one that runs
         code = globals()[f"cmd_{args.command}"](args, run)
-    except UsageError as exc:
+        if run.outputs:
+            run.write_manifest()
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if run.outputs:
-        run.write_manifest()
     return code
 
 

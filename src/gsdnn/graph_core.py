@@ -18,11 +18,12 @@ and blank lines wherever they are. The grammar itself is written once, in
 a line walker that also names the first bad line; it reads only the texts
 loadtxt cannot take the same way: a ``#`` after data on its line, a line
 break other than LF or CRLF, and malformed lines. A graph is canonicalized
-once: :func:`add_self_loops` merges the loop keys into the already sorted
-edge keys, and returns a graph that already has every loop as it is, so
-edges drawn together with their loops reach :func:`normalize` through a
-single ``Graph``. ``Graph.edges`` turns the arrays into a tuple of int
-pairs on demand, for callers that want Python values.
+once: :func:`normalize` gives it its loops through :func:`add_self_loops`,
+which merges the loop keys into the already sorted edge keys and returns a
+graph that already has every loop as it is, so edges drawn together with
+their loops reach the operators through a single ``Graph``.
+``Graph.edges`` turns the arrays into a tuple of int pairs on demand, for
+callers that want Python values.
 
 Signals are plain float64 numpy arrays of shape (num_nodes, d), validated
 by :func:`as_signal`. On disk they are headerless CSV: :func:`load_signal_csv`
@@ -207,8 +208,14 @@ def _loadtxt_edges(text: str) -> tuple[int | None, np.ndarray] | None:
             return None
         if declared <= 0:
             return None
-    # the text before each "#", back to its line break, is blank on a comment line
-    if "#" in body and any(p.rpartition("\n")[2].strip() for p in body.split("#")[:-1]):
+    # the text before a line's first "#", back to its line break, is blank on
+    # a comment line; that "#" ends the first segment or one that holds a
+    # line break, and a segment between two "#" on one line is comment text
+    if "#" in body and any(
+        p.rpartition("\n")[2].strip()
+        for i, p in enumerate(body.split("#")[:-1])
+        if i == 0 or "\n" in p
+    ):
         return None
     with warnings.catch_warnings():
         warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
@@ -306,16 +313,14 @@ class NormalizedOperators:
 
 
 def normalize(g: Graph) -> NormalizedOperators:
-    """Build A_hat = D^{-1/2} A D^{-1/2} and degrees for a self-looped graph.
-
-    Rejects graphs without full self-loops: a zero-degree node would make
-    the normalization undefined, and every algorithm here assumes loops.
+    """Build A_hat = D^{-1/2} A D^{-1/2} and degrees for ``g`` with a loop on
+    every node: the loops are merged in by :func:`add_self_loops`, which
+    returns a loop-complete graph as it is, so every degree is at least 1.
     A_hat's ``indices`` and ``indptr`` are int32 whenever both n and nnz fit
     in int32, the dtype scipy would pick itself; handing them over in that
     dtype spares scipy its scan of int64 index contents.
     """
-    if not g.has_self_loops:
-        raise ValueError("graph must have self-loops on every node; call add_self_loops first")
+    g = add_self_loops(g)
     n = g.num_nodes
     off = g.us != g.vs
     # Both triangles as keys row * n + col; sorted, they are the CSR order,
@@ -326,8 +331,6 @@ def normalize(g: Graph) -> NormalizedOperators:
     rows = np.floor_divide(keys, n, out=keys)  # the keys are not needed again
 
     counts = np.bincount(rows, minlength=n)
-    if counts.min() <= 0:
-        raise ValueError("zero-degree node encountered after normalization setup")
     degrees = counts.astype(np.float64)
 
     dinv = 1.0 / np.sqrt(degrees)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -68,12 +68,12 @@ DENSE_MAX_NODES = 256
 
 @dataclass(frozen=True)
 class NonNegIndicator:
-    kind: str = field(default="nonneg", init=False)
+    """Indicator of the nonnegative orthant: +infinity off it, 0 on it."""
 
 
 @dataclass(frozen=True)
 class RidgeComplement:
-    kind: str = field(default="ridge_complement", init=False)
+    """The extra ridge term beta * ||H||^2_{I - T_beta}."""
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,6 @@ class RowL21:
     """Row-wise l2 penalty on H - X with the given nonnegative weight."""
 
     weight: float
-    kind: str = field(default="row_l21", init=False)
 
     def __post_init__(self) -> None:
         if self.weight < 0:

@@ -593,7 +593,6 @@ def test_oversized_declared_graph_is_usage_error_without_building(
     def no_build(*args, **kwargs):
         raise AssertionError("the graph was built before its node count was checked")
 
-    monkeypatch.setattr("gsdnn.cli.add_self_loops", no_build)
     monkeypatch.setattr("gsdnn.cli.normalize", no_build)
     edges, feats, labels = (tmp_path / name for name in ("e.txt", "f.csv", "l.csv"))
     edges.write_text(HUGE_EDGES)
@@ -612,6 +611,42 @@ def test_oversized_declared_graph_is_usage_error_without_building(
     assert main([*argv, "--out", str(out)]) == 2
     assert reason in capsys.readouterr().err
     assert not out.exists()
+
+
+# command -> (argv from the work dir, the library call made to fail)
+ROUTE_CASES = {
+    "denoise": (lambda w: ["denoise", "--graph", str(w / "edges.txt"),
+                           "--features", str(w / "feats.csv"), "--solver", "closed-form",
+                           "--gamma", "0.5"], "closed_form_ppnp"),
+    "equiv": (lambda w: ["equiv", "--model", "sgc", "--trials", "1"], "equivalence_check"),
+    "filter": (lambda w: ["filter", "--theta", "1,0.5"], "apply_polynomial_filter"),
+    "train": (lambda w: ["train", "--dataset", "karate", "--epochs", "2"], "train"),
+    "sweep": (lambda w: ["sweep", "--dataset", "karate", "--ks", "1", "--n-seeds", "1",
+                         "--epochs", "2"], "depth_sweep"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ROUTE_CASES))
+def test_library_value_error_exits_usage_without_outputs(workdir, capsys, monkeypatch, command):
+    argv_of, call = ROUTE_CASES[command]
+
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, call, boom)
+    out = workdir / "out"
+    assert main([*argv_of(workdir), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: boom\n"
+    assert not out.exists()
+
+
+def test_out_beneath_a_regular_file_exits_usage(tmp_path, capsys):
+    (tmp_path / "file").write_text("kept\n")
+    out = tmp_path / "file" / "sub"
+    assert main(["equiv", "--model", "sgc", "--trials", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert (tmp_path / "file").read_text() == "kept\n"
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,8 @@ _GAPS = [" "] * 24 + ["\t", "  ", "\xa0", "\x1f", "\u3000", "\x0c", "\x1c", "\u2
                       "\x00", "\ufeff"]
 _ODD_TOKENS = ["+1", "1_0", "007", "-0", "-1", "x", "1.0", "#", "nodes", "٣",
                "99999999999999999999", "\x00", "\ufeff1", "2\x00"]
-_COMMENTS = ["#", "# c", " # 0 1", "\t#nodes 3", "\xa0# 1 2", "## #", "\x1f#", "\ufeff# c"]
+_COMMENTS = ["#", "# c", " # 0 1", "\t#nodes 3", "\xa0# 1 2", "## #", "# a # b", "\x1f#",
+             "\ufeff# c"]
 
 
 @st.composite
@@ -158,6 +159,7 @@ def test_loadtxt_fast_path_takes_plain_lists_and_passes_odd_ones_on():
     ("  # header\n\t\n0 1\n2 1\n1 0\n3 3", None),
     ("nodes 4\n0 1\n# c\n2 1\n\n  # 7 7\n1 0\n3 3\n# end", 4),
     ("0 1\r\n\t#\r\n2 1\r\n1 0\r\n## #\r\n3 3\r\n", None),
+    ("0 1\n# a # b\n1 2\n3 3\n", None),
 ])
 def test_leading_comments_keep_the_loadtxt_path(monkeypatch, text, declared):
     def line_parser(text):
@@ -222,9 +224,13 @@ class TestGraph:
 
 
 class TestNormalize:
-    def test_requires_self_loops(self):
-        with pytest.raises(ValueError, match="self-loops"):
-            normalize(load_edge_list("0 1"))
+    def test_adds_missing_self_loops(self):
+        g = load_edge_list("0 1\n1 2\n2 2")
+        got, want = normalize(g), normalize(add_self_loops(g))
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got.a_hat, name), getattr(want.a_hat, name))
+        np.testing.assert_array_equal(got.degrees, want.degrees)
+        assert got.graph.has_self_loops and not g.has_self_loops
 
     def test_single_node_with_loop(self):
         ops = normalize(add_self_loops(Graph(num_nodes=1, edges=())))
