@@ -564,6 +564,8 @@ class _SeedRun:
         self.report.wall_clock_seconds = seconds
 
 
+# a diverging seed overflows quietly: _SeedRun.observe reports its loss
+@np.errstate(over="ignore", invalid="ignore")
 def _train_seeds(ds: Dataset, cfg: TrainConfig, seeds: Sequence[int]) -> list[TrainReport]:
     """Train one model per seed as a stack; reports in the order of ``seeds``.
 

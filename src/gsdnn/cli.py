@@ -10,14 +10,15 @@ the problem sizes where the command has one graph, and the software and
 machine it ran on.
 
 Exit codes: 0 success, 1 a requested check failed, 2 usage or input
-error, 3 numeric/solver error. Exit 2 has one route: a handler raises
-ValueError for a bad flag or input file (a library check's own message,
-or a loader's with the path in front) and lets the OSError of an --out
-it cannot create or write pass, and ``main`` prints ``error: <message>``
-and writes no manifest. Input errors are raised before the first output,
-so they leave no --out behind. All outputs are byte-identical across
-reruns with the same inputs and seeds, except the timestamp, timing and
-environment fields inside the manifest.
+error, 3 numeric/solver error. Handlers and loaders report a failure only
+by raising: ``main`` turns a ValueError or OSError (a bad flag, input file
+or --out) into ``error: <message>`` and exit 2 with no manifest, and a
+FloatingPointError (a diverged solve or training, a non-finite result)
+into ``numeric error: <message>`` and exit 3, with a manifest if an output
+was written. Input errors and an --out that cannot be created are found
+before the first output, so they leave no --out behind. All outputs are
+byte-identical across reruns with the same inputs and seeds, except the
+timestamp, timing and environment fields inside the manifest.
 """
 
 from __future__ import annotations
@@ -110,22 +111,28 @@ class _Run:
             k: v for k, v in vars(args).items() if k not in ("command", "out")
         }
         self.out = Path(args.out)
+        # created at the first write, but checked now, before the work
+        base = self.out.absolute()
+        while not base.exists():
+            base = base.parent
+        if not (base.is_dir() and os.access(base, os.W_OK)):
+            raise ValueError(f"cannot create --out {self.out}: {base} is not a writable directory")
         self.inputs: list[str] = []
         self.outputs: list[str] = []
         self.timing: dict[str, float] = {}
         self.sizes: dict[str, int] | None = None
         self._mark = time.perf_counter()
 
-    def input(self, path: str) -> str:
-        """Record a file that a path-based loader reads; hashed at the end."""
+    def load(self, path: str, what: str, parse):
+        """``parse(path)``, with the file recorded for the manifest. Its OSError
+        becomes ValueError ``cannot read PATH: ...``, its ValueError ``bad WHAT PATH: ...``."""
         self.inputs.append(path)
-        return path
-
-    def read_text(self, path: str) -> str:
         try:
-            return Path(self.input(path)).read_text()
+            return parse(path)
         except OSError as exc:
             raise ValueError(f"cannot read {path}: {exc}")
+        except ValueError as exc:
+            raise ValueError(f"bad {what} {path}: {exc}")
 
     def path(self, name: str) -> Path:
         """Where output ``name`` goes; creates --out on the first call."""
@@ -175,11 +182,7 @@ class _Run:
 def _load_graph(run: _Run, path: str) -> Graph:
     """The parsed edge list, without its loops: a caller checks the declared
     node count against its other inputs before building anything that size."""
-    text = run.read_text(path)
-    try:
-        return load_edge_list(text)
-    except ValueError as exc:
-        raise ValueError(f"bad edge list {path}: {exc}")
+    return run.load(path, "edge list", lambda p: load_edge_list(Path(p).read_text()))
 
 
 def _load_graph_signal(
@@ -188,12 +191,7 @@ def _load_graph_signal(
     """A_hat of the edge list and its features, whose row count is checked
     against the declared node count before anything of that size is built."""
     graph = _load_graph(run, graph_path)
-    try:
-        x = load_signal_csv(run.input(feat_path), num_nodes=graph.num_nodes)
-    except OSError as exc:
-        raise ValueError(f"cannot read {feat_path}: {exc}")
-    except ValueError as exc:
-        raise ValueError(f"bad feature CSV {feat_path}: {exc}")
+    x = run.load(feat_path, "feature CSV", lambda p: load_signal_csv(p, graph.num_nodes))
     return normalize(graph), x
 
 
@@ -218,20 +216,12 @@ def cmd_denoise(args, run: _Run) -> int:
         if args.gamma is None:
             raise ValueError("--solver closed-form requires --gamma")
         stats: dict = {}
-        try:
-            final = closed_form_ppnp(ops, x, args.gamma, stats)
-        except RuntimeError as exc:
-            print(f"solver error: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
+        final = closed_form_ppnp(ops, x, args.gamma, stats)
         report_doc = {"solver": "closed-form", "gamma": args.gamma, "converged": True, **stats}
     else:
         if args.spec is None:
             raise ValueError(f"--solver {args.solver} requires --spec")
-        text = run.read_text(args.spec)
-        try:
-            spec = GsdSpec.from_json(text)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValueError(f"bad spec JSON {args.spec}: {exc}")
+        spec = run.load(args.spec, "spec JSON", lambda p: GsdSpec.from_json(Path(p).read_text()))
         for name in ("t_alpha", "t_beta"):  # an indefinite T leaves L unbounded below
             eig = np.linalg.eigvalsh(getattr(spec, name))
             if eig[0] < -1e-12 * np.abs(eig).max():
@@ -243,12 +233,10 @@ def cmd_denoise(args, run: _Run) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             report = runner(spec, x, x, ops, cfg)
         if report.stop_reason == "diverged":
-            print(
-                f"solver error: objective diverged at iteration {report.iterations_used}; "
-                "try a smaller --stepsize",
-                file=sys.stderr,
+            raise FloatingPointError(
+                f"objective diverged at iteration {report.iterations_used}; "
+                "try a smaller --stepsize"
             )
-            return EXIT_NUMERIC
         final = report.final
         report_doc = {"solver": args.solver, **report.to_json_dict()}
 
@@ -345,9 +333,7 @@ def cmd_filter(args, run: _Run) -> int:
         table = None if args.graph is None else frequency_response(theta, ops)
     run.lap("check")
     if not (math.isfinite(diff) and (table is None or np.isfinite(table).all())):
-        print("numeric error: the filter output or its frequency response is not finite",
-              file=sys.stderr)
-        return EXIT_NUMERIC
+        raise FloatingPointError("the filter output or its frequency response is not finite")
 
     if table is not None:
         lines = ["lambda,response", *(f"{lam:.17g},{resp:.17g}" for lam, resp in table)]
@@ -402,10 +388,8 @@ def _load_dataset(args, run: _Run) -> Dataset:
             )
         edge_path, feat_path, label_path = parts
         ops, x = _load_graph_signal(run, edge_path, feat_path)
-        try:
-            labels = _loadtxt_rows(run.input(label_path), dtype=np.int64, ndmin=1)
-        except (OSError, ValueError) as exc:
-            raise ValueError(f"bad label file {label_path}: {exc}")
+        labels = run.load(label_path, "label file",
+                          lambda p: _loadtxt_rows(p, dtype=np.int64, ndmin=1))
         per_train = 20 if args.train_per_class is None else args.train_per_class
         per_val = 30 if args.val_per_class is None else args.val_per_class
         # masks in field order: train, val, test
@@ -430,8 +414,7 @@ def cmd_train(args, run: _Run) -> int:
     run.lap("train")
     _dump_json(run.path("train_report.json"), report.to_json_dict())
     if report.diverged:
-        print("training diverged; last finite epoch written", file=sys.stderr)
-        return EXIT_NUMERIC
+        raise FloatingPointError("training diverged; last finite epoch written")
     print(
         f"best epoch {report.best_epoch}: val {report.best_val_acc:.3f}, "
         f"test {report.test_acc_at_best:.3f}"
@@ -573,12 +556,16 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
-    run = _Run(args)
     try:
-        # looked up on each call, not bound into the shared parser, so a
-        # wrapper put over a cmd_* function later is the one that runs
-        code = globals()[f"cmd_{args.command}"](args, run)
-        if run.outputs:
+        run = _Run(args)
+        try:
+            # looked up on each call, not bound into the shared parser, so a
+            # wrapper put over a cmd_* function later is the one that runs
+            code = globals()[f"cmd_{args.command}"](args, run)
+        except FloatingPointError as exc:
+            print(f"numeric error: {exc}", file=sys.stderr)
+            code = EXIT_NUMERIC
+        if run.outputs:  # a diverged training has written its report
             run.write_manifest()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -78,13 +78,13 @@ class RidgeComplement:
 
 @dataclass(frozen=True)
 class RowL21:
-    """Row-wise l2 penalty on H - X with the given nonnegative weight."""
+    """Row-wise l2 penalty on H - X with the given finite nonnegative weight."""
 
     weight: float
 
     def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError("RowL21 weight must be nonnegative")
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise ValueError(f"RowL21 weight must be finite and nonnegative, got {self.weight}")
 
 
 Regularizer = Union[None, NonNegIndicator, RidgeComplement, RowL21]
@@ -128,27 +128,37 @@ class GsdSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GsdSpec":
-        reg_doc = doc.get("regularizer")
-        reg: Regularizer
-        if reg_doc is None:
-            reg = None
-        else:
-            kind = reg_doc.get("kind")
-            if kind == "nonneg":
-                reg = NonNegIndicator()
-            elif kind == "ridge_complement":
-                reg = RidgeComplement()
-            elif kind == "row_l21":
-                reg = RowL21(weight=float(reg_doc["weight"]))
+        """The spec of a parsed JSON document; ValueError if it is malformed."""
+        if not isinstance(doc, dict):
+            raise ValueError("spec must be a JSON object")
+        try:
+            reg_doc = doc.get("regularizer")
+            reg: Regularizer
+            if reg_doc is None:
+                reg = None
+            elif not isinstance(reg_doc, dict):
+                raise ValueError(f"regularizer must be a JSON object or null, got {reg_doc!r}")
             else:
-                raise ValueError(f"unknown regularizer kind {kind!r}")
-        return cls(
-            alpha=float(doc["alpha"]),
-            beta=float(doc["beta"]),
-            t_alpha=np.asarray(doc["t_alpha"], dtype=np.float64),
-            t_beta=np.asarray(doc["t_beta"], dtype=np.float64),
-            regularizer=reg,
-        )
+                kind = reg_doc.get("kind")
+                if kind == "nonneg":
+                    reg = NonNegIndicator()
+                elif kind == "ridge_complement":
+                    reg = RidgeComplement()
+                elif kind == "row_l21":
+                    reg = RowL21(weight=float(reg_doc["weight"]))
+                else:
+                    raise ValueError(f"unknown regularizer kind {kind!r}")
+            return cls(
+                alpha=float(doc["alpha"]),
+                beta=float(doc["beta"]),
+                t_alpha=np.asarray(doc["t_alpha"], dtype=np.float64),
+                t_beta=np.asarray(doc["t_beta"], dtype=np.float64),
+                regularizer=reg,
+            )
+        except KeyError as exc:
+            raise ValueError(f"spec has no field {exc}")
+        except TypeError as exc:
+            raise ValueError(f"spec has a field of the wrong type: {exc}")
 
     @classmethod
     def from_json(cls, text: str) -> "GsdSpec":
@@ -377,7 +387,7 @@ def closed_form_ppnp(
     direct dense solve is used up to DENSE_MAX_NODES nodes and conjugate
     gradients on all columns at once beyond that (one spmm per iteration).
     Column j stops once ||r_j|| < max(1e-14 ||gamma x_j||, 1e-13), so a zero
-    column stays zero; RuntimeError if one has not after 20 n iterations.
+    column stays zero; FloatingPointError if one has not after 20 n iterations.
 
     A ``stats`` dict receives ``cg_iterations``, the conjugate-gradient
     iterations of the slowest column (0 on the dense branch and for
@@ -435,8 +445,8 @@ def _ppnp_cg(
         rho_prev = rho
     resid = np.linalg.norm(r, axis=0)
     j = int(np.argmax(resid / tol))
-    raise RuntimeError(f"conjugate gradients did not converge on column {j}; "
-                       f"residual {resid[j]:.3e} after {20 * n} iterations")
+    raise FloatingPointError(f"conjugate gradients did not converge on column {j}; "
+                             f"residual {resid[j]:.3e} after {20 * n} iterations")
 
 
 def _spectral_norm_ub(t: np.ndarray | None) -> float:

@@ -222,9 +222,15 @@ def _spec(alpha=0.2, beta=1.0, t_alpha=None, t_beta=None, regularizer=None):
         ("proxgd", _spec()),
         ("gd", _spec(alpha=0.0, beta=0.0)),
         ("gd", _spec(t_alpha=[[1.0, 0.0], [0.0, -0.5]])),
+        ("proxgd", _spec(regularizer={"kind": "row_l21", "weight": "nan"})),
+        ("proxgd", _spec(regularizer={"kind": "row_l21", "weight": "inf"})),
+        ("gd", []),
+        ("gd", _spec(regularizer="nonneg")),
+        ("gd", {k: v for k, v in _spec().items() if k != "alpha"}),
     ],
     ids=["nan-alpha", "nan-t", "dim-mismatch", "gd-nonsmooth", "proxgd-smooth",
-         "zero-curvature", "indefinite-t"],
+         "zero-curvature", "indefinite-t", "nan-weight", "inf-weight", "json-array",
+         "string-regularizer", "no-alpha"],
 )
 def test_denoise_bad_spec_is_usage_error(tmp_path, capsys, solver, spec):
     (tmp_path / "cycle.txt").write_text("0 1\n1 2\n2 3\n3 0\n")
@@ -640,7 +646,53 @@ def test_library_value_error_exits_usage_without_outputs(workdir, capsys, monkey
     assert not out.exists()
 
 
-def test_out_beneath_a_regular_file_exits_usage(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["denoise", "filter", "train"])
+def test_floating_point_error_exits_numeric_without_outputs(workdir, capsys, monkeypatch,
+                                                            command):
+    argv_of, call = ROUTE_CASES[command]
+
+    def boom(*args, **kwargs):
+        raise FloatingPointError("boom")
+
+    monkeypatch.setattr(cli, call, boom)
+    out = workdir / "out"
+    assert main([*argv_of(workdir), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numeric error: boom\n"
+    assert not out.exists()
+
+
+def test_diverging_training_exits_numeric_with_its_report(tmp_path, capsys):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warnings either
+        code = main(["train", "--dataset", "karate", "--lr", "1e100", "--epochs", "60",
+                     "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numeric error: training diverged; last finite epoch written\n")
+    assert read_json(out / "train_report.json")["stop_reason"] == "diverged"
+    assert read_json(out / "manifest.json")["outputs"] == ["train_report.json"]
+
+
+@pytest.mark.parametrize("missing", ["edges.txt", "feats.csv", "spec.json", "labels.csv"])
+def test_unreadable_input_is_usage_error_naming_its_path(workdir, capsys, missing):
+    if missing == "labels.csv":
+        argv = ["train", "--dataset",
+                f"files:{workdir / 'edges.txt'},{workdir / 'feats.csv'},{_labels(workdir)}"]
+    else:
+        argv = _denoise_gd(workdir)
+    (workdir / missing).unlink()
+    out = workdir / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {workdir / missing}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_out_beneath_a_regular_file_exits_usage(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "equivalence_check",
+                        lambda *args: pytest.fail("the checks ran before --out was checked"))
     (tmp_path / "file").write_text("kept\n")
     out = tmp_path / "file" / "sub"
     assert main(["equiv", "--model", "sgc", "--trials", "1", "--out", str(out)]) == 2

@@ -230,6 +230,16 @@ class TestClosedFormPpnp:
         rel = stats["relative_residuals"]
         assert rel[1] == 0.0 and 0.0 < rel[0] < 1e-12 and 0.0 < rel[2] < 1e-13
 
+    def test_cg_that_does_not_converge_raises_floating_point_error(self):
+        # a NaN keeps its column's residual active through all 20 n iterations
+        rng = np.random.default_rng(14)
+        n = DENSE_MAX_NODES + 4
+        ops = er_ops(rng, n, p=0.03)
+        x = random_signal(rng, n, 2)
+        x[3, 1] = np.nan
+        with pytest.raises(FloatingPointError, match=f"column 1; .* after {20 * n} iterations"):
+            closed_form_ppnp(ops, x, 0.5)
+
     def test_gamma_out_of_range(self):
         rng = np.random.default_rng(12)
         ops = er_ops(rng, 4)

@@ -235,6 +235,21 @@ def test_ppnp_against_long_horizon_iteration():
     assert float(np.max(np.abs(ref - other))) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "gamma, tol, passes",
+    [(0.1, 1e-9, True), (0.5, 1e-9, True), (0.9, 1e-9, True), (0.5, 1e-30, False)],
+    ids=["gamma-0.1", "gamma-0.5", "gamma-0.9", "impossible-tol"],
+)
+def test_ppnp_check_certifies_the_closed_form_against_the_horizon(gamma, tol, passes):
+    rng = np.random.default_rng(round(10 * gamma))
+    ops = er_ops(rng, int(rng.integers(10, 51)))
+    x = random_signal(rng, ops.num_nodes, 3)
+    report = equivalence_check(Ppnp(gamma=gamma), ops, x, tol=tol)
+    assert report["model"] == "ppnp"
+    assert report["pass"] == passes
+    assert report["max_abs_diff"] < 1e-9
+
+
 def test_gcn_gcnii_outputs_are_nonnegative():
     rng = np.random.default_rng(5)
     for kind in ("gcn", "gcnii"):
