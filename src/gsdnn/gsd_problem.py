@@ -145,14 +145,14 @@ class GsdSpec:
                 elif kind == "ridge_complement":
                     reg = RidgeComplement()
                 elif kind == "row_l21":
-                    reg = RowL21(weight=float(reg_doc["weight"]))
+                    reg = RowL21(weight=float(_no_bool(reg_doc["weight"], "weight")))
                 else:
                     raise ValueError(f"unknown regularizer kind {kind!r}")
             return cls(
-                alpha=float(doc["alpha"]),
-                beta=float(doc["beta"]),
-                t_alpha=np.asarray(doc["t_alpha"], dtype=np.float64),
-                t_beta=np.asarray(doc["t_beta"], dtype=np.float64),
+                alpha=float(_no_bool(doc["alpha"], "alpha")),
+                beta=float(_no_bool(doc["beta"], "beta")),
+                t_alpha=np.asarray(_no_bool(doc["t_alpha"], "t_alpha"), dtype=np.float64),
+                t_beta=np.asarray(_no_bool(doc["t_beta"], "t_beta"), dtype=np.float64),
                 regularizer=reg,
             )
         except KeyError as exc:
@@ -163,6 +163,17 @@ class GsdSpec:
     @classmethod
     def from_json(cls, text: str) -> "GsdSpec":
         return cls.from_json_dict(json.loads(text))
+
+
+def _no_bool(v, name: str):
+    """v, or TypeError if a JSON boolean, which float() reads as 0 or 1, is in it."""
+    stack = [v]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, bool):
+            raise TypeError(f"{name} holds the boolean {json.dumps(e)}")
+        stack.extend(e if isinstance(e, list) else ())
+    return v
 
 
 def _as_matrix(w, name: str) -> np.ndarray:
@@ -387,7 +398,8 @@ def closed_form_ppnp(
     direct dense solve is used up to DENSE_MAX_NODES nodes and conjugate
     gradients on all columns at once beyond that (one spmm per iteration).
     Column j stops once ||r_j|| < max(1e-14 ||gamma x_j||, 1e-13), so a zero
-    column stays zero; FloatingPointError if one has not after 20 n iterations.
+    column stays zero; FloatingPointError if one has not after 20 n iterations,
+    and at once if a residual is not finite (a NaN or Inf in X).
 
     A ``stats`` dict receives ``cg_iterations``, the conjugate-gradient
     iterations of the slowest column (0 on the dense branch and for
@@ -430,7 +442,10 @@ def _ppnp_cg(
     tol = np.maximum(1e-14 * np.linalg.norm(r, axis=0), 1e-13)
     for it in range(20 * n):
         rho = np.einsum("ij,ij->j", r, r)
-        active = ~(np.sqrt(rho) < tol)  # a NaN residual stays active
+        if not np.isfinite(rho).all():
+            raise FloatingPointError(f"conjugate gradients hit a non-finite residual on "
+                                     f"column {np.argmin(np.isfinite(rho))} at iteration {it}")
+        active = ~(np.sqrt(rho) < tol)
         if not active.any():
             return h, it, r
         p *= np.divide(rho, rho_prev, out=np.zeros_like(rho), where=active)

@@ -64,6 +64,7 @@ __all__ = [
 
 # Power-iteration horizon used when certifying the closed-form solve
 # against its iterative scheme: (1 - gamma)^400 is ~1e-18 at gamma = 0.1.
+# forward stops sooner, with the same bits, once the iterate repeats exactly.
 PPNP_HORIZON = 400
 
 
@@ -269,7 +270,14 @@ def run_unrolled(plan: UnrollPlan, ops: NormalizedOperators, x: np.ndarray) -> n
 
 
 def forward(model: ModelSpec, ops: NormalizedOperators, x: np.ndarray) -> np.ndarray:
-    """Literal left-to-right evaluation of a scheme's displayed formula."""
+    """Literal left-to-right evaluation of a scheme's displayed formula.
+
+    The APPNP iterate stops at its first exact repeat: its step is a fixed
+    function of H's bits (``spmm`` is a serial CSR loop, the rest is
+    elementwise), so once H^(j) has the bits of H^(j-2) the sequence has
+    period 1 or 2 for good, and H^(K) is whichever of the last two iterates
+    has K's parity. The output is bit-identical to running all K steps.
+    """
     x = np.asarray(x, dtype=np.float64)
     if isinstance(model, Sgc):
         h = x
@@ -279,9 +287,12 @@ def forward(model: ModelSpec, ops: NormalizedOperators, x: np.ndarray) -> np.nda
     if isinstance(model, Ppnp):
         return closed_form_ppnp(ops, x, model.gamma)
     if isinstance(model, Appnp):
-        h = x.copy()
-        for _ in range(model.k):
+        old = h = x.copy()
+        for j in range(1, model.k + 1):
+            older, old = old, h
             h = (1.0 - model.gamma) * spmm(ops, h) + model.gamma * x
+            if h.tobytes() == older.tobytes():
+                return h if (model.k - j) % 2 == 0 else old
         return h
     if isinstance(model, JkNet):
         _check_width(x, model.weights[0], "weights[0]")
@@ -521,7 +532,8 @@ def equivalence_check(
 
     The closed-form propagation is certified against its iterative variant
     run for PPNP_HORIZON steps; everything else goes through
-    to_unroll_plan + run_unrolled.
+    to_unroll_plan + run_unrolled. The horizon run stops at its first exact
+    repeat, with the bits of all PPNP_HORIZON steps (see forward).
     """
     if isinstance(model, Ugdgnn):
         raise ValueError("the general form has nothing to be checked against")

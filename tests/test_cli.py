@@ -227,10 +227,13 @@ def _spec(alpha=0.2, beta=1.0, t_alpha=None, t_beta=None, regularizer=None):
         ("gd", []),
         ("gd", _spec(regularizer="nonneg")),
         ("gd", {k: v for k, v in _spec().items() if k != "alpha"}),
+        ("gd", _spec(alpha=True)),
+        ("proxgd", _spec(regularizer={"kind": "row_l21", "weight": True})),
+        ("gd", _spec(t_alpha=[[True, 0.0], [0.0, 1.0]])),
     ],
     ids=["nan-alpha", "nan-t", "dim-mismatch", "gd-nonsmooth", "proxgd-smooth",
          "zero-curvature", "indefinite-t", "nan-weight", "inf-weight", "json-array",
-         "string-regularizer", "no-alpha"],
+         "string-regularizer", "no-alpha", "bool-alpha", "bool-weight", "bool-t-entry"],
 )
 def test_denoise_bad_spec_is_usage_error(tmp_path, capsys, solver, spec):
     (tmp_path / "cycle.txt").write_text("0 1\n1 2\n2 3\n3 0\n")

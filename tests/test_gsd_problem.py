@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsdnn import gsd_problem
 from gsdnn.gsd_problem import (
     DENSE_MAX_NODES,
     GsdSpec,
@@ -230,15 +231,28 @@ class TestClosedFormPpnp:
         rel = stats["relative_residuals"]
         assert rel[1] == 0.0 and 0.0 < rel[0] < 1e-12 and 0.0 < rel[2] < 1e-13
 
-    def test_cg_that_does_not_converge_raises_floating_point_error(self):
-        # a NaN keeps its column's residual active through all 20 n iterations
+    def test_cg_that_does_not_converge_raises_floating_point_error(self, monkeypatch):
+        # a random rotation in place of A_hat makes the system nonsymmetric:
+        # the residuals stay finite but CG never meets its tolerance
         rng = np.random.default_rng(14)
         n = DENSE_MAX_NODES + 4
         ops = er_ops(rng, n, p=0.03)
         x = random_signal(rng, n, 2)
-        x[3, 1] = np.nan
-        with pytest.raises(FloatingPointError, match=f"column 1; .* after {20 * n} iterations"):
+        rotation = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        monkeypatch.setattr(gsd_problem, "spmm", lambda ops, p: rotation @ p)
+        with pytest.raises(FloatingPointError, match=f"column \\d; .* after {20 * n} iterations"):
             closed_form_ppnp(ops, x, 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_cg_raises_at_once_on_a_non_finite_residual(self, spmm_calls, bad):
+        rng = np.random.default_rng(14)
+        n = DENSE_MAX_NODES + 4
+        ops = er_ops(rng, n, p=0.03)
+        x = random_signal(rng, n, 2)
+        x[3, 1] = bad
+        with pytest.raises(FloatingPointError, match="non-finite residual on column 1"):
+            closed_form_ppnp(ops, x, 0.5)
+        assert len(spmm_calls) <= 2
 
     def test_gamma_out_of_range(self):
         rng = np.random.default_rng(12)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import er_ops, random_signal, random_symmetric
 from gsdnn.graph_core import Graph, add_self_loops, normalize, spmm
@@ -9,6 +11,7 @@ from gsdnn.gsd_problem import GsdSpec, NonNegIndicator, RidgeComplement, RowL21
 from gsdnn.iter_solvers import SolveConfig, gd_run, proxgd_run
 from gsdnn.unrolled_gnn import (
     MODEL_KINDS,
+    PPNP_HORIZON,
     AirGnn,
     Appnp,
     Gcn,
@@ -248,6 +251,60 @@ def test_ppnp_check_certifies_the_closed_form_against_the_horizon(gamma, tol, pa
     assert report["model"] == "ppnp"
     assert report["pass"] == passes
     assert report["max_abs_diff"] < 1e-9
+
+
+def _plain_appnp(ops, x, k, gamma):
+    """All k steps of the APPNP iterate, with no early exit."""
+    h = x.copy()
+    for _ in range(k):
+        h = (1.0 - gamma) * spmm(ops, h) + gamma * x
+    return h
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(5, 50),
+    gamma=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    k=st.integers(1, 450),
+    data=st.data(),
+)
+def test_appnp_early_exit_is_bit_identical_to_every_step(seed, n, gamma, k, data):
+    rng = np.random.default_rng(seed)
+    ops = er_ops(rng, n)
+    x = random_signal(rng, n, data.draw(st.integers(1, 3), label="d"))
+    x[:, data.draw(st.integers(0, x.shape[1] - 1), label="zero column")] = 0.0
+    x[rng.random(x.shape) < 0.2] = -0.0
+    got = forward(Appnp(k=k, gamma=gamma), ops, x)
+    assert got.tobytes() == _plain_appnp(ops, x, k, gamma).tobytes()
+
+
+@pytest.mark.parametrize("seed, gamma, period", [(0, 0.5, 1), (4, 0.1, 2)],
+                         ids=["fixed-point", "two-cycle"])
+def test_appnp_early_exit_on_a_repeat_keeps_both_parities(seed, gamma, period):
+    rng = np.random.default_rng((17, seed))
+    ops = er_ops(rng, int(rng.integers(5, 51)))
+    x = random_signal(rng, ops.num_nodes, 2)
+    h = [x.copy()]
+    while len(h) < 3 or h[-1].tobytes() != h[-3].tobytes():
+        assert len(h) <= PPNP_HORIZON, "no exact repeat within the horizon"
+        h.append((1.0 - gamma) * spmm(ops, h[-1]) + gamma * x)
+    assert (h[-1].tobytes() == h[-2].tobytes()) == (period == 1)
+    for k in (len(h) - 1, PPNP_HORIZON - 1, PPNP_HORIZON, PPNP_HORIZON + 1):
+        got = forward(Appnp(k=k, gamma=gamma), ops, x)
+        assert got.tobytes() == _plain_appnp(ops, x, k, gamma).tobytes(), k
+
+
+def test_restart_limit_iterate_stops_before_the_horizon(spmm_calls):
+    # criterion 2's graphs: every iterate repeats itself exactly well before
+    # PPNP_HORIZON, so the 400-step reference costs fewer than 400 products
+    for seed in range(5):
+        rng = np.random.default_rng((1203, seed))
+        ops = er_ops(rng, 30, p=0.2)
+        x = random_signal(rng, 30, 3)
+        spmm_calls.clear()
+        forward(Appnp(k=PPNP_HORIZON, gamma=0.1), ops, x)
+        assert 0 < len(spmm_calls) < PPNP_HORIZON, seed
 
 
 def test_gcn_gcnii_outputs_are_nonnegative():
