@@ -246,6 +246,11 @@ class TrainReport:
     def diverged(self) -> bool:
         return self.stop_reason == "diverged"
 
+    @property
+    def seed_epochs(self) -> int:
+        """Epochs whose forward pass ran: those recorded, plus the diverging one."""
+        return len(self.train_losses) + self.diverged
+
     def to_json_dict(self) -> dict:
         # wall clock deliberately left out: rerunning with the same seed
         # must produce byte-identical report files (timing lives in the
@@ -268,11 +273,29 @@ class TrainReport:
 # loss plumbing
 
 
+# The class axis is short (2-4 entries here), and numpy reduces a short
+# trailing axis one row at a time; the helpers below instead make one
+# whole-array pass per class column.
+
+
 def softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of ``z``, shape (..., c), c >= 1.
+
+    Each row is shifted by its maximum before ``exp``. The normalizer is
+    summed left to right in class order, one whole-array add per class
+    column; below 8 classes that is also the order of ``e.sum(axis=-1)``.
+    The result is float64 in the shape of ``z``, in the memory layout that
+    an elementwise operation on ``z`` gives.
+    """
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    top = z[..., 0].copy(order="K")
+    for j in range(1, z.shape[-1]):
+        np.maximum(top, z[..., j], out=top)
+    e = np.exp(z - top[..., None])
+    total = e[..., 0].copy(order="K")
+    for j in range(1, e.shape[-1]):
+        total += e[..., j]
+    return e / total[..., None]
 
 
 def _masked_rows(mask: np.ndarray) -> np.ndarray:
@@ -302,10 +325,11 @@ def cross_entropy_masked(
     has one entry per seed.
     """
     rows = _masked_rows(mask)
+    block = probs[..., rows, :]  # fancy indexing copies: probs stays as it is
+    block[..., np.arange(rows.size), labels[rows]] -= 1.0
+    block /= rows.size
     grad = np.zeros_like(probs)
-    grad[..., rows, :] = probs[..., rows, :]
-    grad[..., rows, labels[rows]] -= 1.0
-    grad[..., rows, :] /= rows.size
+    grad[..., rows, :] = block
     return _mean_nll(probs, labels, rows), grad
 
 
@@ -450,7 +474,7 @@ def accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float 
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ValueError("mask selects no rows")
-    pred = predict(logits[..., mask, :])
+    pred = predict(np.compress(mask, logits, axis=-2))
     return np.mean(pred == labels[mask], axis=-1)
 
 
@@ -808,7 +832,8 @@ def depth_sweep(
     ks: Sequence[int],
     n_seeds: int = 10,
 ) -> list[dict]:
-    """Train at each depth over n_seeds seeds; rows of (K, mean, std, accs).
+    """Train at each depth over n_seeds seeds; rows of (K, mean, std, accs),
+    plus the depth's ``seed_epochs``, summed over its seeds.
 
     Seeds cfg.seed, cfg.seed + 1, ... of one depth train as one stack.
     """
@@ -825,6 +850,7 @@ def depth_sweep(
                 "mean_acc": float(chunk.mean()),
                 "std_acc": float(chunk.std()),
                 "accs": [float(a) for a in chunk],
+                "seed_epochs": sum(rep.seed_epochs for rep in reports),
             }
         )
     return rows

@@ -6,8 +6,9 @@ filter to hop-coefficient mapping), ``train`` and ``sweep`` (toy node
 classification). A run that writes an output also writes a
 ``manifest.json`` beside it, recording the command, every parsed flag,
 sha256 digests of the files read, the files written, per-phase timing,
-the problem sizes where the command has one graph, and the software and
-machine it ran on.
+the problem sizes where the command has one graph, counters of the work
+done (``train`` and ``sweep``: seed-epochs), and the software and machine
+it ran on.
 
 Exit codes: 0 success, 1 a requested check failed, 2 usage or input
 error, 3 numeric/solver error. Handlers and loaders report a failure only
@@ -121,6 +122,7 @@ class _Run:
         self.outputs: list[str] = []
         self.timing: dict[str, float] = {}
         self.sizes: dict[str, int] | None = None
+        self.counters: dict[str, int] = {}
         self._mark = time.perf_counter()
 
     def load(self, path: str, what: str, parse):
@@ -172,6 +174,8 @@ class _Run:
         }
         if self.sizes is not None:
             doc["sizes"] = self.sizes
+        if self.counters:
+            doc["counters"] = self.counters
         _dump_json(self.out / "manifest.json", doc)
 
 
@@ -409,9 +413,11 @@ def _train_config(args) -> TrainConfig:
 def cmd_train(args, run: _Run) -> int:
     ds = _load_dataset(args, run)
     cfg = _train_config(args)
+    run.sizes["K"] = cfg.k
     run.lap("load")
     report = train(ds, cfg)
     run.lap("train")
+    run.counters["seed_epochs"] = report.seed_epochs
     _dump_json(run.path("train_report.json"), report.to_json_dict())
     if report.diverged:
         raise FloatingPointError("training diverged; last finite epoch written")
@@ -439,6 +445,7 @@ def cmd_sweep(args, run: _Run) -> int:
     run.lap("load")
     rows = depth_sweep(ds, cfg, ks=ks, n_seeds=args.n_seeds)
     run.lap("train")
+    run.counters["seed_epochs"] = sum(r["seed_epochs"] for r in rows)
     lines = ["k,mean_acc,std_acc"]
     lines += [f"{r['k']},{r['mean_acc']:.17g},{r['std_acc']:.17g}" for r in rows]
     run.path("sweep.csv").write_text("\n".join(lines) + "\n")

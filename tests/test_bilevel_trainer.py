@@ -5,6 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import er_ops
 from gsdnn import bilevel_trainer
@@ -116,6 +119,106 @@ def test_cross_entropy_gradient_matches_finite_differences():
 def test_cross_entropy_empty_mask_rejected():
     with pytest.raises(ValueError, match="no rows"):
         cross_entropy_masked(np.eye(2), np.array([0, 1]), np.zeros(2, dtype=bool))
+
+
+# The class-axis helpers make whole-array passes over the class columns.
+# These are the formulas they replaced, kept literally as references: below
+# 8 classes numpy reduces a trailing axis left to right, so the two must
+# agree bit for bit, zero signs, NaNs and memory layout included.
+
+
+def _softmax_reference(z):
+    z = np.asarray(z, dtype=np.float64)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _cross_entropy_reference(probs, labels, mask):
+    rows = np.flatnonzero(mask)
+    grad = np.zeros_like(probs)
+    grad[..., rows, :] = probs[..., rows, :]
+    grad[..., rows, labels[rows]] -= 1.0
+    grad[..., rows, :] /= rows.size
+    picked = np.ascontiguousarray(probs[..., rows, labels[rows]])
+    return -np.log(picked).sum(axis=-1) / rows.size, grad
+
+
+def _accuracy_reference(logits, labels, mask):
+    pred = np.argmax(logits[..., mask, :], axis=-1)
+    return np.mean(pred == labels[mask], axis=-1)
+
+
+def _same_array(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
+    assert got.tobytes() == want.tobytes()
+
+
+# few distinct finite values, so rows often hold tied maxima
+_CLASS_ENTRIES = st.one_of(
+    st.floats(-50.0, 50.0, width=64),
+    st.sampled_from([0.0, -0.0, 1.5, 1.5, -2.0, math.inf, -math.inf, math.nan]),
+)
+
+
+@st.composite
+def _class_arrays(draw, min_dims=1):
+    """1-D, (n, c) or (S, n, c) arrays of c in 1..7 classes, in C or Fortran order."""
+    s, n, c = draw(st.integers(1, 4)), draw(st.integers(1, 9)), draw(st.integers(1, 7))
+    shape = [(c,), (n, c), (s, n, c)][draw(st.integers(min_dims, 3)) - 1]
+    z = draw(hnp.arrays(np.float64, shape, elements=_CLASS_ENTRIES))
+    return np.asfortranarray(z) if draw(st.booleans()) else z
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=_class_arrays())
+def test_softmax_matches_the_reduction_formula_bit_for_bit(z):
+    with np.errstate(invalid="ignore"):  # inf - inf in rows holding inf
+        _same_array(softmax_rows(z), _softmax_reference(z))
+
+
+@st.composite
+def _masked_rows_case(draw):
+    probs = draw(_class_arrays(min_dims=2))
+    n, c = probs.shape[-2:]
+    labels = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)))
+    picked = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    mask = np.isin(np.arange(n), list(picked))
+    return probs, labels, mask
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_masked_rows_case())
+def test_cross_entropy_matches_the_scatter_formula_bit_for_bit(case):
+    probs, labels, mask = case
+    with np.errstate(invalid="ignore", divide="ignore"):  # log of 0, < 0 or -inf
+        loss, grad = cross_entropy_masked(probs, labels, mask)
+        want_loss, want_grad = _cross_entropy_reference(probs, labels, mask)
+    _same_array(grad, want_grad)
+    _same_array(loss, want_loss)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_masked_rows_case())
+def test_accuracy_matches_the_fancy_index_formula_bit_for_bit(case):
+    logits, labels, mask = case
+    _same_array(accuracy(logits, labels, mask), _accuracy_reference(logits, labels, mask))
+
+
+@pytest.mark.parametrize("c", [8, 11])
+def test_softmax_sums_classes_left_to_right_from_eight_classes(c):
+    # numpy sums 8 or more entries pairwise; the normalizer stays a plain
+    # left-to-right sum in class order
+    z = np.random.default_rng(c).standard_normal((2, 40, c)) * 10.0
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    total = np.empty(z.shape[:-1])
+    for idx in np.ndindex(total.shape):
+        acc = float(e[idx][0])
+        for v in e[idx][1:]:
+            acc += float(v)
+        total[idx] = acc
+    _same_array(softmax_rows(z), e / total[..., None])
 
 
 def test_prediction_tie_breaks_to_lowest_class():
@@ -793,6 +896,8 @@ def test_divergence_is_reported_not_raised():
     assert rep.stop_reason == "diverged"
     assert rep.to_json_dict()["stop_reason"] == "diverged"
     assert all(math.isfinite(v) for v in rep.train_losses)
+    # the diverging epoch ran its forward pass but records nothing
+    assert rep.seed_epochs == len(rep.train_losses) + 1
 
 
 def test_early_stopping_respects_patience():
@@ -836,6 +941,7 @@ def test_depth_sweep_shape_and_baseline():
         assert len(r["accs"]) == 3
         assert 0.0 <= r["mean_acc"] <= 1.0
         assert r["std_acc"] == pytest.approx(float(np.std(r["accs"])))
+        assert r["seed_epochs"] == 3 * 120  # patience equals the budget
     assert rows[1]["mean_acc"] >= rows[0]["mean_acc"] - 0.05
     for n_seeds in (0, -3):
         with pytest.raises(ValueError, match="n_seeds"):
