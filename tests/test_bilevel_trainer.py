@@ -987,3 +987,9 @@ def test_stack_matches_each_seed_run_alone(case):
 def test_accuracy_empty_mask_rejected():
     with pytest.raises(ValueError, match="no rows"):
         accuracy(np.zeros((3, 2)), np.zeros(3, dtype=np.int64), np.zeros(3, dtype=bool))
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_accuracy_mask_length_must_match_rows(m):
+    with pytest.raises(ValueError, match="entries for 3 rows"):
+        accuracy(np.zeros((3, 2)), np.zeros(3, dtype=np.int64), np.ones(m, dtype=bool))
