@@ -7,8 +7,8 @@ classification). A run that writes an output also writes a
 ``manifest.json`` beside it, recording the command, every parsed flag,
 sha256 digests of the files read, the files written, per-phase timing,
 the problem sizes where the command has one graph, counters of the work
-done (``train`` and ``sweep``: seed-epochs), and the software and machine
-it ran on.
+done (``train`` and ``sweep``: seed-epochs; ``sweep``: the depths trained
+in a forked child), and the software and machine it ran on.
 
 Exit codes: 0 success, 1 a requested check failed, 2 usage or input
 error, 3 numeric/solver error. Handlers and loaders report a failure only
@@ -53,6 +53,7 @@ from gsdnn.bilevel_trainer import (
 from gsdnn.graph_core import (
     Graph,
     NormalizedOperators,
+    _forked,
     _loadtxt_rows,
     load_edge_list,
     load_signal_csv,
@@ -438,14 +439,43 @@ def _parse_ks(raw: str) -> tuple[int, ...]:
     return ks
 
 
+def _two_process_sweep(ds: Dataset, cfg: TrainConfig, ks: tuple[int, ...],
+                       n_seeds: int) -> list[dict] | None:
+    """``depth_sweep(ds, cfg, ks, n_seeds)``'s rows, with the depths
+    ``ks[1::2]`` trained in a forked child while this process trains
+    ``ks[0::2]``. Each depth is seeded and trained on its own, and the
+    child's rows come back as JSON, which holds a Python float exactly, so
+    the rows are the serial ones. None when no child could be forked, the
+    child failed, or this process's half raised an Exception. The child is
+    reaped before this returns or raises, and killed first if this process's
+    half raised."""
+    def child_rows() -> bytes:
+        return json.dumps(depth_sweep(ds, cfg, ks[1::2], n_seeds)).encode()
+
+    try:
+        with _forked(child_rows) as child:
+            if child is None:
+                return None
+            rows = [None] * len(ks)
+            rows[0::2] = depth_sweep(ds, cfg, ks[0::2], n_seeds)
+            rows[1::2] = json.loads(child.pipe.read())
+    except Exception:
+        return None
+    return rows if child.ok else None
+
+
 def cmd_sweep(args, run: _Run) -> int:
     ds = _load_dataset(args, run)
     cfg = _train_config(args)
     ks = _parse_ks(args.ks)
     run.lap("load")
-    rows = depth_sweep(ds, cfg, ks=ks, n_seeds=args.n_seeds)
+    rows = _two_process_sweep(ds, cfg, ks, args.n_seeds) if len(ks) > 1 else None
+    forked = 0 if rows is None else len(ks[1::2])
+    if rows is None:
+        rows = depth_sweep(ds, cfg, ks=ks, n_seeds=args.n_seeds)
     run.lap("train")
     run.counters["seed_epochs"] = sum(r["seed_epochs"] for r in rows)
+    run.counters["forked_depths"] = forked
     lines = ["k,mean_acc,std_acc"]
     lines += [f"{r['k']},{r['mean_acc']:.17g},{r['std_acc']:.17g}" for r in rows]
     run.path("sweep.csv").write_text("\n".join(lines) + "\n")

@@ -31,17 +31,23 @@ reads it with ``np.loadtxt`` and rejects a file with no rows before loadtxt
 sees it; :func:`save_signal_csv` writes the bytes that numpy's ``savetxt``
 writes with ``fmt="%.17g"``, formatting a large signal's two halves in two
 processes.
+
+The second process comes from :func:`_forked`, the one place that forks,
+pipes, reaps and falls back: the CSV writer's child formats half a signal,
+and the ``sweep`` command's child trains every other depth.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import operator
 import os
 import shutil
+import signal
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -404,21 +410,46 @@ def _write_csv_rows(f, x: np.ndarray) -> None:
         f.write(_format_csv_block(x[start : start + _CSV_BLOCK_ROWS]))
 
 
-def _fork_csv_writer(x: np.ndarray) -> tuple[int, int] | None:
-    """(pid, pipe read end) of a child that formats ``x`` into memory and
-    only then writes it to the pipe, or None where no child could be forked.
+class _Child:
+    """A forked child's side of :func:`_forked`: ``pipe`` is the read end of
+    the pipe it writes to, and ``ok`` says, once it has been reaped, whether
+    it exited with status 0."""
 
-    Writing as it formats would fill the 64 KiB pipe buffer and stall the
-    child until the parent reads, so the two halves would run in turn. The
-    child leaves through ``os._exit``: status 0 once every byte is written,
-    1 on any exception. On Python 3.12 and later, ``os.fork`` warns in a
-    process with OS threads, and numpy's OpenBLAS starts some; that warning is
-    ignored around the call, since the child only formats in Python and
-    writes to its pipe, calls no BLAS, and glibc resets malloc's locks across
-    a fork.
+    def __init__(self, pipe: BinaryIO) -> None:
+        self.pipe = pipe
+        self.ok = False
+
+
+@contextlib.contextmanager
+def _forked(produce: Callable[[], bytes]) -> Iterator[_Child | None]:
+    """Run ``produce()`` in a forked child that writes the bytes it returns
+    to a pipe; the block gets the :class:`_Child`, or None where no child
+    could be forked (no ``os.fork``, or a fork ``OSError``). The one way the
+    program uses a second core.
+
+    The child produces everything in memory and only then writes it: writing
+    as it goes would fill the 64 KiB pipe buffer and stall the child until
+    the parent reads, so the two processes would run in turn. It leaves
+    through ``os._exit``, so it runs no exit handler and flushes no inherited
+    buffer: status 0 once every byte is written, 1 on any exception.
+
+    On leaving the block the pipe is closed and the child reaped; if the
+    block raised, the child is killed first, so an error or Ctrl-C never
+    waits for the child's work. A block that stops reading before the end of
+    the pipe makes the child fail on its write, so ``ok`` is True only when
+    the child wrote all of its bytes.
+
+    On Python 3.12 and later, ``os.fork`` warns in a process with OS threads,
+    and numpy's OpenBLAS starts some; that warning is ignored around the
+    call. A child may call BLAS (the depth sweep's child trains): OpenBLAS
+    shuts its thread pool down in a ``pthread_atfork`` handler before every
+    fork and starts a new one at its next threaded call, in the child as in
+    the parent, and glibc resets malloc's locks in the child, so the child
+    holds no lock taken by a thread it does not have.
     """
     if not hasattr(os, "fork"):
-        return None
+        yield None
+        return
     read_end, write_end = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -429,20 +460,34 @@ def _fork_csv_writer(x: np.ndarray) -> tuple[int, int] | None:
     except OSError:
         os.close(read_end)
         os.close(write_end)
-        return None
+        yield None
+        return
     if pid == 0:
         status = 1
         try:
             os.close(read_end)
-            buf = io.BytesIO()
-            _write_csv_rows(buf, x)
+            data = produce()
             with open(write_end, "wb") as pipe:
-                pipe.write(buf.getbuffer())
+                pipe.write(data)
             status = 0
         finally:
             os._exit(status)
     os.close(write_end)
-    return pid, read_end
+    child = _Child(open(read_end, "rb"))
+    try:
+        yield child
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        child.pipe.close()
+        child.ok = os.waitpid(pid, 0)[1] == 0
+
+
+def _csv_bytes(x: np.ndarray) -> memoryview:
+    buf = io.BytesIO()
+    _write_csv_rows(buf, x)
+    return buf.getbuffer()
 
 
 def save_signal_csv(path: str | os.PathLike, x: np.ndarray) -> None:
@@ -465,22 +510,15 @@ def save_signal_csv(path: str | os.PathLike, x: np.ndarray) -> None:
     if x.ndim != 2:
         raise ValueError(f"signal must be 2-D, got shape {x.shape}")
     half = x.shape[0] // 2
-    child = _fork_csv_writer(x[half:]) if x.shape[0] >= 2 * _CSV_BLOCK_ROWS else None
-    if child is None:
+    two = x.shape[0] >= 2 * _CSV_BLOCK_ROWS
+    # the child is forked before the file is opened, and reaped after it is closed
+    with _forked(lambda: _csv_bytes(x[half:])) if two else contextlib.nullcontext() as child:
         with open(path, "wb") as f:
-            _write_csv_rows(f, x)
-        return
-    pid, read_end = child
-    try:
-        with open(path, "wb") as f:
-            _write_csv_rows(f, x[:half])
-            mark = f.tell()
-            with open(read_end, "rb", closefd=False) as pipe:
-                shutil.copyfileobj(pipe, f)
-    finally:
-        os.close(read_end)
-        status = os.waitpid(pid, 0)[1]
-    if status != 0:
+            _write_csv_rows(f, x if child is None else x[:half])
+            if child is not None:
+                mark = f.tell()
+                shutil.copyfileobj(child.pipe, f)
+    if child is not None and not child.ok:
         with open(path, "r+b") as f:
             f.seek(mark)
             f.truncate()

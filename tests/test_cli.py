@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -517,6 +518,126 @@ def test_sweep_nonpositive_seed_count_is_usage_error(tmp_path, capsys, n_seeds):
     assert not out.exists()
 
 
+# the depth sweep in two processes: a forked child trains every other depth
+
+SPLIT_SWEEP = ["sweep", "--dataset", "sbm", "--sbm-n", "140", "--n-seeds", "2",
+               "--epochs", "40", "--patience", "10"]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _run_sweep(out, capsys, ks):
+    """(exit code, sweep.csv bytes, stdout, manifest counters) of one sweep."""
+    code = main([*SPLIT_SWEEP, "--ks", ks, "--out", str(out)])
+    stdout = capsys.readouterr().out
+    counters = read_json(out / "manifest.json")["counters"]
+    return code, (out / "sweep.csv").read_bytes(), stdout, counters
+
+
+def _serial_sweep(out, capsys, monkeypatch, ks):
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        return _run_sweep(out, capsys, ks)
+
+
+@pytest.mark.parametrize("ks", ["1,3", "0,1,3", "1,2,4,8"])
+def test_split_sweep_gives_the_serial_outputs(tmp_path, capsys, monkeypatch, ks):
+    forked = _run_sweep(tmp_path / "forked", capsys, ks)
+    serial = _serial_sweep(tmp_path / "serial", capsys, monkeypatch, ks)
+    assert forked[3].pop("forked_depths") == len(ks.split(",")) // 2
+    assert serial[3].pop("forked_depths") == 0
+    assert forked == serial
+    assert forked[1].count(b"\n") == 1 + len(ks.split(","))
+    _assert_no_child_left()
+
+
+def test_sweep_whose_child_fails_gives_the_serial_outputs(tmp_path, capsys, monkeypatch):
+    serial = _serial_sweep(tmp_path / "serial", capsys, monkeypatch, "1,2,4")
+    parent, real = os.getpid(), cli.depth_sweep
+
+    def fails_in_child(*args, **kwargs):
+        if os.getpid() != parent:
+            raise MemoryError("child fails")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "depth_sweep", fails_in_child)
+    assert _run_sweep(tmp_path / "forked", capsys, "1,2,4") == serial
+    _assert_no_child_left()
+
+
+def test_sweep_error_in_either_process_is_the_serial_error(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def boom(*args, **kwargs):
+        calls.append(os.getpid())
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "depth_sweep", boom)
+    out = tmp_path / "x"
+    assert main([*SPLIT_SWEEP, "--ks", "1,3", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: boom\n")
+    assert not out.exists()
+    assert calls == [os.getpid()] * 2  # this process's half, then the serial sweep
+    _assert_no_child_left()
+
+
+def test_sweep_after_a_failed_fork_runs_serially(tmp_path, capsys, monkeypatch):
+    serial = _serial_sweep(tmp_path / "serial", capsys, monkeypatch, "1,3")
+
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _run_sweep(tmp_path / "forked", capsys, "1,3") == serial
+    _assert_no_child_left()
+
+
+def test_interrupted_sweep_kills_its_child_and_reraises(tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+
+    def interrupted(*args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(30)  # the child would outlive the test unless killed
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "depth_sweep", interrupted)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        main([*SPLIT_SWEEP, "--ks", "1,3", "--out", str(tmp_path / "x")])
+    assert time.perf_counter() - start < 10
+    assert not (tmp_path / "x").exists()
+    _assert_no_child_left()
+
+
+def test_both_users_of_the_fork_helper_fork_despite_the_threads_warning(tmp_path, capsys,
+                                                                        monkeypatch):
+    """Python 3.12 and later warn at ``os.fork`` in a process with threads.
+    Emitted from Python, as here, the warning is an error under pytest's
+    filter, so both users fork only because the helper ignores it."""
+    forks, real = [], os.fork
+
+    def warning_fork():
+        forks.append(os.getpid())
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                      "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return real()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    monkeypatch.setattr(graph_core, "_CSV_BLOCK_ROWS", 4)
+    x = np.random.default_rng(3).standard_normal((13, 3))
+    graph_core.save_signal_csv(tmp_path / "x.csv", x)
+    want = io.BytesIO()
+    np.savetxt(want, x, delimiter=",", fmt="%.17g")
+    assert (tmp_path / "x.csv").read_bytes() == want.getvalue()
+    assert len(forks) == 1
+    assert _run_sweep(tmp_path / "sw", capsys, "1,3")[3]["forked_depths"] == 1
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
 @pytest.mark.parametrize("command", ["train", "sweep"])
 @pytest.mark.parametrize(
     "flags, reason",
@@ -762,7 +883,8 @@ MANIFEST_CASES = {
         # 34 members, 78 ties stored both ways plus the loops; one-hot
         # degree features up to the largest degree, 17
         {"n": 34, "nnz": 2 * 78 + 34, "d": 18},
-        {"seed_epochs": 2 * 2 * 3},  # two depths of two seeds
+        # two depths of two seeds; the forked child trains depth 1
+        {"seed_epochs": 2 * 2 * 3, "forked_depths": 1},
     ),
 }
 
