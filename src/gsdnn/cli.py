@@ -7,8 +7,10 @@ classification). A run that writes an output also writes a
 ``manifest.json`` beside it, recording the command, every parsed flag,
 sha256 digests of the files read, the files written, per-phase timing,
 the problem sizes where the command has one graph, counters of the work
-done (``train`` and ``sweep``: seed-epochs; ``sweep``: the depths trained
-in a forked child), and the software and machine it ran on.
+done (``denoise``: solver or conjugate-gradient iterations; ``equiv``: the
+checks run; ``train`` and ``sweep``: seed-epochs; ``equiv`` and ``sweep``:
+the checks or depths run in a forked child), and the software and machine
+it ran on.
 
 Exit codes: 0 success, 1 a requested check failed, 2 usage or input
 error, 3 numeric/solver error. Handlers and loaders report a failure only
@@ -35,6 +37,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy
@@ -209,6 +212,36 @@ def _random_er_ops(rng: np.random.Generator, n: int, p: float = 0.2):
 
 
 # ---------------------------------------------------------------------------
+# a second core
+
+
+def _on_two_cores(work: Callable[[Sequence], list], items: Sequence) -> tuple[list, int]:
+    """``(work(items), forked)`` for a ``work`` that maps each item on its
+    own, with ``work(items[1::2])`` run in a forked child while this process
+    runs ``work(items[0::2])``; ``forked`` is the number of items the child
+    handled. The child's results come back as JSON, which holds a Python
+    float exactly (NaN and inf included), and are interleaved back into
+    place, so the results are the serial ones. ``work(items)`` runs here
+    instead, and ``forked`` is 0, when there are fewer than two items, no
+    child could be forked, the child failed, or this process's half raised
+    an Exception: errors and exit codes are those of one process. The child
+    is reaped before this returns or raises, and killed first if this
+    process's half raised (Ctrl-C included, which is re-raised)."""
+    if len(items) > 1:
+        try:
+            with _forked(lambda: json.dumps(work(items[1::2])).encode()) as child:
+                if child is not None:
+                    results = [None] * len(items)
+                    results[0::2] = work(items[0::2])
+                    results[1::2] = json.loads(child.pipe.read())
+        except Exception:
+            child = None
+        if child is not None and child.ok:
+            return results, len(items[1::2])
+    return work(items), 0
+
+
+# ---------------------------------------------------------------------------
 # denoise
 
 
@@ -222,6 +255,7 @@ def cmd_denoise(args, run: _Run) -> int:
             raise ValueError("--solver closed-form requires --gamma")
         stats: dict = {}
         final = closed_form_ppnp(ops, x, args.gamma, stats)
+        run.counters["iterations"] = stats["cg_iterations"]
         report_doc = {"solver": "closed-form", "gamma": args.gamma, "converged": True, **stats}
     else:
         if args.spec is None:
@@ -243,6 +277,7 @@ def cmd_denoise(args, run: _Run) -> int:
                 "try a smaller --stepsize"
             )
         final = report.final
+        run.counters["iterations"] = report.iterations_used
         report_doc = {"solver": args.solver, **report.to_json_dict()}
 
     run.lap("solve")
@@ -255,14 +290,18 @@ def cmd_denoise(args, run: _Run) -> int:
 # equiv
 
 
-def _equiv_cell(name: str, model_index: int, trial: int, seed: int, tol: float) -> dict:
+def _equiv_cell(name: str, model_index: int, trial: int, seed: int,
+                tol: float) -> tuple[float, bool]:
+    """(max_abs_diff, pass) of one check, seeded on its own by
+    (seed, model index, trial)."""
     rng = np.random.default_rng((seed, model_index, trial))
     n = int(rng.integers(EQUIV_GRAPHS["min_nodes"], EQUIV_GRAPHS["max_nodes"] + 1))
     ops = _random_er_ops(rng, n, EQUIV_GRAPHS["edge_prob"])
     d = int(rng.integers(1, 5))
     model = sample_model(name, rng, d)
     x = rng.standard_normal((n, d))
-    return equivalence_check(model, ops, x, tol)
+    check = equivalence_check(model, ops, x, tol)
+    return check["max_abs_diff"], check["pass"]
 
 
 def _check_tol(tol: float) -> None:
@@ -276,18 +315,27 @@ def cmd_equiv(args, run: _Run) -> int:
     _check_tol(args.tol)
     run.config["graph_distribution"] = EQUIV_GRAPHS
     names = list(MODEL_KINDS) if args.model == "all" else [args.model]
+
+    def cell(i: int) -> tuple[float, bool]:  # check i in --model order
+        mi, trial = divmod(i, args.trials)
+        return _equiv_cell(names[mi], mi, trial, args.seed, args.tol)
+
+    cells = range(len(names) * args.trials)
+    checks, forked = _on_two_cores(lambda part: [cell(i) for i in part], cells)
     results = []
     for mi, name in enumerate(names):
-        checks = [_equiv_cell(name, mi, t, args.seed, args.tol) for t in range(args.trials)]
+        mine = checks[mi * args.trials : (mi + 1) * args.trials]
         results.append(
             {
                 "model": name,
                 "trials": args.trials,
-                "max_abs_diff": max(c["max_abs_diff"] for c in checks),
-                "pass": all(c["pass"] for c in checks),
+                "max_abs_diff": max(diff for diff, _ in mine),
+                "pass": all(ok for _, ok in mine),
             }
         )
     run.lap("check")
+    run.counters["checks"] = len(cells)
+    run.counters["forked_checks"] = forked
 
     all_pass = all(r["pass"] for r in results)
     _dump_json(
@@ -439,40 +487,13 @@ def _parse_ks(raw: str) -> tuple[int, ...]:
     return ks
 
 
-def _two_process_sweep(ds: Dataset, cfg: TrainConfig, ks: tuple[int, ...],
-                       n_seeds: int) -> list[dict] | None:
-    """``depth_sweep(ds, cfg, ks, n_seeds)``'s rows, with the depths
-    ``ks[1::2]`` trained in a forked child while this process trains
-    ``ks[0::2]``. Each depth is seeded and trained on its own, and the
-    child's rows come back as JSON, which holds a Python float exactly, so
-    the rows are the serial ones. None when no child could be forked, the
-    child failed, or this process's half raised an Exception. The child is
-    reaped before this returns or raises, and killed first if this process's
-    half raised."""
-    def child_rows() -> bytes:
-        return json.dumps(depth_sweep(ds, cfg, ks[1::2], n_seeds)).encode()
-
-    try:
-        with _forked(child_rows) as child:
-            if child is None:
-                return None
-            rows = [None] * len(ks)
-            rows[0::2] = depth_sweep(ds, cfg, ks[0::2], n_seeds)
-            rows[1::2] = json.loads(child.pipe.read())
-    except Exception:
-        return None
-    return rows if child.ok else None
-
-
 def cmd_sweep(args, run: _Run) -> int:
     ds = _load_dataset(args, run)
     cfg = _train_config(args)
     ks = _parse_ks(args.ks)
     run.lap("load")
-    rows = _two_process_sweep(ds, cfg, ks, args.n_seeds) if len(ks) > 1 else None
-    forked = 0 if rows is None else len(ks[1::2])
-    if rows is None:
-        rows = depth_sweep(ds, cfg, ks=ks, n_seeds=args.n_seeds)
+    # each depth is seeded and trained on its own
+    rows, forked = _on_two_cores(lambda part: depth_sweep(ds, cfg, part, args.n_seeds), ks)
     run.lap("train")
     run.counters["seed_epochs"] = sum(r["seed_epochs"] for r in rows)
     run.counters["forked_depths"] = forked

@@ -33,8 +33,10 @@ writes with ``fmt="%.17g"``, formatting a large signal's two halves in two
 processes.
 
 The second process comes from :func:`_forked`, the one place that forks,
-pipes, reaps and falls back: the CSV writer's child formats half a signal,
-and the ``sweep`` command's child trains every other depth.
+pipes, reaps and falls back. It has three users: the CSV writer's child
+formats half a signal, the ``equiv`` command's child runs every other
+check, and the ``sweep`` command's child trains every other depth (the two
+commands through ``cli._on_two_cores``).
 """
 
 from __future__ import annotations
@@ -425,7 +427,10 @@ def _forked(produce: Callable[[], bytes]) -> Iterator[_Child | None]:
     """Run ``produce()`` in a forked child that writes the bytes it returns
     to a pipe; the block gets the :class:`_Child`, or None where no child
     could be forked (no ``os.fork``, or a fork ``OSError``). The one way the
-    program uses a second core.
+    program uses a second core, with three users: :func:`save_signal_csv`,
+    whose child formats half a signal, and through ``cli._on_two_cores``
+    the ``equiv`` command, whose child runs every other check, and the
+    ``sweep`` command, whose child trains every other depth.
 
     The child produces everything in memory and only then writes it: writing
     as it goes would fill the 64 KiB pipe buffer and stall the child until
@@ -441,7 +446,8 @@ def _forked(produce: Callable[[], bytes]) -> Iterator[_Child | None]:
 
     On Python 3.12 and later, ``os.fork`` warns in a process with OS threads,
     and numpy's OpenBLAS starts some; that warning is ignored around the
-    call. A child may call BLAS (the depth sweep's child trains): OpenBLAS
+    call. A child may call BLAS (the depth sweep's child trains, and an
+    equiv check multiplies small matrices): OpenBLAS
     shuts its thread pool down in a ``pthread_atfork`` handler before every
     fork and starts a new one at its next threaded call, in the child as in
     the parent, and glibc resets malloc's locks in the child, so the child

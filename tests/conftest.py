@@ -5,6 +5,7 @@ failures reproduce; hypothesis-driven tests derive graphs from drawn seeds
 through the same helpers.
 """
 
+import os
 import sys
 
 import numpy as np
@@ -55,3 +56,17 @@ def spmm_calls(monkeypatch):
         if name.startswith("gsdnn") and getattr(mod, "spmm", None) is real:
             monkeypatch.setattr(mod, "spmm", counting)
     return calls
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test that leaves a child process unreaped: a forked child is
+    reaped before the call that forked it returns or raises, and
+    ``subprocess.run`` reaps its own."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process unreaped (waitpid gave pid {pid}, "
+                "0 for a child still running)")

@@ -1,11 +1,18 @@
-"""Peak memory of the trainer path scales with the feature powers, not n^2.
+"""Peak memory of the sparse paths scales with nnz and the signal, not n^2.
 
 numpy reports its allocations to ``tracemalloc``, so the traced peak of a
-call is the largest sum of its live arrays. The unit is one set of
-projected feature powers, u = 8 (K+1) n (d+1) bytes (see
-``feature_powers``), and each case runs at n and at 4n: a dense n x n
-temporary anywhere on the path (an ``a_hat.toarray()`` product, say) is
-31 u at n = 1000 and grows fourfold again at 4n.
+call is the largest sum of its live arrays. Each case runs at n and at 4n,
+on a graph built before tracing starts, and its peak is compared with a
+unit that grows linearly: a dense n x n temporary anywhere on the path (an
+``a_hat.toarray()`` product, say) is about 30 units at n = 1000 and grows
+fourfold again at 4n. A forked child is not traced; no case here forks.
+
+- The trainer path: ``feature_powers`` and a 3-epoch projected ``train``,
+  with u = 8 (K+1) n (d+1) bytes, one set of projected feature powers (see
+  ``feature_powers``).
+- The denoising path: the edge-list parse plus ``normalize``, ``gd_run``,
+  ``proxgd_run`` and the conjugate-gradient ``closed_form_ppnp``, with
+  u = 12 nnz + 8 n d bytes, A_hat's CSR arrays plus one signal.
 """
 
 import tracemalloc
@@ -21,7 +28,9 @@ from gsdnn.bilevel_trainer import (
     feature_powers,
     train,
 )
-from gsdnn.graph_core import Graph, normalize
+from gsdnn.graph_core import Graph, load_edge_list, normalize
+from gsdnn.gsd_problem import GsdSpec, RowL21, closed_form_ppnp
+from gsdnn.iter_solvers import SolveConfig, gd_run, proxgd_run
 
 K, D, CLASSES = 3, 7, 3
 
@@ -31,14 +40,35 @@ K, D, CLASSES = 3, 7, 3
 # terms). 4 leaves a third over the largest.
 PEAK_PER_UNIT = 4.0
 
+# Peak over u = 12 nnz + 8 n d measured at n = 1000 and 4000 (and the same
+# to 0.01 at 5000 and 20000): parse plus normalize 1.84 and 1.84, gd 2.01
+# and 1.98, proxgd 2.33 and 2.11, closed form 2.48 and 2.47. 3 leaves a fifth
+# over the largest.
+SPARSE_PEAK_PER_UNIT = 3.0
+SIGNAL_D = 16
+
+
+def _edges(n: int) -> np.ndarray:
+    """5n random endpoint pairs: average degree about 10."""
+    return np.random.default_rng(n).integers(0, n, (5 * n, 2))
+
 
 def _dataset(n: int) -> Dataset:
     """A random graph of average degree about 10, built before tracing starts
     (``sbm_generate``'s 8 MiB draw blocks would set the peak instead)."""
     rng = np.random.default_rng(n)
-    ops = normalize(Graph(num_nodes=n, edges=rng.integers(0, n, (5 * n, 2))))
+    ops = normalize(Graph(num_nodes=n, edges=_edges(n)))
     labels = (np.arange(n) * CLASSES) // n
     return Dataset(ops, rng.standard_normal((n, D)), labels, *_split_masks(labels, 20, 30))
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 CASES = {
@@ -52,10 +82,29 @@ CASES = {
 def test_peak_memory_scales_with_feature_powers(case, n):
     ds = _dataset(n)
     unit = 8 * (K + 1) * n * (D + 1)
-    tracemalloc.start()
-    try:
-        CASES[case](ds)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: CASES[case](ds))
     assert peak <= PEAK_PER_UNIT * unit, f"peak {peak} B is {peak / unit:.2f} u"
+
+
+_SOLVE = SolveConfig(max_iters=50, rel_tol=0.0)
+_I = np.eye(SIGNAL_D)
+
+# case -> call on (edge-list text, operators, signal)
+SPARSE_CASES = {
+    "parse_normalize": lambda text, ops, x: normalize(load_edge_list(text)),
+    "gd_run": lambda text, ops, x: gd_run(GsdSpec(0.2, 1.0, _I, _I), x, x, ops, _SOLVE),
+    "proxgd_run": lambda text, ops, x: proxgd_run(
+        GsdSpec(0.2, 1.0, _I, _I, RowL21(0.05)), x, x, ops, _SOLVE),
+    "closed_form_ppnp": lambda text, ops, x: closed_form_ppnp(ops, x, 0.1),
+}
+
+
+@pytest.mark.parametrize("n", [1000, 4000])
+@pytest.mark.parametrize("case", sorted(SPARSE_CASES))
+def test_peak_memory_of_sparse_paths_scales_with_nnz_and_signal(case, n):
+    text = f"nodes {n}\n" + "".join(f"{u} {v}\n" for u, v in _edges(n).tolist())
+    ops = normalize(load_edge_list(text))
+    x = np.random.default_rng(n + 1).standard_normal((n, SIGNAL_D))
+    unit = 12 * ops.a_hat.nnz + 8 * n * SIGNAL_D
+    peak = _traced_peak(lambda: SPARSE_CASES[case](text, ops, x))
+    assert peak <= SPARSE_PEAK_PER_UNIT * unit, f"peak {peak} B is {peak / unit:.2f} u"
