@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -79,6 +80,8 @@ def test_closed_form_report_states_cg_iterations_and_residuals(tmp_path, nodes, 
     report = read_json(out / "solve_report.json")
     assert sorted(report) == ["cg_iterations", "converged", "gamma", "relative_residuals",
                               "solver"]
+    assert read_json(out / "manifest.json")["counters"] == {
+        "iterations": report["cg_iterations"]}
     # the dense branch is taken up to DENSE_MAX_NODES = 256 nodes
     if nodes == 300:
         assert 0 < report["cg_iterations"] < 20 * nodes
@@ -106,8 +109,6 @@ def test_denoised_csv_of_two_writer_blocks_is_the_savetxt_bytes(tmp_path):
     assert read_json(out / "manifest.json")["outputs"] == ["denoised.csv", "solve_report.json"]
     assert read_json(out / "solve_report.json") == {
         "solver": "closed-form", "gamma": gamma, "converged": True, **stats}
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_empty_feature_file_is_usage_error(workdir, capsys):
@@ -518,105 +519,189 @@ def test_sweep_nonpositive_seed_count_is_usage_error(tmp_path, capsys, n_seeds):
     assert not out.exists()
 
 
-# the depth sweep in two processes: a forked child trains every other depth
+# two commands on two cores: a forked child trains every other depth of a
+# sweep, or runs every other check of equiv
 
 SPLIT_SWEEP = ["sweep", "--dataset", "sbm", "--sbm-n", "140", "--n-seeds", "2",
                "--epochs", "40", "--patience", "10"]
 
+# command -> (argv without its items, its output, the cli function that
+# gets the items, the counter of items run in the child)
+FORK_USERS = {
+    "sweep": (SPLIT_SWEEP, "sweep.csv", "depth_sweep", "forked_depths"),
+    "equiv": (["equiv", "--seed", "5"], "equiv_report.json", "_equiv_cell", "forked_checks"),
+}
+# three items per command: the depths 1, 2, 4 or the trials 0, 1, 2. The
+# child gets the middle one.
+THREE_ITEMS = {"sweep": ["--ks", "1,2,4"], "equiv": ["--model", "sgc", "--trials", "3"]}
+ITEM_VALUES = {"sweep": (1, 2, 4), "equiv": (0, 1, 2)}
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
-
-def _run_sweep(out, capsys, ks):
-    """(exit code, sweep.csv bytes, stdout, manifest counters) of one sweep."""
-    code = main([*SPLIT_SWEEP, "--ks", ks, "--out", str(out)])
+def _run_split(command, out, capsys, items):
+    """(exit code, output bytes, stdout, manifest counters) of one run."""
+    argv, output = FORK_USERS[command][:2]
+    code = main([*argv, *items, "--out", str(out)])
     stdout = capsys.readouterr().out
     counters = read_json(out / "manifest.json")["counters"]
-    return code, (out / "sweep.csv").read_bytes(), stdout, counters
+    return code, (out / output).read_bytes(), stdout, counters
 
 
-def _serial_sweep(out, capsys, monkeypatch, ks):
+def _run_serial(command, out, capsys, monkeypatch, items):
     with monkeypatch.context() as m:
         m.delattr(os, "fork")
-        return _run_sweep(out, capsys, ks)
+        return _run_split(command, out, capsys, items)
+
+
+def _before_each_item(monkeypatch, command, act):
+    """Calls ``act(item)`` on each item that the command's mapped function
+    gets (a depth of the sweep, a trial of equiv) before the real function."""
+    name = FORK_USERS[command][2]
+    real = getattr(cli, name)
+
+    def stand_in(*args):
+        for item in np.atleast_1d(args[2]).tolist():
+            act(item)
+        return real(*args)
+
+    monkeypatch.setattr(cli, name, stand_in)
+
+
+def _check_split_is_serial(tmp_path, capsys, monkeypatch, command, items, count):
+    """The forked run's outputs and counters are the serial run's, but for
+    the forked count; a single item runs without a fork."""
+    counter = FORK_USERS[command][3]
+    forks, real = [], os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    forked = _run_split(command, tmp_path / "forked", capsys, items)
+    serial = _run_serial(command, tmp_path / "serial", capsys, monkeypatch, items)
+    assert len(forks) == (count > 1)
+    assert forked[3].pop(counter) == count // 2
+    assert serial[3].pop(counter) == 0
+    assert forked == serial
+    return forked
+
+
+def test_two_process_map_returns_every_float_bit_for_bit():
+    items = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1 / 3, 1e308, 7.0]
+    results, forked = cli._on_two_cores(lambda part: [{"v": v, "ok": v < 1} for v in part],
+                                        items)
+    assert forked == 4
+    assert [r["ok"] for r in results] == [v < 1 for v in items]
+    assert np.array([r["v"] for r in results]).tobytes() == np.array(items).tobytes()
 
 
 @pytest.mark.parametrize("ks", ["1,3", "0,1,3", "1,2,4,8"])
 def test_split_sweep_gives_the_serial_outputs(tmp_path, capsys, monkeypatch, ks):
-    forked = _run_sweep(tmp_path / "forked", capsys, ks)
-    serial = _serial_sweep(tmp_path / "serial", capsys, monkeypatch, ks)
-    assert forked[3].pop("forked_depths") == len(ks.split(",")) // 2
-    assert serial[3].pop("forked_depths") == 0
-    assert forked == serial
-    assert forked[1].count(b"\n") == 1 + len(ks.split(","))
-    _assert_no_child_left()
+    count = len(ks.split(","))
+    forked = _check_split_is_serial(tmp_path, capsys, monkeypatch, "sweep", ["--ks", ks], count)
+    assert forked[1].count(b"\n") == 1 + count
 
 
-def test_sweep_whose_child_fails_gives_the_serial_outputs(tmp_path, capsys, monkeypatch):
-    serial = _serial_sweep(tmp_path / "serial", capsys, monkeypatch, "1,2,4")
-    parent, real = os.getpid(), cli.depth_sweep
+@pytest.mark.parametrize("model, trials, count",
+                         [("sgc", 3, 3), ("all", 2, 14), ("appnp", 1, 1)],
+                         ids=["odd", "all-models", "one-check"])
+def test_split_equiv_gives_the_serial_outputs(tmp_path, capsys, monkeypatch, model, trials,
+                                              count):
+    items = ["--model", model, "--trials", str(trials)]
+    forked = _check_split_is_serial(tmp_path, capsys, monkeypatch, "equiv", items, count)
+    assert forked[3]["checks"] == count
 
-    def fails_in_child(*args, **kwargs):
+
+@pytest.mark.parametrize("nan_trial, max_is_nan", [(0, True), (1, False)],
+                         ids=["first-here", "second-in-child"])
+def test_split_equiv_fails_a_nan_check_in_the_serial_order(tmp_path, capsys, monkeypatch,
+                                                           nan_trial, max_is_nan):
+    """A NaN gap fails its model (NaN < tol is False). The model's max is
+    NaN only when the NaN comes first, as in one process's max."""
+    monkeypatch.setattr(cli, "_equiv_cell", lambda name, mi, trial, seed, tol:
+                        math.nan if trial == nan_trial else 1e-12 * (trial + 1))
+    items = ["--model", "sgc", "--trials", "3"]
+    code, report, _, _ = _check_split_is_serial(tmp_path, capsys, monkeypatch, "equiv",
+                                                items, 3)
+    (result,) = json.loads(report)["results"]
+    assert code == 1 and result["pass"] is False
+    assert math.isnan(result["max_abs_diff"]) == max_is_nan
+    if not max_is_nan:
+        assert result["max_abs_diff"] == 3e-12
+
+
+@pytest.mark.parametrize("command", sorted(FORK_USERS))
+def test_command_whose_child_fails_gives_the_serial_outputs(tmp_path, capsys, monkeypatch,
+                                                            command):
+    items = THREE_ITEMS[command]
+    serial = _run_serial(command, tmp_path / "serial", capsys, monkeypatch, items)
+    parent = os.getpid()
+
+    def fails_in_child(item):
         if os.getpid() != parent:
             raise MemoryError("child fails")
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "depth_sweep", fails_in_child)
-    assert _run_sweep(tmp_path / "forked", capsys, "1,2,4") == serial
-    _assert_no_child_left()
+    _before_each_item(monkeypatch, command, fails_in_child)
+    assert _run_split(command, tmp_path / "forked", capsys, items) == serial
 
 
-def test_sweep_error_in_either_process_is_the_serial_error(tmp_path, capsys, monkeypatch):
-    calls = []
+@pytest.mark.parametrize("where", [(2,), (1,), (1, 2)], ids=["parent", "child", "both"])
+@pytest.mark.parametrize("command", sorted(FORK_USERS))
+def test_error_in_either_process_is_the_serial_error(tmp_path, capsys, monkeypatch, command,
+                                                      where):
+    """Items 0 and 2 run in this process and item 1 in the child; the serial
+    run meets the first failing item first, where this process's half would
+    raise on item 2."""
+    bad = [ITEM_VALUES[command][i] for i in where]
 
-    def boom(*args, **kwargs):
-        calls.append(os.getpid())
-        raise ValueError("boom")
+    def boom(item):
+        if item in bad:
+            raise ValueError(f"boom at {item}")
 
-    monkeypatch.setattr(cli, "depth_sweep", boom)
+    _before_each_item(monkeypatch, command, boom)
     out = tmp_path / "x"
-    assert main([*SPLIT_SWEEP, "--ks", "1,3", "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", "error: boom\n")
+    argv = FORK_USERS[command][0]
+    assert main([*argv, *THREE_ITEMS[command], "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: boom at {bad[0]}\n")
     assert not out.exists()
-    assert calls == [os.getpid()] * 2  # this process's half, then the serial sweep
-    _assert_no_child_left()
 
 
-def test_sweep_after_a_failed_fork_runs_serially(tmp_path, capsys, monkeypatch):
-    serial = _serial_sweep(tmp_path / "serial", capsys, monkeypatch, "1,3")
+@pytest.mark.parametrize("command", sorted(FORK_USERS))
+def test_command_after_a_failed_fork_runs_serially(tmp_path, capsys, monkeypatch, command):
+    items = THREE_ITEMS[command]
+    serial = _run_serial(command, tmp_path / "serial", capsys, monkeypatch, items)
 
     def no_fork():
         raise BlockingIOError("fork: resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert _run_sweep(tmp_path / "forked", capsys, "1,3") == serial
-    _assert_no_child_left()
+    assert _run_split(command, tmp_path / "forked", capsys, items) == serial
 
 
-def test_interrupted_sweep_kills_its_child_and_reraises(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", sorted(FORK_USERS))
+def test_interrupted_command_kills_its_child_and_reraises(tmp_path, capsys, monkeypatch,
+                                                          command):
     parent = os.getpid()
 
-    def interrupted(*args, **kwargs):
+    def interrupted(item):
         if os.getpid() != parent:
             time.sleep(30)  # the child would outlive the test unless killed
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "depth_sweep", interrupted)
+    _before_each_item(monkeypatch, command, interrupted)
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        main([*SPLIT_SWEEP, "--ks", "1,3", "--out", str(tmp_path / "x")])
+        main([*FORK_USERS[command][0], *THREE_ITEMS[command], "--out", str(tmp_path / "x")])
     assert time.perf_counter() - start < 10
     assert not (tmp_path / "x").exists()
-    _assert_no_child_left()
 
 
-def test_both_users_of_the_fork_helper_fork_despite_the_threads_warning(tmp_path, capsys,
-                                                                        monkeypatch):
+def test_every_user_of_the_fork_helper_forks_despite_the_threads_warning(tmp_path, capsys,
+                                                                         monkeypatch):
     """Python 3.12 and later warn at ``os.fork`` in a process with threads.
     Emitted from Python, as here, the warning is an error under pytest's
-    filter, so both users fork only because the helper ignores it."""
+    filter, so the CSV writer, sweep and equiv fork only because the helper
+    ignores it."""
     forks, real = [], os.fork
 
     def warning_fork():
@@ -633,9 +718,11 @@ def test_both_users_of_the_fork_helper_fork_despite_the_threads_warning(tmp_path
     np.savetxt(want, x, delimiter=",", fmt="%.17g")
     assert (tmp_path / "x.csv").read_bytes() == want.getvalue()
     assert len(forks) == 1
-    assert _run_sweep(tmp_path / "sw", capsys, "1,3")[3]["forked_depths"] == 1
+    assert _run_split("sweep", tmp_path / "sw", capsys, ["--ks", "1,3"])[3]["forked_depths"] == 1
     assert len(forks) == 2
-    _assert_no_child_left()
+    equiv = _run_split("equiv", tmp_path / "eq", capsys, THREE_ITEMS["equiv"])
+    assert equiv[3]["forked_checks"] == 1
+    assert len(forks) == 3
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
@@ -850,14 +937,16 @@ MANIFEST_CASES = {
         lambda w: [w / "edges.txt", w / "feats.csv", w / "spec.json"],
         ["load", "solve"],
         {"n": 6, "nnz": 20, "d": 2},
-        None,
+        # no plateau stop: the whole --iters budget
+        {"iterations": 5},
     ),
     "equiv": (
         lambda w: ["equiv", "--model", "sgc", "--trials", "2", "--seed", "3"],
         lambda w: [],
         ["check"],
         None,
-        None,
+        # the forked child runs the second check
+        {"checks": 2, "forked_checks": 1},
     ),
     "filter": (
         lambda w: ["filter", "--theta", "0.5,0.25", "--graph", str(w / "edges.txt")],
