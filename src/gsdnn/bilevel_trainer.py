@@ -698,12 +698,10 @@ def _split_masks(
     return train, val, test
 
 
-# Uniforms drawn per block of rows in sbm_generate (8 MiB of float64).
-_SBM_DRAW_ENTRIES = 1 << 20
-
-# Largest node count sbm_generate accepts. Its edge draw takes n^2 uniforms,
-# about 4 s at this size on a 2-vCPU host, so a node count of 1e6 would run
-# for hours; the benchmark's and tests' graphs have at most 2,000 nodes.
+# Largest node count sbm_generate accepts. Its edge draw takes n^2 uniforms
+# (O(n^2) time, though only O(n + edges) memory), about 2 s at this size on a
+# 2-vCPU host, so a node count of 1e6 would run for over an hour; the
+# benchmark's and tests' graphs have at most 2,000 nodes.
 _SBM_MAX_NODES = 20_000
 
 
@@ -723,8 +721,11 @@ def sbm_generate(
     distance 1 apart), then buried in isotropic noise. Split: 20 train and
     30 val nodes per class by lowest id, rest test.
 
-    The edge draw is O(n^2), so n above ``_SBM_MAX_NODES`` (20,000) is
-    rejected before anything is drawn or allocated.
+    Edges come from one n x n uniform draw, taken a row at a time: pair
+    (i, j), i < j, is an edge when its uniform is below p_in (same block) or
+    p_out. The draw is O(n^2) time but O(n + edges) memory, so n above
+    ``_SBM_MAX_NODES`` (20,000) is rejected before anything is drawn or
+    allocated.
     """
     if n > _SBM_MAX_NODES:
         raise ValueError(
@@ -743,16 +744,15 @@ def sbm_generate(
         raise ValueError(f"noise_sigma must be finite, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     labels = (np.arange(n) * blocks) // n
-    # The n x n uniform draw is taken a block of rows at a time: the same
-    # stream as one full draw, without an n x n array.
-    step = max(1, _SBM_DRAW_ENTRIES // n)
-    edges = []
-    for r0 in range(0, n, step):
-        rows = labels[r0 : r0 + step, None]
-        prob = np.where(rows == labels[None, :], p_in, p_out)
-        upper = np.triu(rng.random(prob.shape) < prob, k=r0 + 1)
-        edges.append(np.argwhere(upper) + (r0, 0))
-    graph = Graph(num_nodes=n, edges=np.concatenate(edges))
+    ends = np.searchsorted(labels, labels, side="right")  # past each node's block
+    # row i's columns above the diagonal, in order, so the pairs come sorted
+    cols = []
+    for i, end in enumerate(ends.tolist()):
+        u = rng.random(n)
+        keep = np.concatenate((u[i + 1 : end] < p_in, u[end:] < p_out))
+        cols.append(np.flatnonzero(keep) + (i + 1))
+    rows = np.repeat(np.arange(n), [c.size for c in cols])
+    graph = Graph(num_nodes=n, edges=np.column_stack((rows, np.concatenate(cols))))
     means = np.zeros((blocks, d))
     means[np.arange(blocks), np.arange(blocks)] = 1.0 / math.sqrt(2.0)
     x = means[labels] + noise_sigma * rng.standard_normal((n, d))

@@ -254,7 +254,9 @@ def cmd_denoise(args, run: _Run) -> int:
         if args.gamma is None:
             raise ValueError("--solver closed-form requires --gamma")
         stats: dict = {}
-        final = closed_form_ppnp(ops, x, args.gamma, stats)
+        # an overflowing CG residual is reported by FloatingPointError, not warned of
+        with np.errstate(over="ignore", invalid="ignore"):
+            final = closed_form_ppnp(ops, x, args.gamma, stats)
         run.counters["iterations"] = stats["cg_iterations"]
         report_doc = {"solver": "closed-form", "gamma": args.gamma, "converged": True, **stats}
     else:
@@ -549,8 +551,17 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(f"--{f.name.replace('_', '-')}", type=kind, default=f.default)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through ``add_subparsers`` its subparsers, that raises
+    ValueError on a usage error instead of printing usage and exiting, so
+    that ``main`` reports it on one line like any other exit 2."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gsdnn",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -610,8 +621,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help and --version
         return int(exc.code) if exc.code is not None else EXIT_OK
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         run = _Run(args)
         try:

@@ -405,7 +405,11 @@ def closed_form_ppnp(
     iterations of the slowest column (0 on the dense branch and for
     gamma = 1), and ``relative_residuals``, ||r_j|| / ||gamma x_j|| for each
     column (0 for a zero column). r is the residual that the CG recurrence
-    carries, or on the dense branch the one computed from the solution.
+    carries, or on the dense branch the one computed from the solution. Both
+    norms are taken on copies whose columns are scaled exactly, by the power
+    of two that brings the largest entry of gamma x_j into [0.5, 1): the
+    ratio is the unscaled one, but squares of entries near either end of the
+    float range neither overflow nor vanish.
     """
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in (0, 1]")
@@ -422,9 +426,11 @@ def closed_form_ppnp(
     else:
         h, iterations, resid = _ppnp_cg(ops, x, gamma)
     if stats is not None:
-        if resid is None:
-            resid = gamma * x - system @ h
-        rhs_norms = np.linalg.norm(gamma * x, axis=0)
+        rhs = gamma * x
+        shift = -np.frexp(np.abs(rhs).max(axis=0))[1]
+        rhs = np.ldexp(rhs, shift)
+        resid = rhs - system @ np.ldexp(h, shift) if resid is None else np.ldexp(resid, shift)
+        rhs_norms = np.linalg.norm(rhs, axis=0)
         rel = np.divide(np.linalg.norm(resid, axis=0), rhs_norms,
                         out=np.zeros(x.shape[1]), where=rhs_norms > 0)
         stats.update(cg_iterations=iterations, relative_residuals=rel.tolist())

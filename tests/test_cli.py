@@ -93,6 +93,42 @@ def test_closed_form_report_states_cg_iterations_and_residuals(tmp_path, nodes, 
         assert resid == [0.0, 0.0]
 
 
+def _extreme_path(tmp_path, n, size):
+    """Edge list of an n-node path and 2 feature columns of +-size: near
+    either end of the float range, the squares of these entries overflow or
+    vanish."""
+    edges = "".join(f"{i} {i + 1}\n" for i in range(n - 1))
+    (tmp_path / "path.txt").write_text(f"nodes {n}\n{edges}")
+    x = size * np.random.default_rng(6).choice([-1.0, 1.0], (n, 2))
+    np.savetxt(tmp_path / "path.csv", x, delimiter=",", fmt="%.17g")
+    return ["denoise", "--graph", str(tmp_path / "path.txt"),
+            "--features", str(tmp_path / "path.csv"), "--solver", "closed-form", "--gamma", "0.1"]
+
+
+@pytest.mark.parametrize("size", [1e308, 1e-310], ids=["huge", "subnormal"])
+def test_closed_form_dense_residuals_at_the_ends_of_the_float_range(tmp_path, capsys, size):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*_extreme_path(tmp_path, 4, size), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = read_json(out / "solve_report.json")
+    assert report["converged"] and report["cg_iterations"] == 0
+    resid = report["relative_residuals"]
+    assert len(resid) == 2 and all(0.0 <= r < 1e-12 for r in resid)
+
+
+def test_closed_form_cg_overflow_is_one_numeric_error_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*_extreme_path(tmp_path, 400, 1e306), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: conjugate gradients hit a non-finite residual")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_denoised_csv_of_two_writer_blocks_is_the_savetxt_bytes(tmp_path):
     # 2100 rows are two blocks of the CSV writer, so its forked path runs
     n, gamma = 2100, 0.3
@@ -1038,6 +1074,34 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, argv, flag):
     assert main([*argv, "--out", str(out)]) == 2
     assert f"argument {flag}: must be a nonnegative integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["equiv", "--trials", "1", "--frobnicate"], "--frobnicate"),
+        (["equiv", "--trials", "abc"], "--trials"),
+        (["equiv", "--model", "nope"], "--model"),
+        (["train", "--epochs", "2"], "--dataset"),
+        (["train", "--dataset", "sbm", "--seed", "-1"], "--seed"),
+    ],
+    ids=["unknown-flag", "trials-not-int", "bad-model", "missing-dataset", "negative-seed"],
+)
+def test_parse_error_is_one_error_line(tmp_path, capsys, argv, flag):
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and flag in lines[0]
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_help_and_version_still_exit_zero(capsys):
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out.strip() == cli.__version__
+    assert main(["equiv", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: gsdnn equiv")
 
 
 @pytest.mark.parametrize("flag", ["--train-per-class", "--val-per-class"])

@@ -13,6 +13,8 @@ fourfold again at 4n. A forked child is not traced; no case here forks.
 - The denoising path: the edge-list parse plus ``normalize``, ``gd_run``,
   ``proxgd_run`` and the conjugate-gradient ``closed_form_ppnp``, with
   u = 12 nnz + 8 n d bytes, A_hat's CSR arrays plus one signal.
+- ``sbm_generate``, whose n x n uniform draw is taken a row at a time, with
+  the same u of the dataset it returns.
 """
 
 import tracemalloc
@@ -26,6 +28,7 @@ from gsdnn.bilevel_trainer import (
     UgdgnnParams,
     _split_masks,
     feature_powers,
+    sbm_generate,
     train,
 )
 from gsdnn.graph_core import Graph, load_edge_list, normalize
@@ -47,6 +50,11 @@ PEAK_PER_UNIT = 4.0
 SPARSE_PEAK_PER_UNIT = 3.0
 SIGNAL_D = 16
 
+# Peak over u measured at n = 1000 and 4000 (and 8000): 4.53 and 4.51
+# (4.50). 6 leaves a third over the largest. A draw that holds blocks of 2^20
+# uniforms (8 MiB) reads 80 u at n = 1000 and 23 u at 4000.
+SBM_PEAK_PER_UNIT = 6.0
+
 
 def _edges(n: int) -> np.ndarray:
     """5n random endpoint pairs: average degree about 10."""
@@ -54,8 +62,8 @@ def _edges(n: int) -> np.ndarray:
 
 
 def _dataset(n: int) -> Dataset:
-    """A random graph of average degree about 10, built before tracing starts
-    (``sbm_generate``'s 8 MiB draw blocks would set the peak instead)."""
+    """A random graph of average degree about 10 and three label blocks,
+    built before tracing starts so that only the traced call is measured."""
     rng = np.random.default_rng(n)
     ops = normalize(Graph(num_nodes=n, edges=_edges(n)))
     labels = (np.arange(n) * CLASSES) // n
@@ -108,3 +116,13 @@ def test_peak_memory_of_sparse_paths_scales_with_nnz_and_signal(case, n):
     unit = 12 * ops.a_hat.nnz + 8 * n * SIGNAL_D
     peak = _traced_peak(lambda: SPARSE_CASES[case](text, ops, x))
     assert peak <= SPARSE_PEAK_PER_UNIT * unit, f"peak {peak} B is {peak / unit:.2f} u"
+
+
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_peak_memory_of_sbm_generate_scales_with_n_and_edges(n):
+    # average degree about 12 at every n: p_in 30 / n, p_out 3 / n
+    out = []
+    peak = _traced_peak(lambda: out.append(sbm_generate(
+        n=n, blocks=CLASSES, p_in=30 / n, p_out=3 / n, d=D, noise_sigma=1.0, seed=n)))
+    unit = 12 * out[0].ops.a_hat.nnz + 8 * n * D
+    assert peak <= SBM_PEAK_PER_UNIT * unit, f"peak {peak} B is {peak / unit:.2f} u"
