@@ -405,11 +405,12 @@ def closed_form_ppnp(
     iterations of the slowest column (0 on the dense branch and for
     gamma = 1), and ``relative_residuals``, ||r_j|| / ||gamma x_j|| for each
     column (0 for a zero column). r is the residual that the CG recurrence
-    carries, or on the dense branch the one computed from the solution. Both
-    norms are taken on copies whose columns are scaled exactly, by the power
-    of two that brings the largest entry of gamma x_j into [0.5, 1): the
-    ratio is the unscaled one, but squares of entries near either end of the
-    float range neither overflow nor vanish.
+    carries, or on the dense branch the one computed from the solution.
+
+    The CG runs, and both norms are taken, on columns scaled exactly, by the
+    power of two that brings the largest entry of gamma x_j into [0.5, 1):
+    results and ratios are the unscaled ones, but squares of entries near
+    either end of the float range neither overflow nor vanish.
     """
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in (0, 1]")
@@ -427,9 +428,10 @@ def closed_form_ppnp(
         h, iterations, resid = _ppnp_cg(ops, x, gamma)
     if stats is not None:
         rhs = gamma * x
-        shift = -np.frexp(np.abs(rhs).max(axis=0))[1]
+        shift = _unit_shift(rhs)
         rhs = np.ldexp(rhs, shift)
-        resid = rhs - system @ np.ldexp(h, shift) if resid is None else np.ldexp(resid, shift)
+        if resid is None:
+            resid = rhs - system @ np.ldexp(h, shift)
         rhs_norms = np.linalg.norm(rhs, axis=0)
         rel = np.divide(np.linalg.norm(resid, axis=0), rhs_norms,
                         out=np.zeros(x.shape[1]), where=rhs_norms > 0)
@@ -437,15 +439,26 @@ def closed_form_ppnp(
     return h
 
 
+def _unit_shift(a: np.ndarray) -> np.ndarray:
+    """Per column, the power of two that brings the largest |a_j| into [0.5, 1)."""
+    return -np.frexp(np.abs(a).max(axis=0))[1]
+
+
 def _ppnp_cg(
     ops: NormalizedOperators, x: np.ndarray, gamma: float
 ) -> tuple[np.ndarray, int, np.ndarray]:
     """(Xbar, iterations, residual) of closed_form_ppnp's conjugate gradients
-    on all columns at once."""
+    on all columns at once; the residual is in the scale of ``_unit_shift``."""
     n = ops.num_nodes
     h, p, rho_prev = np.zeros_like(x), np.zeros_like(x), np.ones(x.shape[1])
     r = gamma * x  # the residual of h = 0 is the right-hand side
-    tol = np.maximum(1e-14 * np.linalg.norm(r, axis=0), 1e-13)
+    shift = _unit_shift(r)
+    np.ldexp(r, shift, out=r)
+    # the absolute floor 1e-13 in the same scale: inf for a column whose
+    # entries are all below 1e-321, which h = 0 solves, as unscaled
+    with np.errstate(over="ignore"):
+        floor = np.ldexp(1e-13, shift)
+    tol = np.maximum(1e-14 * np.linalg.norm(r, axis=0), floor)
     for it in range(20 * n):
         rho = np.einsum("ij,ij->j", r, r)
         if not np.isfinite(rho).all():
@@ -453,7 +466,7 @@ def _ppnp_cg(
                                      f"column {np.argmin(np.isfinite(rho))} at iteration {it}")
         active = ~(np.sqrt(rho) < tol)
         if not active.any():
-            return h, it, r
+            return np.ldexp(h, -shift), it, r
         p *= np.divide(rho, rho_prev, out=np.zeros_like(rho), where=active)
         p += r
         q = spmm(ops, p)
@@ -466,8 +479,8 @@ def _ppnp_cg(
         rho_prev = rho
     resid = np.linalg.norm(r, axis=0)
     j = int(np.argmax(resid / tol))
-    raise FloatingPointError(f"conjugate gradients did not converge on column {j}; "
-                             f"residual {resid[j]:.3e} after {20 * n} iterations")
+    raise FloatingPointError(f"conjugate gradients did not converge on column {j}; residual "
+                             f"{np.ldexp(resid[j], -shift[j]):.3e} after {20 * n} iterations")
 
 
 def _spectral_norm_ub(t: np.ndarray | None) -> float:

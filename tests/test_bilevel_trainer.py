@@ -582,6 +582,62 @@ def test_restricted_hop_coefficient_gradients():
     fd_check(params, q, labels, mask, [(params.gammas, grads.gammas)])
 
 
+def literal_backward(params, ops, x, g):
+    """The gradient one hop at a time, from the class-width powers
+    P_k = A_hat^k Z proj (Z = [x, 1] and proj = [pre_w; pre_b] under a
+    projection, else Z = x and P_k = A_hat^k x) and the logit gradient G."""
+    grads = params.zeros_like()
+    xis = params.effective_xis()
+    z = x if params.proj is None else np.column_stack((x, np.ones(x.shape[0])))
+    q_k = z
+    for k in range(params.k + 1):
+        if k > 0:
+            q_k = spmm(ops, q_k)
+        p_k = q_k if params.proj is None else q_k @ params.proj
+        pg = float(np.sum(p_k * g))
+        pwg = float(np.sum((p_k @ params.w[k]) * g))
+        if xis[k] != 0.0:
+            grads.w[k] = params.gammas[k] * xis[k] * (p_k.T @ g)
+        grads.gammas[k] = params.zetas[k] * pg + xis[k] * pwg
+        if params.tie_xi:
+            grads.zetas[k] = params.gammas[k] * (pg - pwg)
+        else:
+            grads.zetas[k] = params.gammas[k] * pg
+            grads.xis[k] = params.gammas[k] * pwg
+        if params.proj is not None:
+            mix = params.gammas[k] * (params.zetas[k] * np.eye(params.classes)
+                                      + xis[k] * params.w[k])
+            grads.proj[:] += q_k.T @ (g @ mix.T)
+    return grads
+
+
+@pytest.mark.parametrize("tie", [True, False])
+@pytest.mark.parametrize("d_in", [3, 5])
+@pytest.mark.parametrize("per_seed_x", [False, True])
+def test_backward_matches_the_literal_per_hop_oracle(tie, d_in, per_seed_x):
+    # d_in = 5 adds a projection to the 3 classes; seed 1 has no weight
+    # branch at hop 2 (xi = 0); per-seed features are what feature dropout
+    # gives the stack
+    rng = np.random.default_rng(31)
+    ops = er_ops(rng, 9)
+    members = [make_params(rng, k=3, d_in=d_in, c=3, tie_xi=tie) for _ in range(3)]
+    for member in members:
+        if member.pre_b is not None:
+            member.pre_b[:] = rng.uniform(-0.5, 0.5, size=3)
+    members[1].zetas[2] = 1.0
+    members[1].xis[2] = 0.0
+    x = rng.standard_normal((3, 9, d_in) if per_seed_x else (9, d_in))
+    stack = UgdgnnParams.stack(members)
+    q = feature_powers(stack, ops, x)
+    logits, m = forward_logits(stack, q)
+    g = rng.standard_normal(logits.shape)
+    grads = backward(stack, q, m, g)
+    for i, member in enumerate(members):
+        want = literal_backward(member, ops, x[i] if per_seed_x else x, g[i])
+        assert float(np.max(np.abs(grads.flat[i] - want.flat))) <= 1e-12
+    assert np.all(grads.w[1, 2] == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 

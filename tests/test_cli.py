@@ -118,15 +118,24 @@ def test_closed_form_dense_residuals_at_the_ends_of_the_float_range(tmp_path, ca
     assert len(resid) == 2 and all(0.0 <= r < 1e-12 for r in resid)
 
 
-def test_closed_form_cg_overflow_is_one_numeric_error_line(tmp_path, capsys):
+@pytest.mark.parametrize("size", [1e160, 1e306], ids=["1e160", "1e306"])
+def test_closed_form_cg_solves_signals_whose_squares_overflow(tmp_path, capsys, size):
+    # 400 nodes take the conjugate-gradient branch; each column runs scaled
+    # by a power of two, so the squared residual stays in range, and the
+    # result is size times the solve of the +-1 signal
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([*_extreme_path(tmp_path, 400, 1e306), "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numeric error: conjugate gradients hit a non-finite residual")
-    assert err.count("\n") == 1
-    assert not out.exists()
+        assert main([*_extreme_path(tmp_path, 400, size), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = read_json(out / "solve_report.json")
+    assert report["converged"] and report["cg_iterations"] > 0
+    assert all(0.0 <= r < 1e-12 for r in report["relative_residuals"])
+    ops = normalize(load_edge_list((tmp_path / "path.txt").read_text()))
+    signs = load_signal_csv(str(tmp_path / "path.csv")) / size
+    unit = np.linalg.solve(np.eye(400) - 0.9 * ops.a_hat.toarray(), 0.1 * signs)
+    np.testing.assert_allclose(load_signal_csv(str(out / "denoised.csv")) / size, unit,
+                               rtol=1e-9, atol=0.0)
 
 
 def test_denoised_csv_of_two_writer_blocks_is_the_savetxt_bytes(tmp_path):
@@ -519,6 +528,29 @@ def test_train_reruns_are_byte_identical(tmp_path, capsys):
     a = (tmp_path / "a" / "train_report.json").read_bytes()
     b = (tmp_path / "b" / "train_report.json").read_bytes()
     assert a == b
+
+
+def test_projected_train_report_is_the_same_on_one_blas_thread(tmp_path):
+    # at n = 2000 the trainer's hop-sum products are large enough for
+    # OpenBLAS to split them over its threads; one thread must give the
+    # same bytes as however many the library starts on its own
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    argv = ["train", "--dataset", "sbm", "--sbm-n", "2000", "--sbm-blocks", "4",
+            "--sbm-p-in", "0.01", "--sbm-p-out", "0.001", "--sbm-d", "16", "--k", "8",
+            "--epochs", "40", "--patience", "40"]
+    reports = []
+    for name, extra in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+        out = tmp_path / name
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "gsdnn.cli", *argv,
+                               "--out", str(out)], env={**base, **extra},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        reports.append((out / "train_report.json").read_bytes())
+    assert len(json.loads(reports[0])["train_losses"]) == 40
+    assert reports[0] == reports[1]
 
 
 def test_sweep_writes_expected_table(tmp_path, capsys):

@@ -37,11 +37,14 @@ from gsdnn.iter_solvers import SolveConfig, gd_run, proxgd_run
 
 K, D, CLASSES = 3, 7, 3
 
-# Peak over u measured at n = 1000 and 4000: feature_powers 2.02 and 2.00
-# (the list of powers, then their stack), a 3-epoch projected train 3.04 and
-# 2.89 (the powers, then each epoch's class-width powers and gradient
-# terms). 4 leaves a third over the largest.
-PEAK_PER_UNIT = 4.0
+# Peak over u measured at n = 1000 and 4000: feature_powers 1.77 and 1.75
+# (the powers, written in place, plus [x, 1] and one power's spmm input and
+# output, a quarter u each at K = 3), a 3-epoch projected train 1.79 and
+# 1.76 (an epoch adds only (K+1) d' x c blocks). 2.4 leaves a third over the
+# largest. Stacking a list of powers read 2.02 and 2.00, and a train that
+# made (K+1) x n x c class-width powers and gradient terms each epoch 3.04
+# and 2.89.
+PEAK_PER_UNIT = 2.4
 
 # Peak over u = 12 nnz + 8 n d measured at n = 1000 and 4000 (and the same
 # to 0.01 at 5000 and 20000): parse plus normalize 1.84 and 1.84, gd 2.01
