@@ -254,9 +254,7 @@ def cmd_denoise(args, run: _Run) -> int:
         if args.gamma is None:
             raise ValueError("--solver closed-form requires --gamma")
         stats: dict = {}
-        # an overflowing CG residual is reported by FloatingPointError, not warned of
-        with np.errstate(over="ignore", invalid="ignore"):
-            final = closed_form_ppnp(ops, x, args.gamma, stats)
+        final = closed_form_ppnp(ops, x, args.gamma, stats)
         run.counters["iterations"] = stats["cg_iterations"]
         report_doc = {"solver": "closed-form", "gamma": args.gamma, "converged": True, **stats}
     else:
@@ -270,9 +268,7 @@ def cmd_denoise(args, run: _Run) -> int:
         stepsize = "auto" if args.stepsize is None else args.stepsize
         cfg = SolveConfig(max_iters=args.iters, stepsize=stepsize, rel_tol=args.rel_tol)
         runner = gd_run if args.solver == "gd" else proxgd_run
-        # a divergent run overflows on its last step; it is reported below
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = runner(spec, x, x, ops, cfg)
+        report = runner(spec, x, x, ops, cfg)
         if report.stop_reason == "diverged":
             raise FloatingPointError(
                 f"objective diverged at iteration {report.iterations_used}; "
@@ -352,19 +348,11 @@ def cmd_equiv(args, run: _Run) -> int:
 # filter
 
 
-def _parse_theta(raw: str) -> tuple[float, ...]:
-    try:
-        theta = tuple(float(part) for part in raw.split(",") if part.strip())
-    except ValueError:
-        raise ValueError(f"--theta must be a comma-separated float list, got {raw!r}")
-    if not theta:
-        raise ValueError("--theta must contain at least one coefficient")
-    return theta
-
-
 def cmd_filter(args, run: _Run) -> int:
     _check_tol(args.tol)
-    theta = _parse_theta(args.theta)
+    theta = _parse_list(args.theta, "--theta", float)
+    if not theta:
+        raise ValueError("--theta must contain at least one coefficient")
     model = theta_to_ugdgnn(theta)
 
     if args.graph is not None:
@@ -477,20 +465,12 @@ def cmd_train(args, run: _Run) -> int:
     return EXIT_OK
 
 
-def _parse_ks(raw: str) -> tuple[int, ...]:
-    try:
-        ks = tuple(int(part) for part in raw.split(",") if part.strip())
-    except ValueError:
-        raise ValueError(f"--ks must be a comma-separated int list, got {raw!r}")
-    if not ks or any(k < 0 for k in ks):
-        raise ValueError("--ks must list nonnegative depths")
-    return ks
-
-
 def cmd_sweep(args, run: _Run) -> int:
     ds = _load_dataset(args, run)
     cfg = _train_config(args)
-    ks = _parse_ks(args.ks)
+    ks = _parse_list(args.ks, "--ks", int)
+    if not ks or any(k < 0 for k in ks):
+        raise ValueError("--ks must list nonnegative depths")
     run.lap("load")
     # each depth is seeded and trained on its own
     rows, forked = _on_two_cores(lambda part: depth_sweep(ds, cfg, part, args.n_seeds), ks)
@@ -507,6 +487,18 @@ def cmd_sweep(args, run: _Run) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _parse_list(raw: str, flag: str, kind: type) -> tuple:
+    """The entries of a comma-separated flag value, each read by ``kind``;
+    () for a blank value, ValueError naming the flag for an empty entry."""
+    parts = raw.split(",") if raw.strip() else []
+    if not all(part.strip() for part in parts):
+        raise ValueError(f"{flag} has an empty entry in {raw!r}")
+    try:
+        return tuple(kind(part) for part in parts)
+    except ValueError:
+        raise ValueError(f"{flag} must be a comma-separated {kind.__name__} list, got {raw!r}")
 
 
 def _int_at_least(low: int, what: str):

@@ -388,6 +388,8 @@ def gradient_smooth(
     return _smooth_grad(_layer_of(spec), h, x, _laplacian(h, ops, spec.beta))
 
 
+# a solution that overflows, or a NaN or Inf in X, is reported by FloatingPointError
+@np.errstate(over="ignore", invalid="ignore")
 def closed_form_ppnp(
     ops: NormalizedOperators, x: np.ndarray, gamma: float, stats: dict | None = None
 ) -> np.ndarray:
@@ -401,16 +403,20 @@ def closed_form_ppnp(
     column stays zero; FloatingPointError if one has not after 20 n iterations,
     and at once if a residual is not finite (a NaN or Inf in X).
 
+    Every branch solves for gamma x with each column scaled exactly, by the
+    power of two that brings its largest entry into [0.5, 1), and scales the
+    solution back once: results are the unscaled ones (bit for bit on the
+    dense branch, where no entry is subnormal), but squares of entries near
+    either end of the float range neither overflow nor vanish.
+    FloatingPointError if the solution is not finite: it overflows, or X
+    holds a NaN or Inf.
+
     A ``stats`` dict receives ``cg_iterations``, the conjugate-gradient
     iterations of the slowest column (0 on the dense branch and for
     gamma = 1), and ``relative_residuals``, ||r_j|| / ||gamma x_j|| for each
-    column (0 for a zero column). r is the residual that the CG recurrence
-    carries, or on the dense branch the one computed from the solution.
-
-    The CG runs, and both norms are taken, on columns scaled exactly, by the
-    power of two that brings the largest entry of gamma x_j into [0.5, 1):
-    results and ratios are the unscaled ones, but squares of entries near
-    either end of the float range neither overflow nor vanish.
+    column (0 for a zero column), taken on the scaled columns. r is the
+    residual that the CG recurrence carries, or on the dense branch the one
+    computed from the solution.
     """
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in (0, 1]")
@@ -418,47 +424,43 @@ def closed_form_ppnp(
     n = ops.num_nodes
     if x.shape[0] != n:
         raise ValueError(f"signal has {x.shape[0]} rows, expected {n}")
+    rhs = gamma * x
+    shift = -np.frexp(np.abs(rhs).max(axis=0))[1]
+    np.ldexp(rhs, shift, out=rhs)
+    cg = gamma != 1.0 and n > DENSE_MAX_NODES
+    # taken before the CG turns rhs into its residual
+    rhs_norms = np.linalg.norm(rhs, axis=0) if cg or stats is not None else None
     if gamma == 1.0:
-        h, iterations, resid = x.copy(), 0, np.zeros_like(x)
-    elif n <= DENSE_MAX_NODES:
+        h, iterations, resid = rhs, 0, np.zeros_like(rhs)
+    elif not cg:
         system = np.eye(n) - (1.0 - gamma) * ops.a_hat.toarray()
-        h = np.linalg.solve(system, gamma * x)
-        iterations, resid = 0, None  # formed below only if stats asks for it
+        h, iterations = np.linalg.solve(system, rhs), 0
+        resid = None if stats is None else rhs - system @ h
     else:
-        h, iterations, resid = _ppnp_cg(ops, x, gamma)
+        # the absolute floor 1e-13 in the same scale: inf for a column whose
+        # entries are all below 1e-321, which h = 0 solves, as unscaled
+        tol = np.maximum(1e-14 * rhs_norms, np.ldexp(1e-13, shift))
+        h, iterations, resid = _ppnp_cg(ops, rhs, gamma, tol)
+    np.ldexp(h, -shift, out=h)
+    if not np.isfinite(h).all():
+        raise FloatingPointError(f"the closed-form solution is not finite on column "
+                                 f"{np.argmin(np.isfinite(h).all(axis=0))}")
     if stats is not None:
-        rhs = gamma * x
-        shift = _unit_shift(rhs)
-        rhs = np.ldexp(rhs, shift)
-        if resid is None:
-            resid = rhs - system @ np.ldexp(h, shift)
-        rhs_norms = np.linalg.norm(rhs, axis=0)
         rel = np.divide(np.linalg.norm(resid, axis=0), rhs_norms,
                         out=np.zeros(x.shape[1]), where=rhs_norms > 0)
         stats.update(cg_iterations=iterations, relative_residuals=rel.tolist())
     return h
 
 
-def _unit_shift(a: np.ndarray) -> np.ndarray:
-    """Per column, the power of two that brings the largest |a_j| into [0.5, 1)."""
-    return -np.frexp(np.abs(a).max(axis=0))[1]
-
-
 def _ppnp_cg(
-    ops: NormalizedOperators, x: np.ndarray, gamma: float
+    ops: NormalizedOperators, r: np.ndarray, gamma: float, tol: np.ndarray
 ) -> tuple[np.ndarray, int, np.ndarray]:
-    """(Xbar, iterations, residual) of closed_form_ppnp's conjugate gradients
-    on all columns at once; the residual is in the scale of ``_unit_shift``."""
+    """(H, iterations, residual) of conjugate gradients on
+    (I - (1-gamma) A_hat) H = R for all columns at once, from H = 0, until
+    ||r_j|| < tol_j on every column j; R becomes the residual in place, and
+    the message of a run that does not converge gives it in R's scale."""
     n = ops.num_nodes
-    h, p, rho_prev = np.zeros_like(x), np.zeros_like(x), np.ones(x.shape[1])
-    r = gamma * x  # the residual of h = 0 is the right-hand side
-    shift = _unit_shift(r)
-    np.ldexp(r, shift, out=r)
-    # the absolute floor 1e-13 in the same scale: inf for a column whose
-    # entries are all below 1e-321, which h = 0 solves, as unscaled
-    with np.errstate(over="ignore"):
-        floor = np.ldexp(1e-13, shift)
-    tol = np.maximum(1e-14 * np.linalg.norm(r, axis=0), floor)
+    h, p, rho_prev = np.zeros_like(r), np.zeros_like(r), np.ones(r.shape[1])
     for it in range(20 * n):
         rho = np.einsum("ij,ij->j", r, r)
         if not np.isfinite(rho).all():
@@ -466,7 +468,7 @@ def _ppnp_cg(
                                      f"column {np.argmin(np.isfinite(rho))} at iteration {it}")
         active = ~(np.sqrt(rho) < tol)
         if not active.any():
-            return np.ldexp(h, -shift), it, r
+            return h, it, r
         p *= np.divide(rho, rho_prev, out=np.zeros_like(rho), where=active)
         p += r
         q = spmm(ops, p)
@@ -480,7 +482,7 @@ def _ppnp_cg(
     resid = np.linalg.norm(r, axis=0)
     j = int(np.argmax(resid / tol))
     raise FloatingPointError(f"conjugate gradients did not converge on column {j}; residual "
-                             f"{np.ldexp(resid[j], -shift[j]):.3e} after {20 * n} iterations")
+                             f"{resid[j]:.3e} after {20 * n} iterations")
 
 
 def _spectral_norm_ub(t: np.ndarray | None) -> float:

@@ -168,6 +168,8 @@ def _layer_step(
     return v
 
 
+# a diverging run overflows quietly on its last step: stop_reason reports it
+@np.errstate(over="ignore", invalid="ignore")
 def _descend(
     spec: GsdSpec,
     x: np.ndarray,

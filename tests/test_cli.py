@@ -138,6 +138,24 @@ def test_closed_form_cg_solves_signals_whose_squares_overflow(tmp_path, capsys, 
                                rtol=1e-9, atol=0.0)
 
 
+@pytest.mark.parametrize("n", [10, 300], ids=["dense", "cg"])
+def test_closed_form_solution_that_overflows_is_one_numeric_error_line(tmp_path, capsys, n):
+    # every feature of a star is finite, but the hub's solution exceeds the
+    # largest float; 300 nodes take the conjugate-gradient branch
+    (tmp_path / "star.txt").write_text(f"nodes {n}\n" + "".join(f"0 {i}\n" for i in range(1, n)))
+    np.savetxt(tmp_path / "star.csv", np.full((n, 2), 1.7e308), delimiter=",", fmt="%.17g")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["denoise", "--graph", str(tmp_path / "star.txt"),
+                     "--features", str(tmp_path / "star.csv"), "--solver", "closed-form",
+                     "--gamma", "0.1", "--out", str(out)])
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric error:")
+    assert not out.exists()
+
+
 def test_denoised_csv_of_two_writer_blocks_is_the_savetxt_bytes(tmp_path):
     # 2100 rows are two blocks of the CSV writer, so its forked path runs
     n, gamma = 2100, 0.3
@@ -1116,8 +1134,11 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, argv, flag):
         (["equiv", "--model", "nope"], "--model"),
         (["train", "--epochs", "2"], "--dataset"),
         (["train", "--dataset", "sbm", "--seed", "-1"], "--seed"),
+        (["filter", "--theta", "1,,2"], "--theta"),
+        (["sweep", "--dataset", "karate", "--ks", "1,,2"], "--ks"),
     ],
-    ids=["unknown-flag", "trials-not-int", "bad-model", "missing-dataset", "negative-seed"],
+    ids=["unknown-flag", "trials-not-int", "bad-model", "missing-dataset", "negative-seed",
+         "empty-theta-entry", "empty-ks-entry"],
 )
 def test_parse_error_is_one_error_line(tmp_path, capsys, argv, flag):
     out = tmp_path / "x"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsdnn import gsd_problem
+from gsdnn.graph_core import Graph, normalize
 from gsdnn.gsd_problem import (
     DENSE_MAX_NODES,
     GsdSpec,
@@ -253,6 +254,38 @@ class TestClosedFormPpnp:
         with pytest.raises(FloatingPointError, match="non-finite residual on column 1"):
             closed_form_ppnp(ops, x, 0.5)
         assert len(spmm_calls) <= 2
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 64, DENSE_MAX_NODES])
+    def test_dense_branch_equals_the_unscaled_solve_bit_for_bit(self, n):
+        # each column is solved scaled by a power of two and scaled back:
+        # both steps are exact wherever the unscaled solve meets no subnormal
+        rng = np.random.default_rng(15)
+        ops = er_ops(rng, n, p=min(1.0, 8 / n))
+        scales = 10.0 ** np.array([-290, -200, -100, 0, 100, 200, 290])
+        x = rng.standard_normal((n, scales.size)) * scales
+        for gamma in (0.05, 0.3, 0.9):
+            system = np.eye(n) - (1 - gamma) * ops.a_hat.toarray()
+            want = np.linalg.solve(system, gamma * x)
+            assert np.array_equal(closed_form_ppnp(ops, x, gamma), want)
+
+    @pytest.mark.parametrize("n", [10, DENSE_MAX_NODES + 44], ids=["dense", "cg"])
+    def test_solution_that_overflows_raises_floating_point_error(self, n):
+        # on a star the hub's solution exceeds the largest float although
+        # every entry of gamma x is finite
+        ops = normalize(Graph(num_nodes=n, edges=[(0, i) for i in range(1, n)]))
+        x = np.full((n, 2), 1.7e308)
+        with pytest.raises(FloatingPointError, match="solution is not finite on column 0"):
+            closed_form_ppnp(ops, x, 0.1, {})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("gamma", [1.0, 0.5], ids=["identity", "dense"])
+    def test_non_finite_input_raises_floating_point_error(self, gamma, bad):
+        rng = np.random.default_rng(16)
+        ops = er_ops(rng, 7)
+        x = random_signal(rng, 7, 2)
+        x[3, 1] = bad
+        with pytest.raises(FloatingPointError, match="solution is not finite on column 1"):
+            closed_form_ppnp(ops, x, gamma, {})
 
     def test_gamma_out_of_range(self):
         rng = np.random.default_rng(12)
