@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph_core import Graph, NormalizedOperators, normalize, spmm
+from .graph_core import _INT64_MAX, Graph, NormalizedOperators, normalize, spmm
 
 __all__ = [
     "Dataset",
@@ -698,11 +698,40 @@ def _split_masks(
     return train, val, test
 
 
-# Largest node count sbm_generate accepts. Its edge draw takes n^2 uniforms
-# (O(n^2) time, though only O(n + edges) memory), about 2 s at this size on a
-# 2-vCPU host, so a node count of 1e6 would run for over an hour; the
-# benchmark's and tests' graphs have at most 2,000 nodes.
-_SBM_MAX_NODES = 20_000
+# Largest size sbm_generate accepts, in entries: n * d feature values plus
+# the expected edge count. Its traced peak was 85-110 bytes per entry at 2e5
+# nodes (an edge costs more than a feature value), so this keeps a draw under
+# about 3.5 GiB.
+_SBM_MAX_ENTRIES = 2**25
+
+
+def _bernoulli_successes(rng: np.random.Generator, trials: int, p: float) -> np.ndarray:
+    """Sorted indices in [0, trials) of the successes among independent
+    Bernoulli(p) trials, as running sums of geometric gaps (Batagelj and
+    Brandes, Phys. Rev. E 71, 036113, 2005): time and memory grow with the
+    successes, not the trials.
+
+    The gaps come in chunks sized by the expected count and are clipped at
+    the trials left, and a chunk is short enough that its running sum stays
+    below 2^63 even where a tiny p saturates a gap at the int64 maximum.
+    """
+    if p == 0.0 or trials == 0:
+        return np.zeros(0, dtype=np.int64)
+    mean = trials * p
+    chunk = int(mean + 4.0 * math.sqrt(mean)) + 16
+    found, last = [], -1
+    while True:
+        left = trials - 1 - last  # trials after the last success
+        size = min(chunk, _INT64_MAX // (left + 1))
+        gaps = rng.geometric(p, size)
+        np.minimum(gaps, left + 1, out=gaps)
+        np.cumsum(gaps, out=gaps)
+        taken = gaps[: np.searchsorted(gaps, left, side="right")]
+        taken += last
+        found.append(taken)
+        if taken.size < size:
+            return np.concatenate(found)
+        last = int(taken[-1])
 
 
 def sbm_generate(
@@ -721,17 +750,15 @@ def sbm_generate(
     distance 1 apart), then buried in isotropic noise. Split: 20 train and
     30 val nodes per class by lowest id, rest test.
 
-    Edges come from one n x n uniform draw, taken a row at a time: pair
-    (i, j), i < j, is an edge when its uniform is below p_in (same block) or
-    p_out. The draw is O(n^2) time but O(n + edges) memory, so n above
-    ``_SBM_MAX_NODES`` (20,000) is rejected before anything is drawn or
-    allocated.
+    Each pair (u, v), u < v, is an edge with probability p_in when both ends
+    share a block and p_out otherwise, independently. The pairs of each kind
+    form one run of trials, row by row (u's columns above the diagonal inside
+    its block, then those past its block), and the edges are that run's
+    successes found by geometric skipping: a draw of O(n + edges) time and
+    memory, not n^2. A dataset of more than ``_SBM_MAX_ENTRIES`` entries
+    (n * d feature values plus the expected edge count) is rejected before
+    anything is drawn or allocated.
     """
-    if n > _SBM_MAX_NODES:
-        raise ValueError(
-            f"n = {n} exceeds the SBM limit of {_SBM_MAX_NODES} nodes "
-            "(the edge draw is O(n^2))"
-        )
     if blocks < 2 or n < blocks:
         raise ValueError("need at least 2 blocks and n >= blocks")
     if not (p_in > p_out >= 0.0):
@@ -742,17 +769,29 @@ def sbm_generate(
         raise ValueError(f"feature width {d} cannot hold {blocks} class means")
     if not math.isfinite(noise_sigma):
         raise ValueError(f"noise_sigma must be finite, got {noise_sigma}")
+    # blocks hold n // blocks nodes, and n % blocks of them one more
+    q, r = divmod(n, blocks)
+    pairs_in = r * (q + 1) * q // 2 + (blocks - r) * q * (q - 1) // 2
+    pairs_out = n * (n - 1) // 2 - pairs_in
+    entries = n * d + p_in * pairs_in + p_out * pairs_out
+    if entries > _SBM_MAX_ENTRIES:
+        raise ValueError(
+            f"the SBM would hold {entries:.3g} entries (n * d features plus expected "
+            f"edges), above the limit of {_SBM_MAX_ENTRIES}"
+        )
     rng = np.random.default_rng(seed)
-    labels = (np.arange(n) * blocks) // n
+    nodes = np.arange(n)
+    labels = (nodes * blocks) // n
     ends = np.searchsorted(labels, labels, side="right")  # past each node's block
-    # row i's columns above the diagonal, in order, so the pairs come sorted
-    cols = []
-    for i, end in enumerate(ends.tolist()):
-        u = rng.random(n)
-        keep = np.concatenate((u[i + 1 : end] < p_in, u[end:] < p_out))
-        cols.append(np.flatnonzero(keep) + (i + 1))
-    rows = np.repeat(np.arange(n), [c.size for c in cols])
-    graph = Graph(num_nodes=n, edges=np.column_stack((rows, np.concatenate(cols))))
+    us, vs = [], []
+    # (first column, column count) of each row's pairs, in-block then cross
+    for p, first, count in ((p_in, nodes + 1, ends - nodes - 1), (p_out, ends, n - ends)):
+        stop = np.cumsum(count)
+        k = _bernoulli_successes(rng, int(stop[-1]), p)
+        u = np.searchsorted(stop, k, side="right")
+        us.append(u)
+        vs.append(k - (stop[u] - count[u]) + first[u])
+    graph = Graph(num_nodes=n, edges=np.column_stack((np.concatenate(us), np.concatenate(vs))))
     means = np.zeros((blocks, d))
     means[np.arange(blocks), np.arange(blocks)] = 1.0 / math.sqrt(2.0)
     x = means[labels] + noise_sigma * rng.standard_normal((n, d))

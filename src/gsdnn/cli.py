@@ -44,7 +44,6 @@ import scipy
 
 from gsdnn import __version__
 from gsdnn.bilevel_trainer import (
-    _SBM_MAX_NODES,
     Dataset,
     TrainConfig,
     _split_masks,
@@ -522,9 +521,7 @@ _per_class = _int_at_least(1, "positive")
 
 def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", required=True, help="sbm, karate, or files:EDGES,FEATURES,LABELS")
-    p.add_argument(
-        "--sbm-n", type=int, default=200, help=f"SBM node count, at most {_SBM_MAX_NODES}"
-    )
+    p.add_argument("--sbm-n", type=int, default=200, help="SBM node count")
     p.add_argument("--sbm-blocks", type=int, default=2)
     p.add_argument("--sbm-p-in", type=float, default=0.1)
     p.add_argument("--sbm-p-out", type=float, default=0.01)

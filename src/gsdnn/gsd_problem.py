@@ -411,6 +411,9 @@ def closed_form_ppnp(
     FloatingPointError if the solution is not finite: it overflows, or X
     holds a NaN or Inf.
 
+    ValueError for a gamma outside (0, 1], and for one at or below 2^-54,
+    where 1 - gamma rounds to 1 and the system solved would be I - A_hat.
+
     A ``stats`` dict receives ``cg_iterations``, the conjugate-gradient
     iterations of the slowest column (0 on the dense branch and for
     gamma = 1), and ``relative_residuals``, ||r_j|| / ||gamma x_j|| for each
@@ -420,6 +423,9 @@ def closed_form_ppnp(
     """
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in (0, 1]")
+    if 1.0 - gamma == 1.0:
+        raise ValueError(f"gamma = {gamma!r} is at or below 2^-54 (about 5.6e-17), where "
+                         "1 - gamma rounds to 1 and the system I - A_hat is singular")
     x = np.asarray(x, dtype=np.float64)
     n = ops.num_nodes
     if x.shape[0] != n:

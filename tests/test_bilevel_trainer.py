@@ -751,38 +751,96 @@ def test_sbm_no_cross_edges_when_p_out_zero():
         assert ds.labels[u] == ds.labels[v]
 
 
+@pytest.mark.parametrize("p_out", [0.0, 1e-300])
+def test_sbm_p_in_one_gives_complete_blocks_and_no_cross_edge(p_out):
+    # at p_out = 1e-300 each geometric gap saturates at the int64 maximum,
+    # which a running sum of gaps must not wrap into a cross edge
+    n, blocks = 250, 4
+    ds = sbm_generate(n=n, blocks=blocks, p_in=1.0, p_out=p_out, d=4, noise_sigma=1.0, seed=3)
+    labels = ds.labels
+    want = [(u, v) for u in range(n) for v in range(u, n) if labels[u] == labels[v]]
+    assert ds.ops.graph.edges == tuple(want)
+
+
 def test_sbm_deterministic_given_seed():
     a = sbm_generate(n=180, blocks=3, p_in=0.15, p_out=0.01, d=3, noise_sigma=1.0, seed=5)
     b = sbm_generate(n=180, blocks=3, p_in=0.15, p_out=0.01, d=3, noise_sigma=1.0, seed=5)
+    c = sbm_generate(n=180, blocks=3, p_in=0.15, p_out=0.01, d=3, noise_sigma=1.0, seed=6)
     assert a.ops.graph.edges == b.ops.graph.edges
-    np.testing.assert_array_equal(a.x, b.x)
-    np.testing.assert_array_equal(a.train_mask, b.train_mask)
+    assert a.ops.graph.edges != c.ops.graph.edges
+    for field in ("x", "labels", "train_mask", "val_mask", "test_mask"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 
-def test_sbm_row_blocks_match_one_full_draw():
-    # Reference: the whole n x n uniform draw taken at once, which
-    # sbm_generate takes one row at a time. 250 nodes in 4 blocks makes
-    # unequal blocks of 63, 62, 63 and 62 nodes.
-    for n, blocks, p_in, p_out, d, sigma, seed in [(300, 3, 0.1, 0.01, 3, 1.0, 4),
-                                                    (250, 4, 0.2, 0.02, 4, 0.5, 9)]:
-        rng = np.random.default_rng(seed)
-        labels = (np.arange(n) * blocks) // n
-        prob = np.where(labels[:, None] == labels[None, :], p_in, p_out)
-        upper = np.triu(rng.random((n, n)) < prob, k=1)
-        pairs = {(int(u), int(v)) for u, v in zip(*np.nonzero(upper))}
-        want_edges = tuple(sorted(pairs | {(i, i) for i in range(n)}))
-        means = np.zeros((blocks, d))
-        means[np.arange(blocks), np.arange(blocks)] = 1.0 / math.sqrt(2.0)
-        want_x = means[labels] + sigma * rng.standard_normal((n, d))
+# 250 nodes in 4 blocks makes unequal blocks of 63, 62, 63 and 62 nodes
+_UNEQUAL_SBM = dict(n=250, blocks=4, p_in=0.2, p_out=0.02)
+_UNEQUAL_LABELS = (np.arange(250) * 4) // 250
 
-        ds = sbm_generate(n=n, blocks=blocks, p_in=p_in, p_out=p_out, d=d,
-                          noise_sigma=sigma, seed=seed)
-        assert ds.ops.graph.edges == want_edges
-        np.testing.assert_array_equal(ds.x, want_x)
-        np.testing.assert_array_equal(ds.labels, labels)
-        for got, want in zip((ds.train_mask, ds.val_mask, ds.test_mask),
-                             _split_masks(labels, 20, 30)):
-            np.testing.assert_array_equal(got, want)
+
+def _unequal_sbm_graphs(seeds):
+    return [sbm_generate(**_UNEQUAL_SBM, d=4, noise_sigma=1.0, seed=s).ops.graph
+            for s in seeds]
+
+
+def _upper_pairs_and_probs():
+    """(blocks, blocks) upper-triangular node-pair counts and edge
+    probabilities of the unequal blocks."""
+    sizes = np.bincount(_UNEQUAL_LABELS)
+    pairs = np.triu(np.outer(sizes, sizes), k=1) + np.diag(sizes * (sizes - 1) // 2)
+    probs = np.where(np.eye(sizes.size, dtype=bool), _UNEQUAL_SBM["p_in"],
+                     _UNEQUAL_SBM["p_out"])
+    return pairs, probs
+
+
+def test_sbm_edges_are_canonical_sorted_and_repeat_free():
+    (graph,) = _unequal_sbm_graphs([2])
+    keys = graph.us * graph.num_nodes + graph.vs
+    assert np.all(graph.us <= graph.vs)
+    assert np.all(keys[1:] > keys[:-1])
+    assert graph.has_self_loops
+
+
+def test_sbm_block_pair_edge_counts_within_three_sigma():
+    # each block pair's count summed over 20 seeds is Binomial(20 pairs, p)
+    blocks = _UNEQUAL_SBM["blocks"]
+    assert np.bincount(_UNEQUAL_LABELS).tolist() == [63, 62, 63, 62]
+    total = np.zeros((blocks, blocks), dtype=np.int64)
+    for graph in _unequal_sbm_graphs(range(20)):
+        off = graph.us != graph.vs
+        np.add.at(total, (_UNEQUAL_LABELS[graph.us[off]], _UNEQUAL_LABELS[graph.vs[off]]), 1)
+    pairs, probs = _upper_pairs_and_probs()
+    mean, sigma = 20 * pairs * probs, np.sqrt(20 * pairs * probs * (1 - probs))
+    assert np.all(np.abs(total - mean) <= 3 * sigma), (total, mean)
+    assert np.all(np.tril(total, k=-1) == 0)
+
+
+def test_sbm_edge_and_degree_statistics_match_networkx():
+    nx = pytest.importorskip("networkx")
+    n, blocks = _UNEQUAL_SBM["n"], _UNEQUAL_SBM["blocks"]
+    pairs, probs = _upper_pairs_and_probs()
+    seeds = range(20)
+    deg_ours, deg_theirs = [], []
+    for s, graph in zip(seeds, _unequal_sbm_graphs(seeds)):
+        off = graph.us != graph.vs
+        deg_ours.append(np.bincount(np.concatenate((graph.us[off], graph.vs[off])), minlength=n))
+        ref = nx.stochastic_block_model(np.bincount(_UNEQUAL_LABELS).tolist(),
+                                        probs.tolist(), seed=s, sparse=True)
+        assert [sorted(part) for part in ref.graph["partition"]] == [
+            np.flatnonzero(_UNEQUAL_LABELS == b).tolist() for b in range(blocks)]
+        ends = np.array(list(ref.edges()), dtype=np.int64).ravel()
+        deg_theirs.append(np.bincount(ends, minlength=n))
+    deg_ours, deg_theirs = np.array(deg_ours), np.array(deg_theirs)  # (seeds, n)
+
+    # the mean edge counts: two means of 20 sums of independent Bernoullis
+    var = float((pairs * probs * (1 - probs)).sum())
+    edges_ours, edges_theirs = deg_ours.sum(axis=1) / 2, deg_theirs.sum(axis=1) / 2
+    assert abs(edges_ours.mean() - edges_theirs.mean()) <= 3 * math.sqrt(2 * var / len(seeds))
+    # the mean degree of each block, and the spread of the degrees
+    for b in range(blocks):
+        mine, ref = deg_ours[:, _UNEQUAL_LABELS == b], deg_theirs[:, _UNEQUAL_LABELS == b]
+        sigma = math.sqrt(mine.var() / mine.size + ref.var() / ref.size)
+        assert abs(mine.mean() - ref.mean()) <= 4 * sigma, b
+    assert abs(deg_ours.var() / deg_theirs.var() - 1.0) <= 0.15
 
 
 def test_sbm_edge_density_within_three_sigma():
@@ -843,12 +901,16 @@ def test_karate_factions_match_networkx():
 
 def test_sbm_rejects_oversized_n_before_drawing(monkeypatch):
     def no_draw(*args, **kwargs):
-        raise AssertionError("sbm_generate drew before checking n")
+        raise AssertionError("sbm_generate drew before checking its size")
 
     monkeypatch.setattr(np.random, "default_rng", no_draw)
-    with pytest.raises(ValueError, match="SBM limit of 20000 nodes"):
-        sbm_generate(n=bilevel_trainer._SBM_MAX_NODES + 1, blocks=2, p_in=0.1,
-                     p_out=0.01, d=2, noise_sigma=1.0, seed=0)
+    # n * d features alone, expected edges alone, and the two together
+    for n, d, p_in, p_out in [(2_000_000_000, 2, 0.1, 0.01),
+                              (100_000, 2, 1.0, 0.5),
+                              (2**23, 2, 1.01 / 2**20, 0.0)]:
+        with pytest.raises(ValueError, match=f"above the limit of {2**25}"):
+            sbm_generate(n=n, blocks=2, p_in=p_in, p_out=p_out, d=d,
+                         noise_sigma=1.0, seed=0)
 
 
 def test_dataset_rejects_overlapping_masks():
@@ -1020,8 +1082,9 @@ def test_depth_sweep_shares_projected_powers_across_seeds(spmm_calls):
 
 
 STACK_CASES = {
-    # default patience: the seeds stop at different epochs
-    "early-stopping": (dict(n=200, p_in=0.1, p_out=0.01, d=2, seed=0), TrainConfig(k=4)),
+    # patience 50: one seed runs to epoch 480, the others stop near epoch 60
+    "early-stopping": (dict(n=200, p_in=0.1, p_out=0.01, d=2, seed=0),
+                       TrainConfig(k=4, patience=50)),
     "projection": (dict(n=300, p_in=0.05, p_out=0.005, d=6, seed=3),
                    TrainConfig(k=3, epochs=200, patience=30)),
     "dropout": (dict(n=200, p_in=0.1, p_out=0.01, d=2, seed=1),

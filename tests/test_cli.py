@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -91,6 +92,18 @@ def test_closed_form_report_states_cg_iterations_and_residuals(tmp_path, nodes, 
     assert len(resid) == 2 and all(0.0 <= r < 1e-12 for r in resid)
     if gamma == "1.0":
         assert resid == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("gamma", ["1e-200", "5.551115123125783e-17"])
+def test_closed_form_gamma_where_one_minus_gamma_rounds_to_one_is_usage_error(
+        tmp_path, capsys, gamma):
+    out = tmp_path / "out"
+    argv = ["denoise", *_ring(tmp_path, 6), "--solver", "closed-form", "--gamma", gamma]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "at or below 2^-54" in err
+    assert not out.exists()
 
 
 def _extreme_path(tmp_path, n, size):
@@ -870,8 +883,18 @@ def test_oversized_sbm_is_usage_error_without_drawing(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(np.random, "default_rng", no_draw)
     out = tmp_path / "x"
-    assert main([*command, "--dataset", "sbm", "--sbm-n", "20001", "--out", str(out)]) == 2
-    assert "exceeds the SBM limit of 20000 nodes" in capsys.readouterr().err
+    # 2e9 nodes: 4e9 feature entries, 32 GB of labels alone
+    tracemalloc.start()
+    try:
+        code = main([*command, "--dataset", "sbm", "--sbm-n", "2000000000", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"above the limit of {2**25}" in err
+    assert peak < 2**24
     assert not out.exists()
 
 

@@ -296,6 +296,18 @@ class TestClosedFormPpnp:
         with pytest.raises(ValueError):
             closed_form_ppnp(ops, x, 1.5)
 
+    @pytest.mark.parametrize("gamma", [2.0**-54, 1e-200, 5e-324])
+    def test_gamma_where_one_minus_gamma_rounds_to_one_is_rejected(self, gamma):
+        # 1 - gamma == 1 would make the system the singular I - A_hat
+        rng = np.random.default_rng(12)
+        ops = er_ops(rng, 4)
+        x = random_signal(rng, 4, 1)
+        assert 1.0 - gamma == 1.0
+        with pytest.raises(ValueError, match=r"at or below 2\^-54"):
+            closed_form_ppnp(ops, x, gamma, {})
+        assert 1.0 - 2.0**-53 != 1.0
+        closed_form_ppnp(ops, x, 2.0**-53)
+
 
 class TestSmoothnessBound:
     def test_pure_fidelity(self):

@@ -13,8 +13,9 @@ fourfold again at 4n. A forked child is not traced; no case here forks.
 - The denoising path: the edge-list parse plus ``normalize``, ``gd_run``,
   ``proxgd_run`` and the conjugate-gradient ``closed_form_ppnp``, with
   u = 12 nnz + 8 n d bytes, A_hat's CSR arrays plus one signal.
-- ``sbm_generate``, whose n x n uniform draw is taken a row at a time, with
-  the same u of the dataset it returns.
+- ``sbm_generate``, which draws its edges by geometric skipping in chunks
+  sized by the expected edge count (never by the n^2 pair count), with the
+  same u of the dataset it returns.
 """
 
 import tracemalloc
@@ -53,9 +54,10 @@ PEAK_PER_UNIT = 2.4
 SPARSE_PEAK_PER_UNIT = 3.0
 SIGNAL_D = 16
 
-# Peak over u measured at n = 1000 and 4000 (and 8000): 4.53 and 4.51
-# (4.50). 6 leaves a third over the largest. A draw that holds blocks of 2^20
-# uniforms (8 MiB) reads 80 u at n = 1000 and 23 u at 4000.
+# Peak over u measured at n = 1000 and 4000 (and 8000): 4.09 and 4.06
+# (4.05); the earlier row-at-a-time uniform draw read 4.53 and 4.51. 6 leaves
+# a third over the larger of those. A draw that holds blocks of 2^20 uniforms
+# (8 MiB) reads 80 u at n = 1000 and 23 u at 4000.
 SBM_PEAK_PER_UNIT = 6.0
 
 
