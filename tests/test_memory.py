@@ -55,9 +55,10 @@ SPARSE_PEAK_PER_UNIT = 3.0
 SIGNAL_D = 16
 
 # Peak over u measured at n = 1000 and 4000 (and 8000): 4.09 and 4.06
-# (4.05); the earlier row-at-a-time uniform draw read 4.53 and 4.51. 6 leaves
-# a third over the larger of those. A draw that holds blocks of 2^20 uniforms
-# (8 MiB) reads 80 u at n = 1000 and 23 u at 4000.
+# (4.05). 6 leaves a third over 4.5, which a draw holding one row of n
+# uniforms at a time reads. A draw whose geometric gaps come in chunks sized
+# by the pair count, not the expected edge count, reads 13 u at n = 1000 and
+# 51 u at 4000.
 SBM_PEAK_PER_UNIT = 6.0
 
 
