@@ -255,7 +255,7 @@ def cmd_denoise(args, run: _Run) -> int:
         stats: dict = {}
         final = closed_form_ppnp(ops, x, args.gamma, stats)
         run.counters["iterations"] = stats["cg_iterations"]
-        report_doc = {"solver": "closed-form", "gamma": args.gamma, "converged": True, **stats}
+        report_doc = {"solver": "closed-form", "gamma": args.gamma, **stats}
     else:
         if args.spec is None:
             raise ValueError(f"--solver {args.solver} requires --spec")

@@ -399,9 +399,9 @@ def closed_form_ppnp(
     1 - (1-gamma) lambda with lambda in [-1, 1], hence >= gamma), so a
     direct dense solve is used up to DENSE_MAX_NODES nodes and conjugate
     gradients on all columns at once beyond that (one spmm per iteration).
-    Column j stops once ||r_j|| < max(1e-14 ||gamma x_j||, 1e-13), so a zero
-    column stays zero; FloatingPointError if one has not after 20 n iterations,
-    and at once if a residual is not finite (a NaN or Inf in X).
+    Column j stops once ||r_j|| <= 1e-14 ||gamma x_j||, so a zero column
+    stays zero; FloatingPointError if one has not after 20 n iterations, and
+    at once if a residual is not finite (a NaN or Inf in X).
 
     Every branch solves for gamma x with each column scaled exactly, by the
     power of two that brings its largest entry into [0.5, 1), and scales the
@@ -414,12 +414,12 @@ def closed_form_ppnp(
     ValueError for a gamma outside (0, 1], and for one at or below 2^-54,
     where 1 - gamma rounds to 1 and the system solved would be I - A_hat.
 
-    A ``stats`` dict receives ``cg_iterations``, the conjugate-gradient
-    iterations of the slowest column (0 on the dense branch and for
-    gamma = 1), and ``relative_residuals``, ||r_j|| / ||gamma x_j|| for each
-    column (0 for a zero column), taken on the scaled columns. r is the
-    residual that the CG recurrence carries, or on the dense branch the one
-    computed from the solution.
+    A ``stats`` dict receives ``cg_iterations``, the CG iterations of the
+    slowest column (0 on the dense branch and for gamma = 1),
+    ``relative_residuals``, ||r_j|| / ||gamma x_j|| on the scaled columns (0
+    for a zero column), and ``converged``, true iff all meet the stopping
+    test, as the CG's always do. r is the CG recurrence's residual, or on
+    the dense branch the one computed from the solution.
     """
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in (0, 1]")
@@ -443,10 +443,7 @@ def closed_form_ppnp(
         h, iterations = np.linalg.solve(system, rhs), 0
         resid = None if stats is None else rhs - system @ h
     else:
-        # the absolute floor 1e-13 in the same scale: inf for a column whose
-        # entries are all below 1e-321, which h = 0 solves, as unscaled
-        tol = np.maximum(1e-14 * rhs_norms, np.ldexp(1e-13, shift))
-        h, iterations, resid = _ppnp_cg(ops, rhs, gamma, tol)
+        h, iterations, resid = _ppnp_cg(ops, rhs, gamma, 1e-14 * rhs_norms)
     np.ldexp(h, -shift, out=h)
     if not np.isfinite(h).all():
         raise FloatingPointError(f"the closed-form solution is not finite on column "
@@ -454,7 +451,8 @@ def closed_form_ppnp(
     if stats is not None:
         rel = np.divide(np.linalg.norm(resid, axis=0), rhs_norms,
                         out=np.zeros(x.shape[1]), where=rhs_norms > 0)
-        stats.update(cg_iterations=iterations, relative_residuals=rel.tolist())
+        stats.update(cg_iterations=iterations, relative_residuals=rel.tolist(),
+                     converged=bool(cg or (rel <= 1e-14).all()))
     return h
 
 
@@ -463,8 +461,8 @@ def _ppnp_cg(
 ) -> tuple[np.ndarray, int, np.ndarray]:
     """(H, iterations, residual) of conjugate gradients on
     (I - (1-gamma) A_hat) H = R for all columns at once, from H = 0, until
-    ||r_j|| < tol_j on every column j; R becomes the residual in place, and
-    the message of a run that does not converge gives it in R's scale."""
+    ||r_j|| <= tol_j on every column j; R becomes the residual in place, and
+    a failure names the worst active column, its residual in R's scale."""
     n = ops.num_nodes
     h, p, rho_prev = np.zeros_like(r), np.zeros_like(r), np.ones(r.shape[1])
     for it in range(20 * n):
@@ -472,7 +470,7 @@ def _ppnp_cg(
         if not np.isfinite(rho).all():
             raise FloatingPointError(f"conjugate gradients hit a non-finite residual on "
                                      f"column {np.argmin(np.isfinite(rho))} at iteration {it}")
-        active = ~(np.sqrt(rho) < tol)
+        active = np.sqrt(rho) > tol
         if not active.any():
             return h, it, r
         p *= np.divide(rho, rho_prev, out=np.zeros_like(rho), where=active)
@@ -486,7 +484,7 @@ def _ppnp_cg(
         h += np.multiply(p, step, out=q)
         rho_prev = rho
     resid = np.linalg.norm(r, axis=0)
-    j = int(np.argmax(resid / tol))
+    j = int(np.argmax(np.divide(resid, tol, out=np.zeros_like(tol), where=active)))
     raise FloatingPointError(f"conjugate gradients did not converge on column {j}; residual "
                              f"{resid[j]:.3e} after {20 * n} iterations")
 

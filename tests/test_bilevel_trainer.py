@@ -1113,3 +1113,60 @@ def test_accuracy_empty_mask_rejected():
 def test_accuracy_mask_length_must_match_rows(m):
     with pytest.raises(ValueError, match="entries for 3 rows"):
         accuracy(np.zeros((3, 2)), np.zeros(3, dtype=np.int64), np.ones(m, dtype=bool))
+
+
+def _dataset(rows=4, labels=4, mask=4):
+    ops = er_ops(np.random.default_rng(0), 4)
+    train_mask = np.zeros(mask, dtype=bool)
+    return Dataset(ops, np.zeros((rows, 2)), np.zeros(labels, dtype=np.int64),
+                   train_mask, np.zeros(4, dtype=bool), np.zeros(4, dtype=bool))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: _dataset(rows=3), "features/labels must cover every node"),
+        (lambda: _dataset(labels=5), "features/labels must cover every node"),
+        (lambda: _dataset(mask=3), "train_mask must be a length-4 boolean vector"),
+        (lambda: UgdgnnParams.init(np.random.default_rng(0), 2, 2, 2, alpha0=1.0),
+         r"alpha0 must lie strictly in \(0, 1\)"),
+        (lambda: TrainConfig(epochs=0), "epochs and patience must be >= 1, K >= 0"),
+        (lambda: TrainConfig(patience=0), "epochs and patience must be >= 1, K >= 0"),
+        (lambda: TrainConfig(k=-1), "epochs and patience must be >= 1, K >= 0"),
+        (lambda: TrainConfig(alpha0=0.0), r"alpha0 must lie strictly in \(0, 1\)"),
+        (lambda: TrainConfig(feature_dropout=1.0), r"feature_dropout must lie in \[0, 1\)"),
+        (lambda: sbm_generate(n=20, blocks=2, p_in=0.1, p_out=0.1, d=2, noise_sigma=1.0,
+                              seed=0), "need p_in > p_out >= 0"),
+    ],
+    ids=["feature-rows", "label-count", "mask-length", "init-alpha0", "epochs", "patience",
+         "k", "config-alpha0", "dropout", "sbm-p-out"],
+)
+def test_invalid_dataset_params_or_config_is_rejected_with_its_message(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+class _GapStub:
+    """A generator whose geometric gaps all equal ``gap``; counts its calls."""
+
+    def __init__(self, gap):
+        self.gap, self.calls = gap, 0
+
+    def geometric(self, p, size):
+        self.calls += 1
+        return np.full(size, self.gap, dtype=np.int64)
+
+
+def test_bernoulli_successes_carry_the_running_sum_across_chunks():
+    # p = 1e-9 sizes a chunk at 16 gaps, so unit gaps take 63 chunks to
+    # reach 1,000 trials, each starting after the last success of the one before
+    stub = _GapStub(1)
+    got = bilevel_trainer._bernoulli_successes(stub, 1000, 1e-9)
+    np.testing.assert_array_equal(got, np.arange(1000))
+    assert stub.calls == 63
+
+
+def test_bernoulli_successes_of_saturated_gaps_do_not_wrap():
+    stub = _GapStub(np.iinfo(np.int64).max)
+    got = bilevel_trainer._bernoulli_successes(stub, 2**62, 1e-18)
+    assert got.size == 0 and got.dtype == np.int64

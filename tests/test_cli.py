@@ -106,6 +106,18 @@ def test_closed_form_gamma_where_one_minus_gamma_rounds_to_one_is_usage_error(
     assert not out.exists()
 
 
+def test_closed_form_near_singular_dense_solve_reports_not_converged(tmp_path, capsys):
+    # gamma = 2^-53 is the smallest accepted; the ring's system is then too
+    # ill-conditioned for a 1e-14 residual, which the report says, exit 0
+    out = tmp_path / "out"
+    argv = ["denoise", *_ring(tmp_path, 6), "--solver", "closed-form", "--gamma", repr(2.0**-53)]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = read_json(out / "solve_report.json")
+    assert report["converged"] is False and report["cg_iterations"] == 0
+    assert max(report["relative_residuals"]) > 1e-14
+
+
 def _extreme_path(tmp_path, n, size):
     """Edge list of an n-node path and 2 feature columns of +-size: near
     either end of the float range, the squares of these entries overflow or
@@ -149,6 +161,27 @@ def test_closed_form_cg_solves_signals_whose_squares_overflow(tmp_path, capsys, 
     unit = np.linalg.solve(np.eye(400) - 0.9 * ops.a_hat.toarray(), 0.1 * signs)
     np.testing.assert_allclose(load_signal_csv(str(out / "denoised.csv")) / size, unit,
                                rtol=1e-9, atol=0.0)
+
+
+def test_closed_form_cg_solves_a_subnormal_signal(tmp_path, capsys):
+    # +-1e-310 features on 400 nodes: the conjugate gradients stop on the
+    # relative test alone, so the subnormal columns are solved, not left at 0
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*_extreme_path(tmp_path, 400, 1e-310), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = read_json(out / "solve_report.json")
+    assert report["converged"] and report["cg_iterations"] > 0
+    assert all(0.0 < r <= 1e-14 for r in report["relative_residuals"])
+    ops = normalize(load_edge_list((tmp_path / "path.txt").read_text()))
+    x = load_signal_csv(str(tmp_path / "path.csv"))
+    # the dense solve of gamma x scaled by 2^1030, scaled back
+    system = np.eye(400) - 0.9 * ops.a_hat.toarray()
+    want = np.ldexp(np.linalg.solve(system, np.ldexp(0.1 * x, 1030)), -1030)
+    got = load_signal_csv(str(out / "denoised.csv"))
+    assert np.abs(got).min(axis=0).max() > 0.0
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n", [10, 300], ids=["dense", "cg"])
@@ -1235,3 +1268,29 @@ def test_script_runs_end_to_end(tmp_path, script, flags, outputs):
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "manifest.json"])
+
+
+def _denoise(workdir, solver):
+    return ["denoise", "--graph", str(workdir / "edges.txt"),
+            "--features", str(workdir / "feats.csv"), "--solver", solver]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (lambda w: _denoise(w, "closed-form"), "--solver closed-form requires --gamma"),
+        (lambda w: _denoise(w, "gd"), "--solver gd requires --spec"),
+        (lambda w: _denoise(w, "proxgd"), "--solver proxgd requires --spec"),
+        (lambda w: ["filter", "--theta", ""], "--theta must contain at least one coefficient"),
+        (lambda w: ["train", "--dataset", "bogus"], "unknown dataset 'bogus'"),
+        (lambda w: ["sweep", "--dataset", "sbm", "--ks", "1,-2"],
+         "--ks must list nonnegative depths"),
+    ],
+    ids=["closed-form-gamma", "gd-spec", "proxgd-spec", "theta", "dataset", "ks"],
+)
+def test_missing_or_invalid_flag_is_one_error_line(workdir, capsys, argv, message):
+    out = workdir / "out"
+    assert main([*argv(workdir), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+    assert not out.exists()

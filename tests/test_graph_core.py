@@ -534,3 +534,18 @@ def test_signal_file_without_rows_is_rejected_before_loadtxt(tmp_path, text):
         load_signal_csv(tmp_path / "x.csv")
     with pytest.raises(ValueError, match="no data rows"):
         load_signal_csv(tmp_path / "x.csv", num_nodes=3)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Graph(num_nodes=0, edges=()), "num_nodes must be positive"),
+        (lambda: Graph(num_nodes=3_037_000_500, edges=()),
+         "num_nodes 3037000500 exceeds the maximum 3037000499"),
+        (lambda: as_signal(np.zeros((2, 2, 2))), r"signal must be 2-D, got shape \(2, 2, 2\)"),
+    ],
+    ids=["no-nodes", "too-many-nodes", "3-d-signal"],
+)
+def test_invalid_graph_or_signal_is_rejected_with_its_message(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

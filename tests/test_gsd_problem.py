@@ -13,6 +13,7 @@ from gsdnn.graph_core import Graph, normalize
 from gsdnn.gsd_problem import (
     DENSE_MAX_NODES,
     GsdSpec,
+    LayerParams,
     NonNegIndicator,
     RidgeComplement,
     RowL21,
@@ -201,9 +202,7 @@ class TestClosedFormPpnp:
         dense = np.linalg.solve(system, 0.1 * x)
         assert np.max(np.abs(dense - via_cg)) < 1e-9
 
-        # columns that finish at different iterations: a zero column at
-        # once, and a 1e6-scaled one, whose relative tolerance is tighter
-        # than the absolute floor the unscaled column stops at
+        # a zero column, which stops at once, beside a 1e6-scaled one
         staggered = _staggered(x)
         via_cg = closed_form_ppnp(ops, staggered, 0.1)
         dense = np.linalg.solve(system, 0.1 * staggered)
@@ -215,7 +214,10 @@ class TestClosedFormPpnp:
         rng = np.random.default_rng(13)
         n = DENSE_MAX_NODES + 44
         ops = er_ops(rng, n, p=0.03)
+        # the third column is A_hat's top eigenvector, which CG solves in one
+        # iteration, so the columns finish at different iterations
         x = _staggered(random_signal(rng, n, 2))
+        x[:, 2] = 1e6 * np.sqrt(ops.degrees)
         stats = {}
         closed_form_ppnp(ops, x, 0.1, stats)
         # per-column reference: scipy's CG under the same stopping rule,
@@ -224,7 +226,7 @@ class TestClosedFormPpnp:
         iterations = []
         for col in x.T:
             steps = []
-            spla.cg(system, 0.1 * col, rtol=1e-14, atol=1e-13, callback=steps.append)
+            spla.cg(system, 0.1 * col, rtol=1e-14, atol=0.0, callback=steps.append)
             iterations.append(len(steps))
         assert iterations[1] == 0 and iterations[0] != iterations[2]
         assert spmm_calls == [(n, 3)] * max(iterations)
@@ -243,6 +245,63 @@ class TestClosedFormPpnp:
         monkeypatch.setattr(gsd_problem, "spmm", lambda ops, p: rotation @ p)
         with pytest.raises(FloatingPointError, match=f"column \\d; .* after {20 * n} iterations"):
             closed_form_ppnp(ops, x, 0.5)
+
+    def test_cg_that_does_not_converge_names_an_active_column(self, monkeypatch):
+        # as above, beside a zero column: its tolerance is 0 and it stopped at
+        # once, so the message names the other column
+        rng = np.random.default_rng(14)
+        n = DENSE_MAX_NODES + 4
+        ops = er_ops(rng, n, p=0.03)
+        x = random_signal(rng, n, 2)
+        x[:, 0] = 0.0
+        rotation = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        monkeypatch.setattr(gsd_problem, "spmm", lambda ops, p: rotation @ p)
+        with pytest.raises(FloatingPointError, match=f"column 1; .* after {20 * n} iterations"):
+            closed_form_ppnp(ops, x, 0.5)
+
+    def test_cg_solves_a_subnormal_column_beside_a_zero_and_a_unit_one(self):
+        # every column stops on ||r_j|| <= 1e-14 ||gamma x_j||, whatever its
+        # scale: the +-1e-310 column is solved, not stopped at h = 0
+        rng = np.random.default_rng(17)
+        n = DENSE_MAX_NODES + 44
+        ops = er_ops(rng, n, p=0.03)
+        x = np.column_stack([np.zeros(n), 1e-310 * rng.choice([-1.0, 1.0], n),
+                             rng.standard_normal(n)])
+        stats = {}
+        out = closed_form_ppnp(ops, x, 0.1, stats)
+        assert np.all(out[:, 0] == 0.0)
+        # dense solves, of the subnormal column scaled by 2^1030 and back
+        system = np.eye(n) - 0.9 * ops.a_hat.toarray()
+        for j, k in ((1, 1030), (2, 0)):
+            want = np.ldexp(np.linalg.solve(system, np.ldexp(0.1 * x[:, j], k)), -k)
+            assert np.abs(out[:, j]).max() > 0.0
+            assert np.abs(out[:, j] - want).max() <= 1e-12 * np.abs(want).max()
+        rel = stats["relative_residuals"]
+        assert rel[0] == 0.0 and all(0.0 < r <= 1e-14 for r in rel[1:])
+        assert stats["converged"] and stats["cg_iterations"] > 0
+
+    def test_cg_iterations_do_not_depend_on_the_signal_scale(self):
+        rng = np.random.default_rng(0)
+        n = DENSE_MAX_NODES + 44
+        ops = er_ops(rng, n, p=10 / n)
+        x = random_signal(rng, n, 4)
+        counts = []
+        for scale in (1.0, 1e6):
+            stats = {}
+            closed_form_ppnp(ops, scale * x, 0.1, stats)
+            counts.append(stats["cg_iterations"])
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.5])
+    def test_dense_and_identity_converged_iff_every_residual_meets_the_test(self, gamma):
+        rng = np.random.default_rng(18)
+        ops = er_ops(rng, 12)
+        x = random_signal(rng, 12, 3)
+        for g in (gamma, 1.0):
+            stats = {}
+            closed_form_ppnp(ops, x, g, stats)
+            assert stats["converged"] == all(r <= 1e-14 for r in stats["relative_residuals"])
+        assert stats["converged"] and stats["relative_residuals"] == [0.0] * 3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_cg_raises_at_once_on_a_non_finite_residual(self, spmm_calls, bad):
@@ -435,3 +494,48 @@ def test_ppnp_residual_property(seed, n):
     out = closed_form_ppnp(ops, x, gamma)
     resid = out - (1 - gamma) * (ops.a_hat @ out) - gamma * x
     assert np.linalg.norm(resid) < 1e-10 * max(1.0, np.linalg.norm(x))
+
+
+def _spec_doc(**fields):
+    doc = {"alpha": 1.0, "beta": 1.0, "t_alpha": np.eye(2).tolist(),
+           "t_beta": np.eye(2).tolist()}
+    return {**doc, **fields}
+
+
+def test_ridge_complement_spec_parses():
+    spec = GsdSpec.from_json_dict(_spec_doc(regularizer={"kind": "ridge_complement"}))
+    assert spec.regularizer == RidgeComplement()
+
+
+def _ops4():
+    return er_ops(np.random.default_rng(0), 4)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: GsdSpec(alpha=1.0, beta=1.0, t_alpha=np.ones((2, 3)), t_beta=np.eye(2)),
+         r"t_alpha must be a square matrix, got shape \(2, 3\)"),
+        (lambda: GsdSpec(alpha=1.0, beta=1.0, t_alpha=np.eye(2), t_beta=np.eye(3)),
+         "t_alpha and t_beta must have matching shapes"),
+        (lambda: GsdSpec.from_json_dict(_spec_doc(regularizer={"kind": "bogus"})),
+         "unknown regularizer kind 'bogus'"),
+        (lambda: LayerParams(eta=1.0, alpha=1.0, beta=0.0, t_alpha=np.ones(3)),
+         r"t_alpha must be a matrix, got shape \(3,\)"),
+        (lambda: LayerParams(eta=0.0, alpha=1.0, beta=0.0), "eta must be positive"),
+        (lambda: LayerParams(eta=1.0, alpha=-1.0, beta=0.0),
+         "alpha and beta must be nonnegative"),
+        (lambda: LayerParams(eta=1.0, alpha=1.0, beta=-1.0),
+         "alpha and beta must be nonnegative"),
+        (lambda: objective(GsdSpec.from_json_dict(_spec_doc()), np.zeros((4, 2)),
+                           np.zeros((3, 2)), _ops4()),
+         r"h has shape \(4, 2\) but x has shape \(3, 2\)"),
+        (lambda: closed_form_ppnp(_ops4(), np.zeros((3, 2)), 0.5),
+         "signal has 3 rows, expected 4"),
+    ],
+    ids=["t-not-square", "t-shapes", "regularizer-kind", "layer-t-not-matrix", "eta",
+         "negative-alpha", "negative-beta", "h-x-shapes", "closed-form-rows"],
+)
+def test_invalid_spec_layer_or_signal_is_rejected_with_its_message(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

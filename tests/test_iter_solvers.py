@@ -402,3 +402,8 @@ def test_strict_convexity_gives_unique_limit():
     a = gd_run(spec, x, random_signal(rng, 8, 2, scale=3.0), ops, cfg)
     b = gd_run(spec, x, random_signal(rng, 8, 2, scale=3.0), ops, cfg)
     assert np.linalg.norm(a.final - b.final) < 1e-6
+
+
+def test_row_shrink_rejects_shapes_that_differ():
+    with pytest.raises(ValueError, match=r"shapes differ: \(3, 2\) vs \(2, 2\)"):
+        row_shrink(np.zeros((3, 2)), np.zeros((2, 2)), 0.5)

@@ -284,3 +284,10 @@ def test_dense_eigensolve_size_limit():
     ops = normalize(g)
     with pytest.raises(ValueError, match="dense eigensolve"):
         frequency_response((1.0,), ops)
+
+
+@pytest.mark.parametrize("k, message", [(0, "K must be at least 1"),
+                                        (61, "order 61 exceeds the supported 60")])
+def test_sgc_implied_theta_rejects_an_order_out_of_range(k, message):
+    with pytest.raises(ValueError, match=message):
+        sgc_implied_theta(k)

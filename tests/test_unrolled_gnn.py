@@ -399,3 +399,77 @@ def test_specializations_match_target_forward():
 def test_specialize_rejects_nonlinear_models():
     with pytest.raises(TypeError):
         ugdgnn_specialize(Gcn(weights=(np.eye(2),)))
+
+
+# ---------------------------------------------------------------------------
+# input checks
+
+
+def _ugdgnn(gammas, zetas=None, xis=None, weights=None):
+    kp1 = len(gammas)
+    return Ugdgnn(gammas=gammas, zetas=(1.0,) * kp1 if zetas is None else zetas,
+                  xis=(0.0,) * kp1 if xis is None else xis,
+                  weights=(None,) * kp1 if weights is None else weights)
+
+
+_EYE2 = np.eye(2)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: JkNet(weights=(_EYE2, np.eye(3))), ValueError, r"weights\[1\] must be 2x2"),
+        (lambda: Sgc(k=0, w=_EYE2), ValueError, "K must be at least 1"),
+        (lambda: Ppnp(gamma=0.0), ValueError, r"gamma must lie in \(0, 1\]"),
+        (lambda: Appnp(k=0, gamma=0.5), ValueError, "K must be at least 1"),
+        (lambda: Appnp(k=1, gamma=1.5), ValueError, r"gamma must lie in \[0, 1\]"),
+        (lambda: JkNet(weights=(_EYE2,)), ValueError, "need weights for hops 0..K"),
+        (lambda: GprGnn(gammas=(1.0,)), ValueError, "need coefficients for hops 0..K"),
+        (lambda: Gcn(weights=()), ValueError, "need at least one layer weight"),
+        (lambda: GcnII(zeta=1.5, xi=0.5, weights=(_EYE2,)), ValueError,
+         r"zeta and xi must lie in \[0, 1\]"),
+        (lambda: GcnII(zeta=0.5, xi=0.5, weights=()), ValueError,
+         "need at least one layer weight"),
+        (lambda: AirGnn(k=0, gamma=0.5), ValueError, "K must be at least 1"),
+        (lambda: AirGnn(k=1, gamma=1.0), ValueError, r"gamma must lie strictly in \(0, 1\)"),
+        (lambda: _ugdgnn(()), ValueError, "need at least the hop-0 term"),
+        (lambda: _ugdgnn((1.0,), zetas=(1.0, 0.0)), ValueError,
+         "gammas, zetas, xis, weights must have equal length"),
+        (lambda: UnrollPlan(layers=()), ValueError, "a plan needs at least one layer"),
+        (lambda: forward(object(), two_node_path_ops(), _EYE2), TypeError,
+         "unknown model object"),
+        (lambda: forward(_ugdgnn((1.0, 1.0), zetas=(1.0, 0.0), xis=(0.0, 1.0),
+                                 weights=(None, np.ones((2, 3)))),
+                         two_node_path_ops(), _EYE2), ValueError,
+         "hop 1 produces width 3, expected 2"),
+        (lambda: to_unroll_plan(object()), TypeError, "unknown model object"),
+        (lambda: equivalence_check(_ugdgnn((1.0,)), two_node_path_ops(), _EYE2, 1e-9),
+         ValueError, "the general form has nothing to be checked against"),
+        (lambda: sample_model("bogus", np.random.default_rng(0), 2), ValueError,
+         "unknown model kind 'bogus'"),
+    ],
+    ids=["square-stack", "sgc-k", "ppnp-gamma", "appnp-k", "appnp-gamma", "jknet-hops",
+         "gprgnn-hops", "gcn-layers", "gcnii-zeta", "gcnii-layers", "airgnn-k",
+         "airgnn-gamma", "ugdgnn-hop-0", "ugdgnn-lengths", "plan-layers", "forward-model",
+         "ugdgnn-width", "plan-model", "check-general-form", "sample-kind"],
+)
+def test_invalid_model_or_plan_is_rejected_with_its_message(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
+def test_layered_schemes_count_their_layers():
+    assert Gcn(weights=(_EYE2, _EYE2)).k == 2
+    assert GcnII(zeta=0.5, xi=0.5, weights=(_EYE2,) * 3).k == 3
+
+
+def test_ugdgnn_hop_with_zero_zeta_and_xi_adds_nothing():
+    x = np.array([[1.0, -2.0], [3.0, 0.5]])
+    model = _ugdgnn((1.0, 2.0), zetas=(1.0, 0.0))
+    np.testing.assert_array_equal(forward(model, two_node_path_ops(), x), x)
+
+
+def test_ugdgnn_with_every_gamma_zero_gives_zeros():
+    x = np.array([[1.0, -2.0], [3.0, 0.5]])
+    out = forward(_ugdgnn((0.0, 0.0)), two_node_path_ops(), x)
+    assert out.shape == x.shape and np.all(out == 0.0)
