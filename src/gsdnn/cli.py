@@ -8,9 +8,9 @@ classification). A run that writes an output also writes a
 sha256 digests of the files read, the files written, per-phase timing,
 the problem sizes where the command has one graph, counters of the work
 done (``denoise``: solver or conjugate-gradient iterations; ``equiv``: the
-checks run; ``train`` and ``sweep``: seed-epochs; ``equiv`` and ``sweep``:
-the checks or depths run in a forked child), and the software and machine
-it ran on.
+checks run; ``train`` and ``sweep``: seed-epochs; ``equiv``, ``sweep`` and
+the closed form: the checks, depths or columns run in a forked child), the
+peak and private memory, and the software and machine it ran on.
 
 Exit codes: 0 success, 1 a requested check failed, 2 usage or input
 error, 3 numeric/solver error. Handlers and loaders report a failure only
@@ -33,6 +33,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 import time
 from datetime import datetime, timezone
@@ -104,6 +105,27 @@ def _dump_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _memory() -> dict:
+    """MiB: the peak resident set of this process and the largest of its
+    reaped children's, and this process's private pages now (Private_Clean
+    plus Private_Dirty of /proc/self/smaps_rollup; None where that file is
+    absent)."""
+    per_mib = 1 << (20 if sys.platform == "darwin" else 10)  # ru_maxrss: bytes on macOS
+
+    def peak(who: int) -> float:
+        return round(resource.getrusage(who).ru_maxrss / per_mib, 3)
+
+    try:
+        with open("/proc/self/smaps_rollup") as f:
+            kib = sum(int(line.split()[1]) for line in f
+                      if line.startswith(("Private_Clean:", "Private_Dirty:")))
+        private = round(kib / 1024, 3)
+    except OSError:
+        private = None
+    return {"peak_rss_mb": peak(resource.RUSAGE_SELF),
+            "children_peak_rss_mb": peak(resource.RUSAGE_CHILDREN), "private_mb": private}
+
+
 class _Run:
     """What one command read, wrote and timed. ``main`` writes it as
     ``manifest.json`` only once the handler has written an output, so a
@@ -163,6 +185,7 @@ class _Run:
             "inputs": {p: _sha256(p) for p in self.inputs},
             "outputs": sorted(self.outputs),
             "timing": self.timing,
+            "memory": _memory(),
             "env": {
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,
@@ -244,28 +267,47 @@ def _on_two_cores(work: Callable[[Sequence], list], items: Sequence) -> tuple[li
 # denoise
 
 
+# the denoise flags that only gd and proxgd read; --gamma only the closed form reads
+_DESCENT_FLAGS = ("spec", "stepsize", "iters", "rel_tol")
+
+
+def _check_solver_flags(args) -> None:
+    """ValueError for a flag the chosen solver does not read, or for the one
+    it needs and was not given."""
+    closed = args.solver == "closed-form"
+    foreign, owner = (_DESCENT_FLAGS, "gd and proxgd") if closed else (("gamma",), "closed-form")
+    for name in foreign:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} applies only to --solver {owner}, "
+                             f"not {args.solver}")
+    needed = "gamma" if closed else "spec"
+    if getattr(args, needed) is None:
+        raise ValueError(f"--solver {args.solver} requires --{needed}")
+
+
 def cmd_denoise(args, run: _Run) -> int:
+    _check_solver_flags(args)
     ops, x = _load_graph_signal(run, args.graph, args.features)
     run.size(ops, x)
     run.lap("load")
 
     if args.solver == "closed-form":
-        if args.gamma is None:
-            raise ValueError("--solver closed-form requires --gamma")
         stats: dict = {}
         final = closed_form_ppnp(ops, x, args.gamma, stats)
         run.counters["iterations"] = stats["cg_iterations"]
+        run.counters["forked_columns"] = stats.pop("forked_columns")
         report_doc = {"solver": "closed-form", "gamma": args.gamma, **stats}
     else:
-        if args.spec is None:
-            raise ValueError(f"--solver {args.solver} requires --spec")
         spec = run.load(args.spec, "spec JSON", lambda p: GsdSpec.from_json(Path(p).read_text()))
         for name in ("t_alpha", "t_beta"):  # an indefinite T leaves L unbounded below
             eig = np.linalg.eigvalsh(getattr(spec, name))
             if eig[0] < -1e-12 * np.abs(eig).max():
                 raise ValueError(f"bad spec {args.spec}: {name} has eigenvalue {eig[0]:.3e}")
+        # the defaults, recorded as the manifest's config
+        iters = run.config["iters"] = 200 if args.iters is None else args.iters
+        rel_tol = run.config["rel_tol"] = 0.0 if args.rel_tol is None else args.rel_tol
         stepsize = "auto" if args.stepsize is None else args.stepsize
-        cfg = SolveConfig(max_iters=args.iters, stepsize=stepsize, rel_tol=args.rel_tol)
+        cfg = SolveConfig(max_iters=iters, stepsize=stepsize, rel_tol=rel_tol)
         runner = gd_run if args.solver == "gd" else proxgd_run
         report = runner(spec, x, x, ops, cfg)
         if report.stop_reason == "diverged":
@@ -564,13 +606,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", required=True, choices=["gd", "proxgd", "closed-form"])
     p.add_argument("--spec", help="objective spec JSON (gd/proxgd)")
     p.add_argument("--gamma", type=float, help="teleport probability (closed-form)")
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--stepsize", type=float, default=None, help="default: 1/L bound")
+    p.add_argument("--iters", type=int, help="iteration budget (gd/proxgd; default 200)")
+    p.add_argument("--stepsize", type=float, help="gd/proxgd; default: 1/L bound")
     p.add_argument(
         "--rel-tol",
         type=float,
-        default=0.0,
-        help="objective plateau stop; 0 runs the full --iters budget",
+        help="objective plateau stop (gd/proxgd; default 0, which runs the full --iters budget)",
     )
 
     p = sub.add_parser("equiv", help="randomized propagation-vs-unrolling checks")

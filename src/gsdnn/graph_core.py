@@ -33,10 +33,12 @@ writes with ``fmt="%.17g"``, formatting a large signal's two halves in two
 processes.
 
 The second process comes from :func:`_forked`, the one place that forks,
-pipes, reaps and falls back. It has three users: the CSV writer's child
-formats half a signal, the ``equiv`` command's child runs every other
-check, and the ``sweep`` command's child trains every other depth (the two
-commands through ``cli._on_two_cores``).
+pipes, reaps and falls back. It has four users: the CSV writer's child
+formats half a signal, the closed form's child solves half of the
+conjugate-gradient columns (``gsd_problem.closed_form_ppnp``), the
+``equiv`` command's child runs every other check, and the ``sweep``
+command's child trains every other depth (the two commands through
+``cli._on_two_cores``).
 """
 
 from __future__ import annotations
@@ -427,10 +429,12 @@ def _forked(produce: Callable[[], bytes]) -> Iterator[_Child | None]:
     """Run ``produce()`` in a forked child that writes the bytes it returns
     to a pipe; the block gets the :class:`_Child`, or None where no child
     could be forked (no ``os.fork``, or a fork ``OSError``). The one way the
-    program uses a second core, with three users: :func:`save_signal_csv`,
-    whose child formats half a signal, and through ``cli._on_two_cores``
-    the ``equiv`` command, whose child runs every other check, and the
-    ``sweep`` command, whose child trains every other depth.
+    program uses a second core, with four users: :func:`save_signal_csv`,
+    whose child formats half a signal, ``gsd_problem.closed_form_ppnp``,
+    whose child solves half of the conjugate-gradient columns, and through
+    ``cli._on_two_cores`` the ``equiv`` command, whose child runs every
+    other check, and the ``sweep`` command, whose child trains every other
+    depth.
 
     The child produces everything in memory and only then writes it: writing
     as it goes would fill the 64 KiB pipe buffer and stall the child until

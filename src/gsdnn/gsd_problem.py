@@ -42,7 +42,7 @@ from typing import Union
 
 import numpy as np
 
-from .graph_core import NormalizedOperators, spmm
+from .graph_core import NormalizedOperators, _forked, spmm
 
 __all__ = [
     "GsdSpec",
@@ -64,6 +64,14 @@ __all__ = [
 # against 0.9-2.9 ms for CG at n <= 192, each is within 2x of the other at
 # n = 224-256, and CG wins at every n >= 320 (d in {1, 4, 16}, gamma in {0.1, 0.5}).
 DENSE_MAX_NODES = 256
+
+# closed_form_ppnp's conjugate gradients solve half of the columns in a
+# forked child from this many nodes on (with 4 columns or more). On graphs of
+# average degree 10 at gamma 0.1 (median of 7 alternating solves each), the
+# split lost at n = 8,000-12,000 with 16 columns and won from 14,000 (99 against
+# 149 ms), and with 4 columns it lost at 10,000, was within 6% at 16,000 and
+# 20,000 and won at 50,000 (186 against 219 ms).
+_CG_SPLIT_MIN_NODES = 16_000
 
 
 @dataclass(frozen=True)
@@ -398,7 +406,9 @@ def closed_form_ppnp(
     The system matrix is symmetric positive definite (its eigenvalues are
     1 - (1-gamma) lambda with lambda in [-1, 1], hence >= gamma), so a
     direct dense solve is used up to DENSE_MAX_NODES nodes and conjugate
-    gradients on all columns at once beyond that (one spmm per iteration).
+    gradients on all columns at once beyond that (one spmm per iteration),
+    from 16,000 nodes and 4 columns on in two halves of the columns, one of
+    them in a forked child, with the one-process results bit for bit.
     Column j stops once ||r_j|| <= 1e-14 ||gamma x_j||, so a zero column
     stays zero; FloatingPointError if one has not after 20 n iterations, and
     at once if a residual is not finite (a NaN or Inf in X).
@@ -418,8 +428,10 @@ def closed_form_ppnp(
     slowest column (0 on the dense branch and for gamma = 1),
     ``relative_residuals``, ||r_j|| / ||gamma x_j|| on the scaled columns (0
     for a zero column), and ``converged``, true iff all meet the stopping
-    test, as the CG's always do. r is the CG recurrence's residual, or on
-    the dense branch the one computed from the solution.
+    test, as the CG's always do, and ``forked_columns``, the columns solved
+    in a forked child (0 when one process solved them all). r is the CG
+    recurrence's residual, or on the dense branch the one computed from the
+    solution.
     """
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in (0, 1]")
@@ -436,6 +448,7 @@ def closed_form_ppnp(
     cg = gamma != 1.0 and n > DENSE_MAX_NODES
     # taken before the CG turns rhs into its residual
     rhs_norms = np.linalg.norm(rhs, axis=0) if cg or stats is not None else None
+    forked = 0
     if gamma == 1.0:
         h, iterations, resid = rhs, 0, np.zeros_like(rhs)
     elif not cg:
@@ -443,7 +456,7 @@ def closed_form_ppnp(
         h, iterations = np.linalg.solve(system, rhs), 0
         resid = None if stats is None else rhs - system @ h
     else:
-        h, iterations, resid = _ppnp_cg(ops, rhs, gamma, 1e-14 * rhs_norms)
+        h, iterations, resid, forked = _ppnp_cg_on_two_cores(ops, rhs, gamma, 1e-14 * rhs_norms)
     np.ldexp(h, -shift, out=h)
     if not np.isfinite(h).all():
         raise FloatingPointError(f"the closed-form solution is not finite on column "
@@ -452,8 +465,53 @@ def closed_form_ppnp(
         rel = np.divide(np.linalg.norm(resid, axis=0), rhs_norms,
                         out=np.zeros(x.shape[1]), where=rhs_norms > 0)
         stats.update(cg_iterations=iterations, relative_residuals=rel.tolist(),
-                     converged=bool(cg or (rel <= 1e-14).all()))
+                     converged=bool(cg or (rel <= 1e-14).all()),
+                     forked_columns=forked)
     return h
+
+
+def _ppnp_cg_on_two_cores(
+    ops: NormalizedOperators, r: np.ndarray, gamma: float, tol: np.ndarray
+) -> tuple[np.ndarray, int, np.ndarray, int]:
+    """(H, iterations, residual, forked columns) of :func:`_ppnp_cg`, with
+    the columns from d // 2 on solved in a forked child while this process
+    solves the others, each half on a contiguous copy of its columns of R.
+
+    Each column's CG runs on its own, and a stopped column's step is 0, so a
+    half of two columns or more gives its columns' H and residual bit for bit
+    (a one-column half sums its einsum in another order), and the iterations
+    are the larger half's. The child sends its iterations, residual and H
+    back as raw bytes, read into arrays made for them; R becomes the residual
+    in place only once the child has been reaped with status 0. With fewer
+    than 4 columns or _CG_SPLIT_MIN_NODES nodes, no fork, or an exception in
+    either half (a failed child; the child's column numbers would be those
+    of its half), the whole solve runs here, so results and errors are those
+    of one process, with 0 forked columns.
+    """
+    n, d = r.shape
+    half = d // 2
+    if half >= 2 and n >= _CG_SPLIT_MIN_NODES:
+        def child_half() -> bytes:
+            h, it, res = _ppnp_cg(ops, np.ascontiguousarray(r[:, half:]), gamma, tol[half:])
+            return b"".join((it.to_bytes(8, "little"), res, h))
+
+        try:
+            with _forked(child_half) as child:
+                if child is not None:
+                    h_lo, it_lo, r_lo = _ppnp_cg(ops, np.ascontiguousarray(r[:, :half]),
+                                                 gamma, tol[:half])
+                    it_hi = int.from_bytes(child.pipe.read(8), "little")
+                    r_hi, h_hi = np.empty((n, d - half)), np.empty((n, d - half))
+                    child.pipe.readinto(r_hi)
+                    child.pipe.readinto(h_hi)
+        except Exception:
+            child = None
+        if child is not None and child.ok:
+            r[:, :half] = r_lo
+            r[:, half:] = r_hi
+            del r_lo, r_hi  # before H is put together: a lower peak
+            return np.hstack((h_lo, h_hi)), max(it_lo, it_hi), r, d - half
+    return (*_ppnp_cg(ops, r, gamma, tol), 0)
 
 
 def _ppnp_cg(

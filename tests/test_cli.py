@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gsdnn import cli, graph_core
+from gsdnn import cli, graph_core, gsd_problem
 from gsdnn.bilevel_trainer import TrainConfig
 from gsdnn.cli import EQUIV_GRAPHS, build_parser, main
 from gsdnn.graph_core import add_self_loops, load_edge_list, load_signal_csv, normalize
@@ -82,7 +82,7 @@ def test_closed_form_report_states_cg_iterations_and_residuals(tmp_path, nodes, 
     assert sorted(report) == ["cg_iterations", "converged", "gamma", "relative_residuals",
                               "solver"]
     assert read_json(out / "manifest.json")["counters"] == {
-        "iterations": report["cg_iterations"]}
+        "iterations": report["cg_iterations"], "forked_columns": 0}
     # the dense branch is taken up to DENSE_MAX_NODES = 256 nodes
     if nodes == 300:
         assert 0 < report["cg_iterations"] < 20 * nodes
@@ -215,7 +215,9 @@ def test_denoised_csv_of_two_writer_blocks_is_the_savetxt_bytes(tmp_path):
     want = io.BytesIO()
     np.savetxt(want, final, delimiter=",", fmt="%.17g")
     assert (out / "denoised.csv").read_bytes() == want.getvalue()
-    assert read_json(out / "manifest.json")["outputs"] == ["denoised.csv", "solve_report.json"]
+    manifest = read_json(out / "manifest.json")
+    assert manifest["outputs"] == ["denoised.csv", "solve_report.json"]
+    assert manifest["counters"]["forked_columns"] == stats.pop("forked_columns") == 0
     assert read_json(out / "solve_report.json") == {
         "solver": "closed-form", "gamma": gamma, "converged": True, **stats}
 
@@ -651,31 +653,51 @@ def test_sweep_nonpositive_seed_count_is_usage_error(tmp_path, capsys, n_seeds):
     assert not out.exists()
 
 
-# two commands on two cores: a forked child trains every other depth of a
-# sweep, or runs every other check of equiv
+# three commands on two cores: a forked child trains every other depth of a
+# sweep, runs every other check of equiv, or solves the trailing half of the
+# closed form's columns
 
 SPLIT_SWEEP = ["sweep", "--dataset", "sbm", "--sbm-n", "140", "--n-seeds", "2",
                "--epochs", "40", "--patience", "10"]
+# a 300-node ring takes the conjugate-gradient branch; its files are written
+# into the working directory by the fork_inputs fixture
+SPLIT_CLOSED_FORM = ["denoise", "--graph", "ring.txt", "--solver", "closed-form",
+                     "--gamma", "0.1"]
+SPLIT_WIDTH = 4
 
-# command -> (argv without its items, its output, the cli function that
-# gets the items, the counter of items run in the child)
+# command -> (argv without its items, its outputs, the module and name of the
+# function that gets the items, the counter of items run in the child)
 FORK_USERS = {
-    "sweep": (SPLIT_SWEEP, "sweep.csv", "depth_sweep", "forked_depths"),
-    "equiv": (["equiv", "--seed", "5"], "equiv_report.json", "_equiv_cell", "forked_checks"),
+    "sweep": (SPLIT_SWEEP, ("sweep.csv",), cli, "depth_sweep", "forked_depths"),
+    "equiv": (["equiv", "--seed", "5"], ("equiv_report.json",), cli, "_equiv_cell",
+              "forked_checks"),
+    "closed-form": (SPLIT_CLOSED_FORM, ("denoised.csv", "solve_report.json"), gsd_problem,
+                    "_ppnp_cg", "forked_columns"),
 }
-# three items per command: the depths 1, 2, 4 or the trials 0, 1, 2. The
-# child gets the middle one.
-THREE_ITEMS = {"sweep": ["--ks", "1,2,4"], "equiv": ["--model", "sgc", "--trials", "3"]}
-ITEM_VALUES = {"sweep": (1, 2, 4), "equiv": (0, 1, 2)}
+# a few items per command: the depths 1, 2, 4, the trials 0, 1, 2, or the
+# four feature columns 0 to 3, of which the child solves 2 and 3
+FEW_ITEMS = {"sweep": ["--ks", "1,2,4"], "equiv": ["--model", "sgc", "--trials", "3"],
+             "closed-form": ["--features", "ring.csv"]}
+# three of those items: the child gets the middle one
+ITEM_VALUES = {"sweep": (1, 2, 4), "equiv": (0, 1, 2), "closed-form": (0, 2, 1)}
+
+
+@pytest.fixture
+def fork_inputs(tmp_path, monkeypatch):
+    """The closed form's ring and SPLIT_WIDTH feature columns in the working
+    directory, and its split at any node count."""
+    _ring(tmp_path, 300, SPLIT_WIDTH)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(gsd_problem, "_CG_SPLIT_MIN_NODES", 0)
 
 
 def _run_split(command, out, capsys, items):
     """(exit code, output bytes, stdout, manifest counters) of one run."""
-    argv, output = FORK_USERS[command][:2]
+    argv, outputs = FORK_USERS[command][:2]
     code = main([*argv, *items, "--out", str(out)])
     stdout = capsys.readouterr().out
     counters = read_json(out / "manifest.json")["counters"]
-    return code, (out / output).read_bytes(), stdout, counters
+    return code, tuple((out / name).read_bytes() for name in outputs), stdout, counters
 
 
 def _run_serial(command, out, capsys, monkeypatch, items):
@@ -686,22 +708,29 @@ def _run_serial(command, out, capsys, monkeypatch, items):
 
 def _before_each_item(monkeypatch, command, act):
     """Calls ``act(item)`` on each item that the command's mapped function
-    gets (a depth of the sweep, a trial of equiv) before the real function."""
-    name = FORK_USERS[command][2]
-    real = getattr(cli, name)
+    gets (a depth of the sweep, a trial of equiv, a feature column of the
+    closed form) before the real function."""
+    module, name = FORK_USERS[command][2:4]
+    real, parent = getattr(module, name), os.getpid()
 
     def stand_in(*args):
-        for item in np.atleast_1d(args[2]).tolist():
+        if command == "closed-form":  # this process solves leading columns, the child trailing
+            width = args[1].shape[1]
+            start = 0 if os.getpid() == parent else SPLIT_WIDTH - width
+            items = range(start, start + width)
+        else:
+            items = np.atleast_1d(args[2]).tolist()
+        for item in items:
             act(item)
         return real(*args)
 
-    monkeypatch.setattr(cli, name, stand_in)
+    monkeypatch.setattr(module, name, stand_in)
 
 
-def _check_split_is_serial(tmp_path, capsys, monkeypatch, command, items, count):
+def _check_split_is_serial(tmp_path, capsys, monkeypatch, command, items, in_child):
     """The forked run's outputs and counters are the serial run's, but for
-    the forked count; a single item runs without a fork."""
-    counter = FORK_USERS[command][3]
+    the forked count, ``in_child``; no fork is made when it is 0."""
+    counter = FORK_USERS[command][4]
     forks, real = [], os.fork
 
     def counting_fork():
@@ -711,8 +740,8 @@ def _check_split_is_serial(tmp_path, capsys, monkeypatch, command, items, count)
     monkeypatch.setattr(os, "fork", counting_fork)
     forked = _run_split(command, tmp_path / "forked", capsys, items)
     serial = _run_serial(command, tmp_path / "serial", capsys, monkeypatch, items)
-    assert len(forks) == (count > 1)
-    assert forked[3].pop(counter) == count // 2
+    assert len(forks) == (in_child > 0)
+    assert forked[3].pop(counter) == in_child
     assert serial[3].pop(counter) == 0
     assert forked == serial
     return forked
@@ -730,8 +759,9 @@ def test_two_process_map_returns_every_float_bit_for_bit():
 @pytest.mark.parametrize("ks", ["1,3", "0,1,3", "1,2,4,8"])
 def test_split_sweep_gives_the_serial_outputs(tmp_path, capsys, monkeypatch, ks):
     count = len(ks.split(","))
-    forked = _check_split_is_serial(tmp_path, capsys, monkeypatch, "sweep", ["--ks", ks], count)
-    assert forked[1].count(b"\n") == 1 + count
+    forked = _check_split_is_serial(tmp_path, capsys, monkeypatch, "sweep", ["--ks", ks],
+                                    count // 2)
+    assert forked[1][0].count(b"\n") == 1 + count
 
 
 @pytest.mark.parametrize("model, trials, count",
@@ -740,7 +770,7 @@ def test_split_sweep_gives_the_serial_outputs(tmp_path, capsys, monkeypatch, ks)
 def test_split_equiv_gives_the_serial_outputs(tmp_path, capsys, monkeypatch, model, trials,
                                               count):
     items = ["--model", model, "--trials", str(trials)]
-    forked = _check_split_is_serial(tmp_path, capsys, monkeypatch, "equiv", items, count)
+    forked = _check_split_is_serial(tmp_path, capsys, monkeypatch, "equiv", items, count // 2)
     assert forked[3]["checks"] == count
 
 
@@ -753,8 +783,8 @@ def test_split_equiv_fails_a_nan_check_in_the_serial_order(tmp_path, capsys, mon
     monkeypatch.setattr(cli, "_equiv_cell", lambda name, mi, trial, seed, tol:
                         math.nan if trial == nan_trial else 1e-12 * (trial + 1))
     items = ["--model", "sgc", "--trials", "3"]
-    code, report, _, _ = _check_split_is_serial(tmp_path, capsys, monkeypatch, "equiv",
-                                                items, 3)
+    code, (report,), _, _ = _check_split_is_serial(tmp_path, capsys, monkeypatch, "equiv",
+                                                   items, 1)
     (result,) = json.loads(report)["results"]
     assert code == 1 and result["pass"] is False
     assert math.isnan(result["max_abs_diff"]) == max_is_nan
@@ -762,10 +792,23 @@ def test_split_equiv_fails_a_nan_check_in_the_serial_order(tmp_path, capsys, mon
         assert result["max_abs_diff"] == 3e-12
 
 
+@pytest.mark.parametrize("width, in_child", [(4, 2), (5, 3), (7, 4), (16, 8), (2, 0), (3, 0)])
+def test_split_closed_form_gives_the_serial_outputs(tmp_path, capsys, monkeypatch, fork_inputs,
+                                                    width, in_child):
+    """Halves of 2 columns or more; 2 and 3 columns are solved in one process."""
+    _ring(tmp_path, 300, width)
+    forked = _check_split_is_serial(tmp_path, capsys, monkeypatch, "closed-form",
+                                    FEW_ITEMS["closed-form"], in_child)
+    report = json.loads(forked[1][1])
+    assert report["converged"] is True and len(report["relative_residuals"]) == width
+    assert forked[3]["iterations"] == report["cg_iterations"] > 0
+
+
+@pytest.mark.usefixtures("fork_inputs")
 @pytest.mark.parametrize("command", sorted(FORK_USERS))
 def test_command_whose_child_fails_gives_the_serial_outputs(tmp_path, capsys, monkeypatch,
                                                             command):
-    items = THREE_ITEMS[command]
+    items = FEW_ITEMS[command]
     serial = _run_serial(command, tmp_path / "serial", capsys, monkeypatch, items)
     parent = os.getpid()
 
@@ -777,13 +820,14 @@ def test_command_whose_child_fails_gives_the_serial_outputs(tmp_path, capsys, mo
     assert _run_split(command, tmp_path / "forked", capsys, items) == serial
 
 
+@pytest.mark.usefixtures("fork_inputs")
 @pytest.mark.parametrize("where", [(2,), (1,), (1, 2)], ids=["parent", "child", "both"])
 @pytest.mark.parametrize("command", sorted(FORK_USERS))
 def test_error_in_either_process_is_the_serial_error(tmp_path, capsys, monkeypatch, command,
                                                       where):
     """Items 0 and 2 run in this process and item 1 in the child; the serial
-    run meets the first failing item first, where this process's half would
-    raise on item 2."""
+    run meets the smallest failing item first, where this process's half
+    would raise on item 2."""
     bad = [ITEM_VALUES[command][i] for i in where]
 
     def boom(item):
@@ -793,14 +837,15 @@ def test_error_in_either_process_is_the_serial_error(tmp_path, capsys, monkeypat
     _before_each_item(monkeypatch, command, boom)
     out = tmp_path / "x"
     argv = FORK_USERS[command][0]
-    assert main([*argv, *THREE_ITEMS[command], "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", f"error: boom at {bad[0]}\n")
+    assert main([*argv, *FEW_ITEMS[command], "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: boom at {min(bad)}\n")
     assert not out.exists()
 
 
+@pytest.mark.usefixtures("fork_inputs")
 @pytest.mark.parametrize("command", sorted(FORK_USERS))
 def test_command_after_a_failed_fork_runs_serially(tmp_path, capsys, monkeypatch, command):
-    items = THREE_ITEMS[command]
+    items = FEW_ITEMS[command]
     serial = _run_serial(command, tmp_path / "serial", capsys, monkeypatch, items)
 
     def no_fork():
@@ -810,6 +855,7 @@ def test_command_after_a_failed_fork_runs_serially(tmp_path, capsys, monkeypatch
     assert _run_split(command, tmp_path / "forked", capsys, items) == serial
 
 
+@pytest.mark.usefixtures("fork_inputs")
 @pytest.mark.parametrize("command", sorted(FORK_USERS))
 def test_interrupted_command_kills_its_child_and_reraises(tmp_path, capsys, monkeypatch,
                                                           command):
@@ -823,17 +869,18 @@ def test_interrupted_command_kills_its_child_and_reraises(tmp_path, capsys, monk
     _before_each_item(monkeypatch, command, interrupted)
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        main([*FORK_USERS[command][0], *THREE_ITEMS[command], "--out", str(tmp_path / "x")])
+        main([*FORK_USERS[command][0], *FEW_ITEMS[command], "--out", str(tmp_path / "x")])
     assert time.perf_counter() - start < 10
     assert not (tmp_path / "x").exists()
 
 
 def test_every_user_of_the_fork_helper_forks_despite_the_threads_warning(tmp_path, capsys,
-                                                                         monkeypatch):
+                                                                         monkeypatch,
+                                                                         fork_inputs):
     """Python 3.12 and later warn at ``os.fork`` in a process with threads.
     Emitted from Python, as here, the warning is an error under pytest's
-    filter, so the CSV writer, sweep and equiv fork only because the helper
-    ignores it."""
+    filter, so the CSV writer, sweep, equiv and the closed form fork only
+    because the helper ignores it."""
     forks, real = [], os.fork
 
     def warning_fork():
@@ -852,9 +899,12 @@ def test_every_user_of_the_fork_helper_forks_despite_the_threads_warning(tmp_pat
     assert len(forks) == 1
     assert _run_split("sweep", tmp_path / "sw", capsys, ["--ks", "1,3"])[3]["forked_depths"] == 1
     assert len(forks) == 2
-    equiv = _run_split("equiv", tmp_path / "eq", capsys, THREE_ITEMS["equiv"])
+    equiv = _run_split("equiv", tmp_path / "eq", capsys, FEW_ITEMS["equiv"])
     assert equiv[3]["forked_checks"] == 1
     assert len(forks) == 3
+    closed = _run_split("closed-form", tmp_path / "cf", capsys, FEW_ITEMS["closed-form"])
+    assert closed[3]["forked_columns"] == 2
+    assert len(forks) == 5  # the solve, then the writer of its 300 rows in 4-row blocks
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
@@ -1140,11 +1190,56 @@ def test_manifest_records_the_run(workdir, capsys, command):
     want = {k: v for k, v in parsed.items() if k not in ("command", "handler", "out")}
     if command == "equiv":
         want["graph_distribution"] = EQUIV_GRAPHS
+    if command == "denoise":  # gd's default plateau test, resolved
+        want["rel_tol"] = 0.0
     assert manifest["config"] == want
     env = manifest["env"]
     assert (env["numpy"], env["cpu_count"]) == (np.__version__, os.cpu_count())
     assert sorted(env) == ["cpu_count", "machine", "numpy", "python", "release",
                            "scipy", "system"]
+    memory = manifest["memory"]
+    assert sorted(memory) == ["children_peak_rss_mb", "peak_rss_mb", "private_mb"]
+    assert memory["peak_rss_mb"] > 0 and memory["children_peak_rss_mb"] >= 0
+    private = memory["private_mb"]
+    assert private is None if not os.path.exists("/proc/self/smaps_rollup") else private > 0
+
+
+def _closed_form_in_a_fresh_process(tmp_path, split_min_nodes):
+    """The manifest of a 300-node, 4-column closed form run by ``main`` in
+    a fresh interpreter, whose only possible child is the CG split's."""
+    argv = ["denoise", *_ring(tmp_path, 300, 4), "--solver", "closed-form", "--gamma", "0.1",
+            "--out", str(tmp_path / "out")]
+    code = ("import sys; from gsdnn import cli, gsd_problem; "
+            f"gsd_problem._CG_SPLIT_MIN_NODES = {split_min_nodes}; sys.exit(cli.main({argv!r}))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return read_json(tmp_path / "out" / "manifest.json")
+
+
+@pytest.mark.parametrize("split_min_nodes, in_child", [(0, 2), (10**9, 0)],
+                         ids=["forked", "serial"])
+def test_manifest_memory_reads_the_childs_peak_only_when_forked(tmp_path, split_min_nodes,
+                                                                 in_child):
+    manifest = _closed_form_in_a_fresh_process(tmp_path, split_min_nodes)
+    assert manifest["counters"]["forked_columns"] == in_child
+    assert (manifest["memory"]["children_peak_rss_mb"] > 0) == (in_child > 0)
+
+
+@pytest.mark.parametrize("solver", ["gd", "proxgd"])
+def test_descent_manifest_config_records_the_resolved_defaults(tmp_path, capsys, solver):
+    spec = _spec(regularizer={"kind": "row_l21", "weight": 0.1} if solver == "proxgd" else None)
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    argv = ["denoise", *_ring(tmp_path, 6), "--solver", solver, "--spec",
+            str(tmp_path / "spec.json"), "--out", str(out)]
+    assert main(argv) == 0
+    config = read_json(out / "manifest.json")["config"]
+    assert (config["iters"], config["rel_tol"], config["stepsize"], config["gamma"]) == (
+        200, 0.0, None, None)
 
 
 def test_manifest_config_keeps_flag_values_as_parsed(workdir, capsys):
@@ -1293,4 +1388,33 @@ def test_missing_or_invalid_flag_is_one_error_line(workdir, capsys, argv, messag
     assert main([*argv(workdir), "--out", str(out)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "solver, flags, message",
+    [
+        ("gd", ["--spec", "s.json", "--gamma", "0.7"],
+         "--gamma applies only to --solver closed-form, not gd"),
+        ("proxgd", ["--spec", "s.json", "--gamma", "0.7"],
+         "--gamma applies only to --solver closed-form, not proxgd"),
+        ("closed-form", ["--gamma", "0.5", "--spec", "s.json"],
+         "--spec applies only to --solver gd and proxgd, not closed-form"),
+        ("closed-form", ["--gamma", "0.5", "--stepsize", "3"],
+         "--stepsize applies only to --solver gd and proxgd, not closed-form"),
+        ("closed-form", ["--gamma", "0.5", "--iters", "-4"],
+         "--iters applies only to --solver gd and proxgd, not closed-form"),
+        ("closed-form", ["--gamma", "0.5", "--rel-tol", "1e-6"],
+         "--rel-tol applies only to --solver gd and proxgd, not closed-form"),
+    ],
+    ids=["gd-gamma", "proxgd-gamma", "closed-form-spec", "closed-form-stepsize",
+         "closed-form-iters", "closed-form-rel-tol"],
+)
+def test_flag_the_solver_does_not_read_is_one_error_line(workdir, capsys, monkeypatch, solver,
+                                                         flags, message):
+    """Rejected before any input is read: s.json does not exist."""
+    monkeypatch.chdir(workdir)
+    out = workdir / "out"
+    assert main([*_denoise(workdir, solver), *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -366,6 +367,88 @@ class TestClosedFormPpnp:
             closed_form_ppnp(ops, x, gamma, {})
         assert 1.0 - 2.0**-53 != 1.0
         closed_form_ppnp(ops, x, 2.0**-53)
+
+
+def _split_then_serial(monkeypatch, ops, x, gamma=0.1):
+    """[(solution, stats)] of the closed form with its CG columns split over
+    two processes whatever the node count, then in one process."""
+    runs = []
+    for min_nodes in (0, 2**62):
+        monkeypatch.setattr(gsd_problem, "_CG_SPLIT_MIN_NODES", min_nodes)
+        stats = {}
+        runs.append((closed_form_ppnp(ops, x, gamma, stats), stats))
+    return runs
+
+
+class TestClosedFormSplit:
+    """From 4 columns, the CG solves its trailing half of the columns in a
+    forked child: the same bits as one process, which solves fewer."""
+
+    @pytest.mark.parametrize("d", [4, 5, 6, 7, 9, 16, 17, 33, 64])
+    def test_split_equals_serial_bit_for_bit(self, monkeypatch, d):
+        rng = np.random.default_rng(d)
+        n = DENSE_MAX_NODES + 44
+        ops = er_ops(rng, n, p=10 / n)
+        (split, split_stats), (serial, serial_stats) = _split_then_serial(
+            monkeypatch, ops, random_signal(rng, n, d))
+        assert np.array_equal(split, serial)
+        assert split_stats.pop("forked_columns") == d - d // 2
+        assert serial_stats.pop("forked_columns") == 0
+        assert split_stats == serial_stats
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["slow-in-child", "slow-here"])
+    def test_columns_that_stop_far_apart_split_bit_for_bit(self, monkeypatch, reverse):
+        # a zero column (0 iterations), A_hat's top eigenvector (1), a
+        # subnormal one and random ones at two scales, which take the most
+        rng = np.random.default_rng(19)
+        n = DENSE_MAX_NODES + 44
+        ops = er_ops(rng, n, p=0.03)
+        x = np.column_stack([np.zeros(n), np.sqrt(ops.degrees),
+                             1e-310 * rng.choice([-1.0, 1.0], n), rng.standard_normal(n),
+                             1e6 * rng.standard_normal(n)])
+        x = x[:, ::-1] if reverse else x
+        (split, split_stats), (serial, serial_stats) = _split_then_serial(monkeypatch, ops, x)
+        assert np.array_equal(split, serial)
+        assert split_stats.pop("forked_columns") == 3
+        assert serial_stats.pop("forked_columns") == 0
+        assert split_stats == serial_stats
+        assert serial_stats["cg_iterations"] > 10
+        zero = 4 if reverse else 0
+        assert np.all(split[:, zero] == 0.0) and split_stats["relative_residuals"][zero] == 0.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_fewer_than_four_columns_never_fork(self, monkeypatch, d):
+        forks = []
+        monkeypatch.setattr(gsd_problem, "_CG_SPLIT_MIN_NODES", 0)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or pytest.fail("forked"))
+        rng = np.random.default_rng(20)
+        n = DENSE_MAX_NODES + 44
+        stats = {}
+        closed_form_ppnp(er_ops(rng, n, p=0.03), random_signal(rng, n, d), 0.1, stats)
+        assert stats["forked_columns"] == 0 and not forks
+
+    def test_split_waits_for_the_node_count(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        n = DENSE_MAX_NODES + 44
+        ops, x = er_ops(rng, n, p=0.03), random_signal(rng, n, 4)
+        for min_nodes, forked in ((n, 2), (n + 1, 0)):
+            monkeypatch.setattr(gsd_problem, "_CG_SPLIT_MIN_NODES", min_nodes)
+            stats = {}
+            closed_form_ppnp(ops, x, 0.1, stats)
+            assert stats["forked_columns"] == forked
+
+    @pytest.mark.parametrize("column", [1, 3], ids=["here", "in-child"])
+    def test_non_finite_column_in_either_half_is_named_as_in_one_process(self, monkeypatch,
+                                                                         column):
+        # the child's half would call column 3 its column 1
+        monkeypatch.setattr(gsd_problem, "_CG_SPLIT_MIN_NODES", 0)
+        rng = np.random.default_rng(14)
+        n = DENSE_MAX_NODES + 4
+        x = random_signal(rng, n, 4)
+        x[3, column] = np.nan
+        with pytest.raises(FloatingPointError,
+                           match=f"non-finite residual on column {column} at iteration 0"):
+            closed_form_ppnp(er_ops(rng, n, p=0.03), x, 0.5)
 
 
 class TestSmoothnessBound:

@@ -5,14 +5,17 @@ call is the largest sum of its live arrays. Each case runs at n and at 4n,
 on a graph built before tracing starts, and its peak is compared with a
 unit that grows linearly: a dense n x n temporary anywhere on the path (an
 ``a_hat.toarray()`` product, say) is about 30 units at n = 1000 and grows
-fourfold again at 4n. A forked child is not traced; no case here forks.
+fourfold again at 4n. A forked child is not traced; no case here forks
+but the split closed form, whose peak is this process's side alone.
 
 - The trainer path: ``feature_powers`` and a 3-epoch projected ``train``,
   with u = 8 (K+1) n (d+1) bytes, one set of projected feature powers (see
   ``feature_powers``).
 - The denoising path: the edge-list parse plus ``normalize``, ``gd_run``,
   ``proxgd_run`` and the conjugate-gradient ``closed_form_ppnp``, with
-  u = 12 nnz + 8 n d bytes, A_hat's CSR arrays plus one signal.
+  u = 12 nnz + 8 n d bytes, A_hat's CSR arrays plus one signal. The
+  closed form again with its columns split over two processes, whose
+  working arrays here are half as wide.
 - ``sbm_generate``, which draws its edges by geometric skipping in chunks
   sized by the expected edge count (never by the n^2 pair count), with the
   same u of the dataset it returns.
@@ -23,6 +26,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gsdnn import gsd_problem
 from gsdnn.bilevel_trainer import (
     Dataset,
     TrainConfig,
@@ -53,6 +57,13 @@ PEAK_PER_UNIT = 2.4
 # over the largest.
 SPARSE_PEAK_PER_UNIT = 3.0
 SIGNAL_D = 16
+
+# Peak over the same u of the closed form split over two processes, this
+# process's side: 1.77 and 1.73 at n = 1000 and 4000, against 2.49 and 2.47
+# in one process. A side that receives the child's half through one
+# ``pipe.read()``, which holds its bytes twice while they grow, reads 2.01
+# and 1.97; 1.87 sits between the two.
+SPLIT_PEAK_PER_UNIT = 1.87
 
 # Peak over u measured at n = 1000 and 4000 (and 8000): 4.09 and 4.06
 # (4.05). 6 leaves a third over 4.5, which a draw holding one row of n
@@ -113,15 +124,30 @@ SPARSE_CASES = {
 }
 
 
-@pytest.mark.parametrize("n", [1000, 4000])
-@pytest.mark.parametrize("case", sorted(SPARSE_CASES))
-def test_peak_memory_of_sparse_paths_scales_with_nnz_and_signal(case, n):
+def _sparse_inputs(n: int):
+    """(edge-list text, operators, signal, u) of the denoising cases."""
     text = f"nodes {n}\n" + "".join(f"{u} {v}\n" for u, v in _edges(n).tolist())
     ops = normalize(load_edge_list(text))
     x = np.random.default_rng(n + 1).standard_normal((n, SIGNAL_D))
-    unit = 12 * ops.a_hat.nnz + 8 * n * SIGNAL_D
+    return text, ops, x, 12 * ops.a_hat.nnz + 8 * n * SIGNAL_D
+
+
+@pytest.mark.parametrize("n", [1000, 4000])
+@pytest.mark.parametrize("case", sorted(SPARSE_CASES))
+def test_peak_memory_of_sparse_paths_scales_with_nnz_and_signal(case, n):
+    text, ops, x, unit = _sparse_inputs(n)
     peak = _traced_peak(lambda: SPARSE_CASES[case](text, ops, x))
     assert peak <= SPARSE_PEAK_PER_UNIT * unit, f"peak {peak} B is {peak / unit:.2f} u"
+
+
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_peak_memory_of_the_split_closed_form_is_below_one_process(monkeypatch, n):
+    monkeypatch.setattr(gsd_problem, "_CG_SPLIT_MIN_NODES", 0)
+    _, ops, x, unit = _sparse_inputs(n)
+    stats = {}
+    peak = _traced_peak(lambda: closed_form_ppnp(ops, x, 0.1, stats))
+    assert stats["forked_columns"] == SIGNAL_D // 2
+    assert peak <= SPLIT_PEAK_PER_UNIT * unit, f"peak {peak} B is {peak / unit:.2f} u"
 
 
 @pytest.mark.parametrize("n", [1000, 4000])
