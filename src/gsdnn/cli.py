@@ -317,6 +317,7 @@ def cmd_denoise(args, run: _Run) -> int:
             )
         final = report.final
         run.counters["iterations"] = report.iterations_used
+        run.counters["forked_rows"] = report.forked_rows
         report_doc = {"solver": args.solver, **report.to_json_dict()}
 
     run.lap("solve")

@@ -33,10 +33,12 @@ writes with ``fmt="%.17g"``, formatting a large signal's two halves in two
 processes.
 
 The second process comes from :func:`_forked`, the one place that forks,
-pipes, reaps and falls back. It has four users: the CSV writer's child
+pipes, reaps and falls back. It has five users: the CSV writer's child
 formats half a signal, the closed form's child solves half of the
-conjugate-gradient columns (``gsd_problem.closed_form_ppnp``), the
-``equiv`` command's child runs every other check, and the ``sweep``
+conjugate-gradient columns (``gsd_problem.closed_form_ppnp``), the gd and
+proxgd solvers' child steps the rows from A_hat's nnz midpoint on
+(``iter_solvers``, on the row blocks of ``NormalizedOperators.row_halves``),
+the ``equiv`` command's child runs every other check, and the ``sweep``
 command's child trains every other depth (the two commands through
 ``cli._on_two_cores``).
 """
@@ -287,13 +289,16 @@ class NormalizedOperators:
     ``a_hat`` is stored as CSR with both triangles so row iteration never
     branches on orientation; its values are d_u^{-1/2} d_v^{-1/2}, which
     makes the stored matrix exactly symmetric (float multiplication
-    commutes). ``b_hat`` is built lazily on first access.
+    commutes). ``b_hat`` and ``row_halves`` are built lazily on first
+    access.
     """
 
     graph: Graph
     a_hat: sp.csr_matrix
     degrees: np.ndarray
     _b_hat: sp.csr_matrix | None = field(default=None, repr=False)
+    _row_halves: tuple[int, sp.csr_matrix, sp.csr_matrix] | None = field(
+        default=None, repr=False)
 
     @property
     def num_nodes(self) -> int:
@@ -315,6 +320,28 @@ class NormalizedOperators:
                 (vals, (rows, cols)), shape=(us.size, self.num_nodes)
             )
         return self._b_hat
+
+    @property
+    def row_halves(self) -> tuple[int, sp.csr_matrix, sp.csr_matrix]:
+        """(mid, rows before mid, rows from mid on) of A_hat, split at the row
+        that holds its nnz midpoint, kept within 1 <= mid <= n - 1 (so n >= 2).
+        Both blocks have all n columns and are views of A_hat's ``data`` and
+        ``indices``; only the upper block's ``indptr`` is a new, shifted
+        array. A block's product is A_hat's product on its rows, bit for bit."""
+        if self._row_halves is None:
+            a, n = self.a_hat, self.num_nodes
+            mid = int(np.searchsorted(a.indptr, a.nnz // 2, side="right")) - 1
+            mid = min(max(mid, 1), n - 1)
+            cut = a.indptr[mid]
+            lower, upper = sp.csr_matrix((mid, n)), sp.csr_matrix((n - mid, n))
+            # set, not passed to the constructor, which copies a view of under
+            # half of its base array
+            lower.data, lower.indices = a.data[:cut], a.indices[:cut]
+            lower.indptr = a.indptr[: mid + 1]
+            upper.data, upper.indices = a.data[cut:], a.indices[cut:]
+            upper.indptr = a.indptr[mid:] - cut
+            self._row_halves = (mid, lower, upper)
+        return self._row_halves
 
     def laplacian_apply(self, x: np.ndarray) -> np.ndarray:
         """Apply L_hat = I - A_hat to a signal."""
@@ -353,14 +380,16 @@ def normalize(g: Graph) -> NormalizedOperators:
     return NormalizedOperators(graph=g, a_hat=a_hat, degrees=degrees)
 
 
-def spmm(ops: NormalizedOperators, x: np.ndarray) -> np.ndarray:
-    """Sparse A_hat times dense signal. Deterministic for fixed input."""
+def spmm(ops: NormalizedOperators, x: np.ndarray, half: int | None = None) -> np.ndarray:
+    """Sparse A_hat times dense signal, or with ``half`` 0 or 1 only the rows
+    of that block of ``ops.row_halves``, which are A_hat's rows of the
+    product bit for bit. Deterministic for fixed input."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != ops.num_nodes:
         raise ValueError(
             f"signal has {x.shape[0]} rows but the graph has {ops.num_nodes} nodes"
         )
-    return ops.a_hat @ x
+    return (ops.a_hat if half is None else ops.row_halves[1 + half]) @ x
 
 
 def as_signal(values: Sequence | np.ndarray, num_nodes: int | None = None) -> np.ndarray:
@@ -429,12 +458,14 @@ def _forked(produce: Callable[[], bytes]) -> Iterator[_Child | None]:
     """Run ``produce()`` in a forked child that writes the bytes it returns
     to a pipe; the block gets the :class:`_Child`, or None where no child
     could be forked (no ``os.fork``, or a fork ``OSError``). The one way the
-    program uses a second core, with four users: :func:`save_signal_csv`,
+    program uses a second core, with five users: :func:`save_signal_csv`,
     whose child formats half a signal, ``gsd_problem.closed_form_ppnp``,
-    whose child solves half of the conjugate-gradient columns, and through
-    ``cli._on_two_cores`` the ``equiv`` command, whose child runs every
-    other check, and the ``sweep`` command, whose child trains every other
-    depth.
+    whose child solves half of the conjugate-gradient columns,
+    ``iter_solvers``' gd and proxgd, whose child steps half of the rows in
+    lockstep with this process over a socket pair and shared memory made
+    before the fork, and through ``cli._on_two_cores`` the ``equiv``
+    command, whose child runs every other check, and the ``sweep`` command,
+    whose child trains every other depth.
 
     The child produces everything in memory and only then writes it: writing
     as it goes would fill the 64 KiB pipe buffer and stall the child until

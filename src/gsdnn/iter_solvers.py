@@ -14,7 +14,10 @@ repeat it in one loop, which computes A_hat H and H - X once per iterate for
 both the objective trace and the next gradient. The loop runs in a fixed
 set of n x d buffers that the solve allocates once: the layer step, the
 gradient inside it and the prox write into them, so that with an identity T
-an iterate allocates no n x d array besides the A_hat product. The unrolled
+an iterate allocates no n x d array besides the A_hat product. On a large
+graph two processes run the loop in lockstep, each stepping half of the
+rows; H and (I - A_hat) H are then buffers that both processes share, and
+the results are one process's bit for bit. The unrolled
 plans run the same step without buffers and get fresh arrays from the same
 code. Objective traces always include the nonsmooth part, so the documented
 descent guarantee at stepsize 1/Lambda is about the true composite
@@ -25,13 +28,17 @@ has diverged, and the report's ``stop_reason`` says so.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
+import socket
+import struct
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .graph_core import NormalizedOperators
+from .graph_core import NormalizedOperators, _forked, spmm
 from .gsd_problem import (
     GsdSpec,
     LayerParams,
@@ -55,6 +62,17 @@ __all__ = [
     "prox_nonneg",
     "row_shrink",
 ]
+
+# _solve steps the rows from A_hat's nnz midpoint on in a forked child from
+# this many nodes on (see _descend_on_two_cores). gd solves of 33 iterations
+# at T = I and 16 columns on random graphs of average degree 10 (median of 9
+# alternating pairs per size, on 2 vCPUs): the split lost at 10,000 to
+# 27,500 nodes (0.156 against 0.179 s at 20,000; it won at most 3 of 9),
+# won 3 and 8 of 9 in two rounds at 30,000 and 7 of 9 at 32,500, and won
+# from 35,000 on (0.460 against 0.335 s; 7 and 9 of 9), 40,000 (7 and 9 of 9)
+# and 50,000 (0.62 against 0.46 s). Where it crosses over moves with the
+# size at which one process's working set leaves the cache.
+_DESCENT_SPLIT_MIN_NODES = 35_000
 
 
 @dataclass(frozen=True)
@@ -81,13 +99,15 @@ class SolveReport:
     """Result of a descent run. ``stop_reason`` says why it stopped:
     ``plateau`` (the objective changed by at most rel_tol, relative),
     ``max_iters`` (the iteration budget ran out) or ``diverged`` (the
-    objective stopped being finite)."""
+    objective stopped being finite). ``forked_rows`` counts the rows that a
+    forked child stepped (0 when one process stepped them all)."""
 
     final: np.ndarray
     objective_trace: list[float]
     iterations_used: int
     stop_reason: str
     trajectory: list[np.ndarray] | None = field(default=None, repr=False)
+    forked_rows: int = 0
 
     @property
     def converged(self) -> bool:
@@ -168,40 +188,119 @@ def _layer_step(
     return v
 
 
-# a diverging run overflows quietly on its last step: stop_reason reports it
-@np.errstate(over="ignore", invalid="ignore")
+class _OneProcess:
+    """The sync of a descent that one process runs: it steps every row,
+    makes the whole A_hat product and evaluates the objective itself."""
+
+    rows = diff_rows = slice(None)
+    spare = staticmethod(np.empty_like)
+
+    @staticmethod
+    def advance(h: np.ndarray, step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return step, h  # the step is the next H, and the spent H the next step's buffer
+
+    @staticmethod
+    def laplacian(h: np.ndarray, ops: NormalizedOperators, beta: float) -> np.ndarray | None:
+        return _laplacian(h, ops, beta)
+
+    @staticmethod
+    def objective(value: Callable[[], float]) -> float:
+        return value()
+
+
+class _Lockstep:
+    """The sync of one of two processes that step a descent's rows in
+    lockstep over the socket ``sock``: ``rows`` are the rows this process
+    steps, those of block ``half`` of ``NormalizedOperators.row_halves``. H
+    and (I - A_hat) H, ``lap``, are shared; H - X is private, and the parent
+    forms all of its rows, since it evaluates the objective.
+
+    Each process writes its step into its rows of H, says so and waits to
+    hear the same. After its product the child says that its rows of ``lap``
+    are written, and the parent evaluates the objective on the whole arrays
+    and sends it as 8 bytes. EOF means that the other process has stopped,
+    and raises EOFError."""
+
+    def __init__(self, sock: socket.socket, rows: slice, lap: np.ndarray, parent: bool):
+        self.sock, self.rows, self.lap, self.parent = sock, rows, lap, parent
+        self.half, self.diff_rows = (0, slice(None)) if parent else (1, rows)
+
+    def _receive(self, size: int) -> bytes:
+        data = self.sock.recv(size, socket.MSG_WAITALL)
+        if len(data) != size:
+            raise EOFError("the other half of the descent stopped")
+        return data
+
+    @staticmethod
+    def spare(h: np.ndarray) -> None:
+        return None  # each step is a fresh array
+
+    def advance(self, h: np.ndarray, step: np.ndarray) -> tuple[np.ndarray, None]:
+        h[self.rows] = step
+        self.sock.sendall(b"h")
+        self._receive(1)
+        return h, None
+
+    def laplacian(self, h: np.ndarray, ops: NormalizedOperators, beta: float) -> np.ndarray | None:
+        if beta == 0.0:
+            return None
+        np.subtract(h[self.rows], spmm(ops, h, self.half), out=self.lap[self.rows])
+        return self.lap
+
+    def objective(self, value: Callable[[], float]) -> float:
+        if not self.parent:
+            self.sock.sendall(b"l")
+            return struct.unpack("d", self._receive(8))[0]
+        self._receive(1)
+        f = value()
+        self.sock.sendall(struct.pack("d", f))
+        return f
+
+
+_ONE_PROCESS = _OneProcess()
+
+
+def _rows(a: np.ndarray | None, r: slice) -> np.ndarray | None:
+    return None if a is None else a[r]
+
+
 def _descend(
-    spec: GsdSpec,
+    layer: LayerParams,
     x: np.ndarray,
-    h0: np.ndarray,
+    h: np.ndarray,
     ops: NormalizedOperators,
     cfg: SolveConfig,
+    sync: _OneProcess | _Lockstep,
 ) -> SolveReport:
-    """Repeat the spec's layer from h0 until the objective plateaus or diverges.
+    """Repeat the layer from H, which this writes, until the objective
+    plateaus or diverges: the one descent loop, stepping ``sync.rows``.
 
-    The iterate lives in buffers allocated here, once per solve: two for H
-    (each step writes the next iterate into the spare one and they swap) and
-    one for H - X, which the objective and the next gradient share. Only the
-    gradient's first term reads H - X, so its later terms are formed in that
-    buffer too. Neither x nor h0 is written, and the A_hat product is the one
-    fresh n x d array of a step.
+    The step, the prox and H - X are row-local; ``sync`` puts the step's
+    rows into H and makes (I - A_hat) H and the objective, which read every
+    row. In one process the iterate lives in buffers allocated once per
+    solve: two for H (each step writes the next iterate into the spare one
+    and they swap) and one for H - X, which the objective and the next
+    gradient share. Only the gradient's first term reads H - X, so its later
+    terms are formed in that buffer too. x is never written, and the A_hat
+    product is the one fresh n x d array of a step. In lockstep a step's
+    rows are a fresh array instead, copied into the shared H and freed
+    before the product, which reuses its memory.
     """
-    layer = _layer_of(spec, _resolve_stepsize(spec, cfg))
-    h = np.array(h0, dtype=np.float64, copy=True)
-    x = np.asarray(x, dtype=np.float64)
-    _check_signal(spec, h, x)
-    spare, diff = np.empty_like(h), np.subtract(h, x)
-    lap_h = _laplacian(h, ops, layer.beta)
-    trace = [_objective_value(layer, h, x, lap_h, diff)]
+    r, rd = sync.rows, sync.diff_rows
+    spare, diff = sync.spare(h), np.empty_like(h)
+    np.subtract(h[rd], x[rd], out=diff[rd])
+    lap_h = sync.laplacian(h, ops, layer.beta)
+    trace = [sync.objective(lambda: _objective_value(layer, h, x, lap_h, diff))]
     traj = [h.copy()] if cfg.capture_trajectory else None
     stop_reason = "max_iters"
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        h, spare = _layer_step(layer, h, x, lap_h, diff, out=spare, work=diff), h
-        np.subtract(h, x, out=diff)  # for this trace entry and the next step
+        h, spare = sync.advance(h, _layer_step(
+            layer, h[r], x[r], _rows(lap_h, r), diff[r], out=spare, work=diff[r]))
+        np.subtract(h[rd], x[rd], out=diff[rd])  # for this trace entry and the next step
         lap_h = None  # spent: free it before the next product is made
-        lap_h = _laplacian(h, ops, layer.beta)
-        f = _objective_value(layer, h, x, lap_h, diff)
+        lap_h = sync.laplacian(h, ops, layer.beta)
+        f = sync.objective(lambda: _objective_value(layer, h, x, lap_h, diff))
         trace.append(f)
         if traj is not None:
             traj.append(h.copy())
@@ -221,6 +320,90 @@ def _descend(
     )
 
 
+def _descend_on_two_cores(
+    layer: LayerParams, x: np.ndarray, h0: np.ndarray, ops: NormalizedOperators, cfg: SolveConfig
+) -> SolveReport | None:
+    """:func:`_descend` from h0 with the rows from ``ops.row_halves``' mid on
+    stepped by a forked child, in lockstep with this process, which steps
+    the rows before it; None where no child could be forked, the child
+    failed, or either half raised an Exception.
+
+    H and (I - A_hat) H live in anonymous shared ``mmap`` buffers made
+    before the fork and closed before this returns; the report's ``final``
+    is a private copy. Only these two are shared: each shared page counts
+    in this process's peak RSS, where a private buffer may reuse heap pages
+    that an earlier step of the command freed."""
+    bufs: list[mmap.mmap] = []
+    try:
+        bufs += [mmap.mmap(-1, h0.nbytes) for _ in range(2)]
+        report = _lockstep(layer, x, h0, ops, cfg, bufs)
+    except Exception:
+        report = None
+    finally:
+        for buf in bufs:
+            # only the traceback of a BaseException on its way out (Ctrl-C)
+            # still holds views; that buffer is unmapped once it is collected
+            with contextlib.suppress(BufferError):
+                buf.close()
+    return report
+
+
+def _lockstep(
+    layer: LayerParams, x: np.ndarray, h0: np.ndarray, ops: NormalizedOperators,
+    cfg: SolveConfig, bufs: list[mmap.mmap],
+) -> SolveReport | None:
+    n, mid = h0.shape[0], ops.row_halves[0]
+    h, lap = (np.frombuffer(buf).reshape(h0.shape) for buf in bufs)
+    np.copyto(h, h0)
+    here, there = socket.socketpair()
+    with here, there:
+        def child_half() -> bytes:
+            here.close()
+            _descend(layer, x, h, ops, cfg, _Lockstep(there, slice(mid, n), lap, parent=False))
+            return b""
+
+        with _forked(child_half) as child:
+            if child is None:
+                return None
+            there.close()  # so that a child that dies leaves EOF here
+            sync = _Lockstep(here, slice(0, mid), lap, parent=True)
+            report = _descend(layer, x, h, ops, cfg, sync)
+    if not child.ok:
+        return None
+    report.final, report.forked_rows = report.final.copy(), n - mid
+    return report
+
+
+# a diverging run overflows quietly on its last step: stop_reason reports it
+@np.errstate(over="ignore", invalid="ignore")
+def _solve(
+    spec: GsdSpec,
+    x: np.ndarray,
+    h0: np.ndarray,
+    ops: NormalizedOperators,
+    cfg: SolveConfig,
+) -> SolveReport:
+    """:func:`_descend` of the spec's layer from h0: on two cores from
+    _DESCENT_SPLIT_MIN_NODES nodes on, and otherwise, or where the two-core
+    run returns None, in this process, which then reruns the whole solve:
+    results and errors are those of one process. Neither x nor h0 is
+    written. One process also runs a layer with a T that is not the
+    identity, whose M T products OpenBLAS runs on threads in both processes
+    (at denoise-large size the split took 5.45 against 4.42 s, 0 of 7
+    pairs), a captured trajectory, and an h0 that is not C-contiguous, since
+    the shared H must have the layout of this process's copy."""
+    layer = _layer_of(spec, _resolve_stepsize(spec, cfg))
+    h0 = np.asarray(h0, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    _check_signal(spec, h0, x)
+    if (h0.shape[0] >= max(2, _DESCENT_SPLIT_MIN_NODES) and h0.flags.c_contiguous
+            and layer.t_alpha is None and layer.t_beta is None and not cfg.capture_trajectory):
+        report = _descend_on_two_cores(layer, x, h0, ops, cfg)
+        if report is not None:
+            return report
+    return _descend(layer, x, np.array(h0, copy=True), ops, cfg, _ONE_PROCESS)
+
+
 def gd_run(
     spec: GsdSpec,
     x: np.ndarray,
@@ -231,7 +414,7 @@ def gd_run(
     """Plain gradient descent; requires a smooth objective."""
     if isinstance(spec.regularizer, (NonNegIndicator, RowL21)):
         raise ValueError("spec has a nonsmooth regularizer; use proxgd_run")
-    return _descend(spec, x, h0, ops, cfg)
+    return _solve(spec, x, h0, ops, cfg)
 
 
 def proxgd_run(
@@ -244,4 +427,4 @@ def proxgd_run(
     """Proximal gradient descent for indicator or row-l21 regularizers."""
     if not isinstance(spec.regularizer, (NonNegIndicator, RowL21)):
         raise ValueError("spec has no nonsmooth regularizer; use gd_run")
-    return _descend(spec, x, h0, ops, cfg)
+    return _solve(spec, x, h0, ops, cfg)

@@ -43,14 +43,15 @@ def random_spd(rng: np.random.Generator, d: int) -> np.ndarray:
 
 @pytest.fixture
 def spmm_calls(monkeypatch):
-    """List that gets one entry per A_hat product: spmm is wrapped wherever
-    a gsdnn module bound it."""
+    """List that gets one entry per A_hat product, the shape of its signal:
+    spmm is wrapped wherever a gsdnn module bound it. A product of one row
+    block counts once."""
     calls = []
     real = graph_core.spmm
 
-    def counting(ops, x):
+    def counting(ops, x, half=None):
         calls.append(np.shape(x))
-        return real(ops, x)
+        return real(ops, x, half)
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("gsdnn") and getattr(mod, "spmm", None) is real:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gsdnn import cli, graph_core, gsd_problem
+from gsdnn import cli, graph_core, gsd_problem, iter_solvers
 from gsdnn.bilevel_trainer import TrainConfig
 from gsdnn.cli import EQUIV_GRAPHS, build_parser, main
 from gsdnn.graph_core import add_self_loops, load_edge_list, load_signal_csv, normalize
@@ -653,9 +653,9 @@ def test_sweep_nonpositive_seed_count_is_usage_error(tmp_path, capsys, n_seeds):
     assert not out.exists()
 
 
-# three commands on two cores: a forked child trains every other depth of a
-# sweep, runs every other check of equiv, or solves the trailing half of the
-# closed form's columns
+# five commands on two cores: a forked child trains every other depth of a
+# sweep, runs every other check of equiv, solves the trailing half of the
+# closed form's columns, or steps gd's or proxgd's trailing rows
 
 SPLIT_SWEEP = ["sweep", "--dataset", "sbm", "--sbm-n", "140", "--n-seeds", "2",
                "--epochs", "40", "--patience", "10"]
@@ -664,6 +664,10 @@ SPLIT_SWEEP = ["sweep", "--dataset", "sbm", "--sbm-n", "140", "--n-seeds", "2",
 SPLIT_CLOSED_FORM = ["denoise", "--graph", "ring.txt", "--solver", "closed-form",
                      "--gamma", "0.1"]
 SPLIT_WIDTH = 4
+# the same ring under an identity-T spec: the child steps rows 150 to 299
+SPLIT_NODES = 300
+SPLIT_GD = ["denoise", "--graph", "ring.txt", "--solver", "gd", "--spec", "gd.json"]
+SPLIT_PROXGD = ["denoise", "--graph", "ring.txt", "--solver", "proxgd", "--spec", "proxgd.json"]
 
 # command -> (argv without its items, its outputs, the module and name of the
 # function that gets the items, the counter of items run in the child)
@@ -673,22 +677,35 @@ FORK_USERS = {
               "forked_checks"),
     "closed-form": (SPLIT_CLOSED_FORM, ("denoised.csv", "solve_report.json"), gsd_problem,
                     "_ppnp_cg", "forked_columns"),
+    "gd": (SPLIT_GD, ("denoised.csv", "solve_report.json"), iter_solvers, "_layer_step",
+           "forked_rows"),
+    "proxgd": (SPLIT_PROXGD, ("denoised.csv", "solve_report.json"), iter_solvers,
+               "_layer_step", "forked_rows"),
 }
-# a few items per command: the depths 1, 2, 4, the trials 0, 1, 2, or the
-# four feature columns 0 to 3, of which the child solves 2 and 3
+# a few items per command: the depths 1, 2, 4, the trials 0, 1, 2, the
+# four feature columns 0 to 3, of which the child solves 2 and 3, or the
+# rows of gd's and proxgd's iterates
 FEW_ITEMS = {"sweep": ["--ks", "1,2,4"], "equiv": ["--model", "sgc", "--trials", "3"],
-             "closed-form": ["--features", "ring.csv"]}
+             "closed-form": ["--features", "ring.csv"], "gd": ["--features", "ring.csv"],
+             "proxgd": ["--features", "ring.csv"]}
 # three of those items: the child gets the middle one
-ITEM_VALUES = {"sweep": (1, 2, 4), "equiv": (0, 1, 2), "closed-form": (0, 2, 1)}
+ITEM_VALUES = {"sweep": (1, 2, 4), "equiv": (0, 1, 2), "closed-form": (0, 2, 1),
+               "gd": (0, 299, 1), "proxgd": (0, 299, 1)}
 
 
 @pytest.fixture
 def fork_inputs(tmp_path, monkeypatch):
-    """The closed form's ring and SPLIT_WIDTH feature columns in the working
-    directory, and its split at any node count."""
-    _ring(tmp_path, 300, SPLIT_WIDTH)
+    """The closed form's ring and SPLIT_WIDTH feature columns and gd's and
+    proxgd's identity-T specs in the working directory, and both splits at
+    any node count."""
+    _ring(tmp_path, SPLIT_NODES, SPLIT_WIDTH)
+    eye = np.eye(SPLIT_WIDTH).tolist()
+    for name, reg in (("gd", None), ("proxgd", {"kind": "row_l21", "weight": 0.05})):
+        spec = {"alpha": 0.2, "beta": 1.0, "t_alpha": eye, "t_beta": eye, "regularizer": reg}
+        (tmp_path / f"{name}.json").write_text(json.dumps(spec))
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(gsd_problem, "_CG_SPLIT_MIN_NODES", 0)
+    monkeypatch.setattr(iter_solvers, "_DESCENT_SPLIT_MIN_NODES", 0)
 
 
 def _run_split(command, out, capsys, items):
@@ -709,20 +726,25 @@ def _run_serial(command, out, capsys, monkeypatch, items):
 def _before_each_item(monkeypatch, command, act):
     """Calls ``act(item)`` on each item that the command's mapped function
     gets (a depth of the sweep, a trial of equiv, a feature column of the
-    closed form) before the real function."""
+    closed form, a row of a gd or proxgd step) before the real function."""
     module, name = FORK_USERS[command][2:4]
     real, parent = getattr(module, name), os.getpid()
 
-    def stand_in(*args):
-        if command == "closed-form":  # this process solves leading columns, the child trailing
+    def stand_in(*args, **kwargs):
+        # this process solves leading columns or steps leading rows, the child trailing
+        if command == "closed-form":
             width = args[1].shape[1]
             start = 0 if os.getpid() == parent else SPLIT_WIDTH - width
             items = range(start, start + width)
+        elif module is iter_solvers:
+            rows = args[1].shape[0]
+            start = 0 if os.getpid() == parent else SPLIT_NODES - rows
+            items = range(start, start + rows)
         else:
             items = np.atleast_1d(args[2]).tolist()
         for item in items:
             act(item)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, stand_in)
 
@@ -805,6 +827,15 @@ def test_split_closed_form_gives_the_serial_outputs(tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.usefixtures("fork_inputs")
+@pytest.mark.parametrize("command", ["gd", "proxgd"])
+def test_split_descent_gives_the_serial_outputs(tmp_path, capsys, monkeypatch, command):
+    forked = _check_split_is_serial(tmp_path, capsys, monkeypatch, command,
+                                    FEW_ITEMS[command], SPLIT_NODES // 2)
+    report = json.loads(forked[1][1])
+    assert forked[3]["iterations"] == report["iterations"] > 1
+
+
+@pytest.mark.usefixtures("fork_inputs")
 @pytest.mark.parametrize("command", sorted(FORK_USERS))
 def test_command_whose_child_fails_gives_the_serial_outputs(tmp_path, capsys, monkeypatch,
                                                             command):
@@ -879,8 +910,8 @@ def test_every_user_of_the_fork_helper_forks_despite_the_threads_warning(tmp_pat
                                                                          fork_inputs):
     """Python 3.12 and later warn at ``os.fork`` in a process with threads.
     Emitted from Python, as here, the warning is an error under pytest's
-    filter, so the CSV writer, sweep, equiv and the closed form fork only
-    because the helper ignores it."""
+    filter, so the CSV writer, sweep, equiv, the closed form, gd and proxgd
+    fork only because the helper ignores it."""
     forks, real = [], os.fork
 
     def warning_fork():
@@ -905,6 +936,10 @@ def test_every_user_of_the_fork_helper_forks_despite_the_threads_warning(tmp_pat
     closed = _run_split("closed-form", tmp_path / "cf", capsys, FEW_ITEMS["closed-form"])
     assert closed[3]["forked_columns"] == 2
     assert len(forks) == 5  # the solve, then the writer of its 300 rows in 4-row blocks
+    for command in ("gd", "proxgd"):
+        descent = _run_split(command, tmp_path / command, capsys, FEW_ITEMS[command])
+        assert descent[3]["forked_rows"] == SPLIT_NODES // 2
+    assert len(forks) == 9  # each solve and its writer
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
@@ -1129,8 +1164,8 @@ MANIFEST_CASES = {
         lambda w: [w / "edges.txt", w / "feats.csv", w / "spec.json"],
         ["load", "solve"],
         {"n": 6, "nnz": 20, "d": 2},
-        # no plateau stop: the whole --iters budget
-        {"iterations": 5},
+        # no plateau stop: the whole --iters budget; 6 nodes are one process's
+        {"iterations": 5, "forked_rows": 0},
     ),
     "equiv": (
         lambda w: ["equiv", "--model", "sgc", "--trials", "2", "--seed", "3"],

@@ -341,6 +341,24 @@ def test_spmm_matches_dense(seed, n, d):
 
 
 @settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), d=st.integers(1, 4),
+       p=st.sampled_from([0.0, 0.25, 1.0]))
+def test_row_halves_are_views_whose_products_are_a_hats_rows(seed, n, d, p):
+    rng = np.random.default_rng(seed)
+    ops = er_ops(rng, n, p)
+    x = rng.standard_normal((n, d))
+    mid, lower, upper = ops.row_halves
+    a = ops.a_hat
+    assert 1 <= mid <= n - 1 and a.indptr[mid - 1] <= a.nnz // 2
+    assert mid == n - 1 or a.nnz // 2 < a.indptr[mid + 1]
+    for block in (lower, upper):
+        assert np.shares_memory(block.data, a.data)
+        assert np.shares_memory(block.indices, a.indices)
+    assert np.shares_memory(lower.indptr, a.indptr)
+    assert np.array_equal(np.vstack((spmm(ops, x, 0), spmm(ops, x, 1))), spmm(ops, x))
+
+
+@settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
 def test_smooth_eigenvector_is_fixed(seed, n):
     # A_hat (D^{1/2} 1) = D^{1/2} 1: the normalized all-ones direction.

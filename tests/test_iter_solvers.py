@@ -1,4 +1,6 @@
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from gsdnn.graph_core import add_self_loops, load_edge_list, normalize
+from gsdnn import iter_solvers
+from gsdnn.graph_core import Graph, add_self_loops, load_edge_list, normalize
 from gsdnn.gsd_problem import (
     GsdSpec,
     NonNegIndicator,
@@ -407,3 +410,197 @@ def test_strict_convexity_gives_unique_limit():
 def test_row_shrink_rejects_shapes_that_differ():
     with pytest.raises(ValueError, match=r"shapes differ: \(3, 2\) vs \(2, 2\)"):
         row_shrink(np.zeros((3, 2)), np.zeros((2, 2)), 0.5)
+
+
+def _star_with_middle_hub(n):
+    """An n-node star whose hub, node n // 2, holds A_hat's nnz midpoint."""
+    hub = n // 2
+    return normalize(Graph(num_nodes=n, edges=[(hub, i) for i in range(n) if i != hub]))
+
+
+class TestRowSplit:
+    """With the node bound at 0, a forked child steps the rows from A_hat's
+    nnz midpoint on in lockstep with this process; H, the trace, the
+    iteration count and the stop reason are the one process's, bit for bit."""
+
+    REGS = TestBufferedIterate.REGS
+
+    @pytest.fixture(autouse=True)
+    def split_at_any_size(self, monkeypatch):
+        monkeypatch.setattr(iter_solvers, "_DESCENT_SPLIT_MIN_NODES", 0)
+
+    @staticmethod
+    def check_split_is_serial(monkeypatch, run, spec, x, ops, cfg, h0=None):
+        h0 = x if h0 is None else h0
+        split = run(spec, x, h0, ops, cfg)
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            serial = run(spec, x, h0, ops, cfg)
+        assert split.forked_rows == ops.num_nodes - ops.row_halves[0] > 0
+        assert serial.forked_rows == 0
+        assert np.array_equal(split.final, serial.final)
+        assert split.objective_trace == serial.objective_trace
+        assert (split.iterations_used, split.stop_reason) == (
+            serial.iterations_used, serial.stop_reason)
+        assert split.final.flags.owndata and split.final.flags.writeable
+        return split
+
+    @pytest.mark.parametrize("reg, run", REGS)
+    def test_every_regularizer(self, monkeypatch, reg, run):
+        rng, ops, x, spec = TestBufferedIterate._problem(reg, identity=True)
+        h0 = x + random_signal(rng, 14, 3, 0.5)
+        report = self.check_split_is_serial(monkeypatch, run, spec, x, ops,
+                                            SolveConfig(max_iters=60, rel_tol=1e-9), h0)
+        assert report.iterations_used > 1
+
+    @pytest.mark.parametrize("reg, run", REGS)
+    def test_a_t_that_is_not_the_identity_runs_in_one_process(self, monkeypatch, reg, run):
+        """Both processes would run the M T products on OpenBLAS threads."""
+        rng, ops, x, _ = TestBufferedIterate._problem(reg, identity=True)
+        spec = GsdSpec(0.5, 0.8, np.eye(3), random_spd(rng, 3) / 4.0, reg)
+        cfg = SolveConfig(max_iters=20, rel_tol=0.0)
+        report = run(spec, x, x, ops, cfg)
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            serial = run(spec, x, x, ops, cfg)
+        assert report.forked_rows == 0
+        assert np.array_equal(report.final, serial.final)
+
+    @pytest.mark.parametrize("cfg, stop_reason", [
+        (SolveConfig(max_iters=500, rel_tol=1e-8), "plateau"),
+        (SolveConfig(max_iters=7, rel_tol=0.0), "max_iters"),
+        (SolveConfig(max_iters=2000, stepsize=10.0, rel_tol=0.0), "diverged"),
+    ], ids=["plateau", "max-iters", "diverged"])
+    def test_every_stop_reason(self, monkeypatch, cfg, stop_reason):
+        rng = np.random.default_rng(31)
+        ops, x = er_ops(rng, 17), random_signal(rng, 17, 2)
+        report = self.check_split_is_serial(monkeypatch, gd_run, eye_spec(2, 0.2, 1.0), x, ops,
+                                            cfg)
+        assert report.stop_reason == stop_reason
+
+    @pytest.mark.parametrize("ops", [
+        pytest.param(er_ops(np.random.default_rng(32), 23), id="odd-n"),
+        pytest.param(normalize(Graph(num_nodes=2, edges=[(0, 1)])), id="n=2"),
+        pytest.param(normalize(Graph(num_nodes=2, edges=[])), id="n=2-loops-only"),
+        pytest.param(_star_with_middle_hub(41), id="star-hub-at-midpoint"),
+    ])
+    @pytest.mark.parametrize("reg, run", [REGS[0], REGS[3]], ids=["gd", "proxgd-l21"])
+    def test_graph_shapes(self, monkeypatch, ops, reg, run):
+        x = random_signal(np.random.default_rng(33), ops.num_nodes, 3)
+        spec = eye_spec(3, 0.2, 1.0, reg)
+        self.check_split_is_serial(monkeypatch, run, spec, x, ops,
+                                   SolveConfig(max_iters=40, rel_tol=1e-12))
+
+    def test_star_hub_row_holds_the_midpoint(self):
+        ops = _star_with_middle_hub(41)
+        mid = ops.row_halves[0]
+        hub_start, hub_stop = ops.a_hat.indptr[20:22]
+        assert mid == 20 and hub_start <= ops.a_hat.nnz // 2 < hub_stop
+
+    def test_this_process_makes_one_half_product_per_iterate(self, monkeypatch, spmm_calls):
+        rng = np.random.default_rng(38)
+        ops, x = er_ops(rng, 15), random_signal(rng, 15, 2)
+        report = gd_run(eye_spec(2, 0.2, 1.0), x, x, ops, SolveConfig(max_iters=9, rel_tol=0.0))
+        assert report.forked_rows == 15 - ops.row_halves[0]
+        assert spmm_calls == [(15, 2)] * (report.iterations_used + 1)
+
+    def test_beta_zero_needs_no_product(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        ops, x = er_ops(rng, 9), random_signal(rng, 9, 2)
+        self.check_split_is_serial(monkeypatch, gd_run, eye_spec(2, 1.0, 0.0), x, ops,
+                                   SolveConfig(max_iters=5, stepsize=0.3, rel_tol=0.0),
+                                   x + 1.0)
+
+    def test_below_the_node_bound_and_with_a_trajectory_one_process_runs(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        ops, x = er_ops(rng, 12), random_signal(rng, 12, 2)
+        spec = eye_spec(2, 0.2, 1.0)
+        traced = gd_run(spec, x, x, ops, SolveConfig(max_iters=5, capture_trajectory=True))
+        monkeypatch.setattr(iter_solvers, "_DESCENT_SPLIT_MIN_NODES", 13)
+        small = gd_run(spec, x, x, ops, SolveConfig(max_iters=5))
+        assert traced.forked_rows == small.forked_rows == 0
+        np.testing.assert_array_equal(traced.final, small.final)
+
+    def test_an_h0_not_in_c_order_runs_in_one_process(self, monkeypatch):
+        """The shared H is C-ordered; one process's copy of a Fortran-ordered
+        h0 keeps its order, and the reductions over it differ in the last
+        bits."""
+        rng = np.random.default_rng(39)
+        ops, x = er_ops(rng, 30), random_signal(rng, 30, 4)
+        h0 = np.asfortranarray(x + random_signal(rng, 30, 4, 0.3))
+        spec = eye_spec(4, 0.2, 1.0, RowL21(0.05))
+        cfg = SolveConfig(max_iters=20, rel_tol=0.0)
+        report = proxgd_run(spec, x, h0, ops, cfg)
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            serial = proxgd_run(spec, x, h0, ops, cfg)
+        assert report.forked_rows == 0
+        assert np.array_equal(report.final, serial.final)
+        assert report.objective_trace == serial.objective_trace
+
+    @pytest.mark.parametrize("slow", ["child", "parent"])
+    def test_a_half_that_lags_is_waited_for(self, monkeypatch, slow):
+        """Each process reads the other's rows of H and (I - A_hat) H only
+        once it has heard that they are written: a half that lags by a
+        millisecond before every step and product changes no bit."""
+        rng = np.random.default_rng(40)
+        ops, x = er_ops(rng, 40), random_signal(rng, 40, 3)
+        spec, cfg = eye_spec(3, 0.2, 1.0, RowL21(0.05)), SolveConfig(max_iters=15, rel_tol=0.0)
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            serial = proxgd_run(spec, x, x, ops, cfg)
+        parent, real_step, real_spmm = os.getpid(), iter_solvers._layer_step, iter_solvers.spmm
+
+        def lagging(real):
+            def call(*args, **kwargs):
+                if (os.getpid() != parent) == (slow == "child"):
+                    time.sleep(0.001)
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(iter_solvers, "_layer_step", lagging(real_step))
+        monkeypatch.setattr(iter_solvers, "spmm", lagging(real_spmm))
+        report = proxgd_run(spec, x, x, ops, cfg)
+        assert report.forked_rows > 0
+        assert np.array_equal(report.final, serial.final)
+        assert report.objective_trace == serial.objective_trace
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_an_error_in_either_half_reruns_the_solve_here(self, monkeypatch, where):
+        rng = np.random.default_rng(36)
+        ops, x = er_ops(rng, 12), random_signal(rng, 12, 2)
+        spec = eye_spec(2, 0.2, 1.0)
+        cfg = SolveConfig(max_iters=9, rel_tol=0.0)
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            serial = gd_run(spec, x, x, ops, cfg)
+        real, parent, steps, failed = iter_solvers._layer_step, os.getpid(), [], []
+
+        def fails_once_in(*args, **kwargs):
+            steps.append(os.getpid())
+            if (os.getpid() != parent) == (where == "child") and len(steps) == 4 and not failed:
+                failed.append(1)
+                raise MemoryError("one half fails")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(iter_solvers, "_layer_step", fails_once_in)
+        report = gd_run(spec, x, x, ops, cfg)
+        assert report.forked_rows == 0
+        np.testing.assert_array_equal(report.final, serial.final)
+        assert report.objective_trace == serial.objective_trace
+
+    def test_a_child_that_fails_after_its_last_step_reruns_the_solve_here(self, monkeypatch):
+        """Its rows are all written by then, but a child that does not exit
+        with status 0 is a failed child."""
+        rng = np.random.default_rng(37)
+        ops, x = er_ops(rng, 12), random_signal(rng, 12, 2)
+        real, parent = iter_solvers.SolveReport, os.getpid()
+
+        def report_here_only(*args, **kwargs):
+            if os.getpid() != parent:
+                raise MemoryError("the child fails on its way out")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(iter_solvers, "SolveReport", report_here_only)
+        report = gd_run(eye_spec(2, 0.2, 1.0), x, x, ops, SolveConfig(max_iters=6))
+        assert report.forked_rows == 0 and report.iterations_used == 6

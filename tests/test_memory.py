@@ -6,7 +6,8 @@ on a graph built before tracing starts, and its peak is compared with a
 unit that grows linearly: a dense n x n temporary anywhere on the path (an
 ``a_hat.toarray()`` product, say) is about 30 units at n = 1000 and grows
 fourfold again at 4n. A forked child is not traced; no case here forks
-but the split closed form, whose peak is this process's side alone.
+but the split closed form and the split gd, whose peaks are this
+process's side alone.
 
 - The trainer path: ``feature_powers`` and a 3-epoch projected ``train``,
   with u = 8 (K+1) n (d+1) bytes, one set of projected feature powers (see
@@ -15,7 +16,9 @@ but the split closed form, whose peak is this process's side alone.
   ``proxgd_run`` and the conjugate-gradient ``closed_form_ppnp``, with
   u = 12 nnz + 8 n d bytes, A_hat's CSR arrays plus one signal. The
   closed form again with its columns split over two processes, whose
-  working arrays here are half as wide.
+  working arrays here are half as wide, and gd with its rows split over
+  two processes, whose H and (I - A_hat) H live in shared ``mmap``
+  buffers that tracemalloc does not see.
 - ``sbm_generate``, which draws its edges by geometric skipping in chunks
   sized by the expected edge count (never by the n^2 pair count), with the
   same u of the dataset it returns.
@@ -26,7 +29,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gsdnn import gsd_problem
+from gsdnn import gsd_problem, iter_solvers
 from gsdnn.bilevel_trainer import (
     Dataset,
     TrainConfig,
@@ -64,6 +67,14 @@ SIGNAL_D = 16
 # ``pipe.read()``, which holds its bytes twice while they grow, reads 2.01
 # and 1.97; 1.87 sits between the two.
 SPLIT_PEAK_PER_UNIT = 1.87
+
+# Traced peak plus the 2 n d shared floats over the same u, of gd with its
+# rows split over two processes, this process's side: 1.81 and 1.75 at n =
+# 1000 and 4000, against 2.02 and 1.98 in one process. A side that keeps a
+# step buffer through the A_hat product reads 2.06 and 1.99, and one whose
+# row block copies A_hat's arrays 2.07 and 2.00; 1.95 sits below them.
+DESCENT_SPLIT_PEAK_PER_UNIT = 1.95
+DESCENT_SHARED_SIGNALS = 2
 
 # Peak over u measured at n = 1000 and 4000 (and 8000): 4.09 and 4.06
 # (4.05). 6 leaves a third over 4.5, which a draw holding one row of n
@@ -148,6 +159,18 @@ def test_peak_memory_of_the_split_closed_form_is_below_one_process(monkeypatch, 
     peak = _traced_peak(lambda: closed_form_ppnp(ops, x, 0.1, stats))
     assert stats["forked_columns"] == SIGNAL_D // 2
     assert peak <= SPLIT_PEAK_PER_UNIT * unit, f"peak {peak} B is {peak / unit:.2f} u"
+
+
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_peak_memory_of_the_split_gd_is_below_one_process(monkeypatch, n):
+    monkeypatch.setattr(iter_solvers, "_DESCENT_SPLIT_MIN_NODES", 0)
+    text, ops, x, unit = _sparse_inputs(n)
+    reports = []
+    peak = _traced_peak(lambda: reports.append(SPARSE_CASES["gd_run"](text, ops, x)))
+    assert reports[0].forked_rows == n - ops.row_halves[0] > 0
+    # the shared buffers are mapped by mmap, which tracemalloc does not trace
+    peak += DESCENT_SHARED_SIGNALS * 8 * n * SIGNAL_D
+    assert peak <= DESCENT_SPLIT_PEAK_PER_UNIT * unit, f"peak {peak} B is {peak / unit:.2f} u"
 
 
 @pytest.mark.parametrize("n", [1000, 4000])

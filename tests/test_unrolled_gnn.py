@@ -229,6 +229,41 @@ def test_equivalence_random_instances(kind):
     assert worst < 1e-9
 
 
+def _family_ops(family: str, n: int, rng: np.random.Generator):
+    """A_hat of an n-node graph of one family: the Erdos-Renyi graphs that
+    ``gsdnn equiv`` draws, or one of six whose degrees it rarely draws."""
+    half = n // 2
+    if family == "erdos-renyi":
+        return er_ops(rng, n, 0.2)
+    edges = {
+        "star": [(0, i) for i in range(1, n)],
+        "path": [(i, i + 1) for i in range(n - 1)],
+        "isolated-nodes": [],
+        "complete": [(i, j) for i in range(n) for j in range(i + 1, n)],
+        "two-cliques": [(i, j) for i in range(n) for j in range(i + 1, n)
+                        if (i < half) == (j < half)],
+        "complete-bipartite": [(i, j) for i in range(half) for j in range(half, n)],
+    }[family]
+    return normalize(Graph(num_nodes=n, edges=edges))
+
+
+GRAPH_FAMILIES = ("star", "path", "isolated-nodes", "complete", "two-cliques",
+                  "complete-bipartite", "erdos-renyi")
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(family=st.sampled_from(GRAPH_FAMILIES), n=st.integers(1, 60),
+       seed=st.integers(0, 2**32 - 1))
+def test_equivalence_on_every_graph_family(kind, family, n, seed):
+    rng = np.random.default_rng(seed)
+    ops = _family_ops(family, n, rng)
+    d = int(rng.integers(1, 5))
+    model = sample_model(kind, rng, d)
+    report = equivalence_check(model, ops, random_signal(rng, n, d), tol=1e-9)
+    assert report["pass"], f"{kind} on a {n}-node {family}: diff {report['max_abs_diff']:.3e}"
+
+
 def test_ppnp_against_long_horizon_iteration():
     rng = np.random.default_rng(2024)
     ops = er_ops(rng, 25)
