@@ -8,9 +8,10 @@ classification). A run that writes an output also writes a
 sha256 digests of the files read, the files written, per-phase timing,
 the problem sizes where the command has one graph, counters of the work
 done (``denoise``: solver or conjugate-gradient iterations; ``equiv``: the
-checks run; ``train`` and ``sweep``: seed-epochs; ``equiv``, ``sweep`` and
-the closed form: the checks, depths or columns run in a forked child), the
-peak and private memory, and the software and machine it ran on.
+checks run; ``train`` and ``sweep``: seed-epochs; ``equiv``, ``sweep``, the
+closed form, gd and proxgd: the checks, depths, columns or rows run in a
+forked child), the peak and private memory, and the software and machine it
+ran on.
 
 Exit codes: 0 success, 1 a requested check failed, 2 usage or input
 error, 3 numeric/solver error. Handlers and loaders report a failure only
@@ -244,21 +245,18 @@ def _on_two_cores(work: Callable[[Sequence], list], items: Sequence) -> tuple[li
     handled. The child's results come back as JSON, which holds a Python
     float exactly (NaN and inf included), and are interleaved back into
     place, so the results are the serial ones. ``work(items)`` runs here
-    instead, and ``forked`` is 0, when there are fewer than two items, no
-    child could be forked, the child failed, or this process's half raised
-    an Exception: errors and exit codes are those of one process. The child
-    is reaped before this returns or raises, and killed first if this
-    process's half raised (Ctrl-C included, which is re-raised)."""
+    instead, and ``forked`` is 0, when there are fewer than two items or
+    ``graph_core._forked`` returns None, so errors and exit codes are those
+    of one process."""
     if len(items) > 1:
-        try:
-            with _forked(lambda: json.dumps(work(items[1::2])).encode()) as child:
-                if child is not None:
-                    results = [None] * len(items)
-                    results[0::2] = work(items[0::2])
-                    results[1::2] = json.loads(child.pipe.read())
-        except Exception:
-            child = None
-        if child is not None and child.ok:
+        def interleaved(pipe) -> list:
+            results = [None] * len(items)
+            results[0::2] = work(items[0::2])
+            results[1::2] = json.loads(pipe.read())
+            return results
+
+        results = _forked(lambda: json.dumps(work(items[1::2])).encode(), interleaved)
+        if results is not None:
             return results, len(items[1::2])
     return work(items), 0
 

@@ -33,19 +33,11 @@ writes with ``fmt="%.17g"``, formatting a large signal's two halves in two
 processes.
 
 The second process comes from :func:`_forked`, the one place that forks,
-pipes, reaps and falls back. It has five users: the CSV writer's child
-formats half a signal, the closed form's child solves half of the
-conjugate-gradient columns (``gsd_problem.closed_form_ppnp``), the gd and
-proxgd solvers' child steps the rows from A_hat's nnz midpoint on
-(``iter_solvers``, on the row blocks of ``NormalizedOperators.row_halves``),
-the ``equiv`` command's child runs every other check, and the ``sweep``
-command's child trains every other depth (the two commands through
-``cli._on_two_cores``).
+pipes, reaps and falls back to one process; its docstring names its users.
 """
 
 from __future__ import annotations
 
-import contextlib
 import io
 import operator
 import os
@@ -53,7 +45,7 @@ import shutil
 import signal
 import warnings
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Iterator, Sequence
+from typing import BinaryIO, Callable, Sequence, TypeVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -443,41 +435,31 @@ def _write_csv_rows(f, x: np.ndarray) -> None:
         f.write(_format_csv_block(x[start : start + _CSV_BLOCK_ROWS]))
 
 
-class _Child:
-    """A forked child's side of :func:`_forked`: ``pipe`` is the read end of
-    the pipe it writes to, and ``ok`` says, once it has been reaped, whether
-    it exited with status 0."""
-
-    def __init__(self, pipe: BinaryIO) -> None:
-        self.pipe = pipe
-        self.ok = False
+_T = TypeVar("_T")
 
 
-@contextlib.contextmanager
-def _forked(produce: Callable[[], bytes]) -> Iterator[_Child | None]:
-    """Run ``produce()`` in a forked child that writes the bytes it returns
-    to a pipe; the block gets the :class:`_Child`, or None where no child
-    could be forked (no ``os.fork``, or a fork ``OSError``). The one way the
-    program uses a second core, with five users: :func:`save_signal_csv`,
-    whose child formats half a signal, ``gsd_problem.closed_form_ppnp``,
-    whose child solves half of the conjugate-gradient columns,
-    ``iter_solvers``' gd and proxgd, whose child steps half of the rows in
-    lockstep with this process over a socket pair and shared memory made
-    before the fork, and through ``cli._on_two_cores`` the ``equiv``
-    command, whose child runs every other check, and the ``sweep`` command,
-    whose child trains every other depth.
+def _forked(theirs: Callable[[], bytes], mine: Callable[[BinaryIO], _T]) -> _T | None:
+    """``mine(pipe)``, run in this process while a forked child runs
+    ``theirs()`` and writes the bytes it returns to ``pipe``; None where the
+    job must run in one process instead: there is no ``os.fork``, ``os.pipe``
+    or ``os.fork`` raises OSError, ``mine`` raises an Exception, or the child
+    did not write all of its bytes and exit with status 0. A ``mine`` that
+    stops reading before the end of the pipe makes the child fail on its
+    write. The one way the program uses a second core; its users are
+    :func:`save_signal_csv`, ``gsd_problem.closed_form_ppnp``,
+    ``iter_solvers``' gd and proxgd, and through ``cli._on_two_cores`` the
+    ``equiv`` and ``sweep`` commands.
+
+    The pipe is closed and the child reaped before this returns or raises.
+    If ``mine`` raises, the child is killed first, so an error or Ctrl-C
+    never waits for the child's work; a BaseException that is not an
+    Exception, such as KeyboardInterrupt, is re-raised.
 
     The child produces everything in memory and only then writes it: writing
     as it goes would fill the 64 KiB pipe buffer and stall the child until
-    the parent reads, so the two processes would run in turn. It leaves
-    through ``os._exit``, so it runs no exit handler and flushes no inherited
+    this process reads, so the two would run in turn. It leaves through
+    ``os._exit``, so it runs no exit handler and flushes no inherited
     buffer: status 0 once every byte is written, 1 on any exception.
-
-    On leaving the block the pipe is closed and the child reaped; if the
-    block raised, the child is killed first, so an error or Ctrl-C never
-    waits for the child's work. A block that stops reading before the end of
-    the pipe makes the child fail on its write, so ``ok`` is True only when
-    the child wrote all of its bytes.
 
     On Python 3.12 and later, ``os.fork`` warns in a process with OS threads,
     and numpy's OpenBLAS starts some; that warning is ignored around the
@@ -489,9 +471,11 @@ def _forked(produce: Callable[[], bytes]) -> Iterator[_Child | None]:
     holds no lock taken by a thread it does not have.
     """
     if not hasattr(os, "fork"):
-        yield None
-        return
-    read_end, write_end = os.pipe()
+        return None
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
+        return None
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings(
@@ -501,28 +485,29 @@ def _forked(produce: Callable[[], bytes]) -> Iterator[_Child | None]:
     except OSError:
         os.close(read_end)
         os.close(write_end)
-        yield None
-        return
+        return None
     if pid == 0:
         status = 1
         try:
             os.close(read_end)
-            data = produce()
+            data = theirs()
             with open(write_end, "wb") as pipe:
                 pipe.write(data)
             status = 0
         finally:
             os._exit(status)
     os.close(write_end)
-    child = _Child(open(read_end, "rb"))
+    result = None
     try:
-        yield child
-    except BaseException:
+        with open(read_end, "rb") as pipe:
+            result = mine(pipe)
+    except BaseException as error:
         os.kill(pid, signal.SIGKILL)
-        raise
+        if not isinstance(error, Exception):
+            raise
     finally:
-        child.pipe.close()
-        child.ok = os.waitpid(pid, 0)[1] == 0
+        ok = os.waitpid(pid, 0)[1] == 0
+    return result if ok else None
 
 
 def _csv_bytes(x: np.ndarray) -> memoryview:
@@ -540,27 +525,24 @@ def save_signal_csv(path: str | os.PathLike, x: np.ndarray) -> None:
     each value in ``%.17g``, which round-trips every float64, values joined
     by commas, and "\\n" after every row. Rows are formatted in blocks of at
     most ``_CSV_BLOCK_ROWS``. A signal of two blocks or more is formatted by
-    two processes where ``os.fork`` exists: a child forked before the file
-    is opened formats the second half of the rows while this process writes
-    the first half, then this process copies the child's half from a pipe.
-    If the child fails, this process formats that half itself, so the bytes
-    never depend on which path ran; the child is reaped before this returns
-    or raises.
+    two processes through :func:`_forked`: a child formats the second half
+    of the rows while this process opens the file, writes the first half and
+    then copies the child's half from the pipe. Where that returns None,
+    this process writes the whole file itself, so the bytes and errors never
+    depend on which path ran.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"signal must be 2-D, got shape {x.shape}")
     half = x.shape[0] // 2
-    two = x.shape[0] >= 2 * _CSV_BLOCK_ROWS
-    # the child is forked before the file is opened, and reaped after it is closed
-    with _forked(lambda: _csv_bytes(x[half:])) if two else contextlib.nullcontext() as child:
+
+    def write_halves(pipe: BinaryIO) -> bool:
         with open(path, "wb") as f:
-            _write_csv_rows(f, x if child is None else x[:half])
-            if child is not None:
-                mark = f.tell()
-                shutil.copyfileobj(child.pipe, f)
-    if child is not None and not child.ok:
-        with open(path, "r+b") as f:
-            f.seek(mark)
-            f.truncate()
-            _write_csv_rows(f, x[half:])
+            _write_csv_rows(f, x[:half])
+            shutil.copyfileobj(pipe, f)
+        return True
+
+    two = x.shape[0] >= 2 * _CSV_BLOCK_ROWS
+    if not (two and _forked(lambda: _csv_bytes(x[half:]), write_halves)):
+        with open(path, "wb") as f:
+            _write_csv_rows(f, x)

@@ -482,11 +482,11 @@ def _ppnp_cg_on_two_cores(
     (a one-column half sums its einsum in another order), and the iterations
     are the larger half's. The child sends its iterations, residual and H
     back as raw bytes, read into arrays made for them; R becomes the residual
-    in place only once the child has been reaped with status 0. With fewer
-    than 4 columns or _CG_SPLIT_MIN_NODES nodes, no fork, or an exception in
-    either half (a failed child; the child's column numbers would be those
-    of its half), the whole solve runs here, so results and errors are those
-    of one process, with 0 forked columns.
+    in place only once ``graph_core._forked`` has returned them. With fewer
+    than 4 columns or _CG_SPLIT_MIN_NODES nodes, or where ``_forked`` returns
+    None, the whole solve runs here, with 0 forked columns, so results and
+    errors are those of one process (the child names a column by its number
+    in its half).
     """
     n, d = r.shape
     half = d // 2
@@ -495,22 +495,21 @@ def _ppnp_cg_on_two_cores(
             h, it, res = _ppnp_cg(ops, np.ascontiguousarray(r[:, half:]), gamma, tol[half:])
             return b"".join((it.to_bytes(8, "little"), res, h))
 
-        try:
-            with _forked(child_half) as child:
-                if child is not None:
-                    h_lo, it_lo, r_lo = _ppnp_cg(ops, np.ascontiguousarray(r[:, :half]),
-                                                 gamma, tol[:half])
-                    it_hi = int.from_bytes(child.pipe.read(8), "little")
-                    r_hi, h_hi = np.empty((n, d - half)), np.empty((n, d - half))
-                    child.pipe.readinto(r_hi)
-                    child.pipe.readinto(h_hi)
-        except Exception:
-            child = None
-        if child is not None and child.ok:
-            r[:, :half] = r_lo
-            r[:, half:] = r_hi
-            del r_lo, r_hi  # before H is put together: a lower peak
-            return np.hstack((h_lo, h_hi)), max(it_lo, it_hi), r, d - half
+        def both_halves(pipe) -> tuple:
+            h_lo, it_lo, r_lo = _ppnp_cg(ops, np.ascontiguousarray(r[:, :half]),
+                                         gamma, tol[:half])
+            it_hi = int.from_bytes(pipe.read(8), "little")
+            r_hi, h_hi = np.empty((n, d - half)), np.empty((n, d - half))
+            pipe.readinto(r_hi)
+            pipe.readinto(h_hi)
+            return h_lo, h_hi, max(it_lo, it_hi), r_lo, r_hi
+
+        halves = _forked(child_half, both_halves)
+        if halves is not None:
+            h_lo, h_hi, iterations = halves[:3]
+            r[:, :half], r[:, half:] = halves[3:]
+            del halves  # the residual halves, before H is put together: a lower peak
+            return np.hstack((h_lo, h_hi)), iterations, r, d - half
     return (*_ppnp_cg(ops, r, gamma, tol), 0)
 
 

@@ -325,8 +325,9 @@ def _descend_on_two_cores(
 ) -> SolveReport | None:
     """:func:`_descend` from h0 with the rows from ``ops.row_halves``' mid on
     stepped by a forked child, in lockstep with this process, which steps
-    the rows before it; None where no child could be forked, the child
-    failed, or either half raised an Exception.
+    the rows before it; None where ``graph_core._forked`` returns None or
+    making the shared buffers or the socket pair before the fork raised an
+    Exception.
 
     H and (I - A_hat) H live in anonymous shared ``mmap`` buffers made
     before the fork and closed before this returns; the report's ``final``
@@ -362,15 +363,14 @@ def _lockstep(
             _descend(layer, x, h, ops, cfg, _Lockstep(there, slice(mid, n), lap, parent=False))
             return b""
 
-        with _forked(child_half) as child:
-            if child is None:
-                return None
+        def parent_half(pipe) -> SolveReport:
             there.close()  # so that a child that dies leaves EOF here
             sync = _Lockstep(here, slice(0, mid), lap, parent=True)
-            report = _descend(layer, x, h, ops, cfg, sync)
-    if not child.ok:
-        return None
-    report.final, report.forked_rows = report.final.copy(), n - mid
+            return _descend(layer, x, h, ops, cfg, sync)
+
+        report = _forked(child_half, parent_half)
+    if report is not None:
+        report.final, report.forked_rows = report.final.copy(), n - mid
     return report
 
 

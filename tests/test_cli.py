@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface via main()."""
 
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -874,15 +875,22 @@ def test_error_in_either_process_is_the_serial_error(tmp_path, capsys, monkeypat
 
 
 @pytest.mark.usefixtures("fork_inputs")
+@pytest.mark.parametrize("call, code", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)],
+                         ids=["fork", "pipe"])
 @pytest.mark.parametrize("command", sorted(FORK_USERS))
-def test_command_after_a_failed_fork_runs_serially(tmp_path, capsys, monkeypatch, command):
+def test_command_after_a_failed_fork_runs_serially(tmp_path, capsys, monkeypatch, command,
+                                                   call, code):
+    """A fork refused for want of processes or memory, or a pipe for want of
+    file descriptors: the command runs in one process, with the serial outputs.
+    With 4-row blocks the writer of denoise's 300 rows meets the failure too."""
+    monkeypatch.setattr(graph_core, "_CSV_BLOCK_ROWS", 4)
     items = FEW_ITEMS[command]
     serial = _run_serial(command, tmp_path / "serial", capsys, monkeypatch, items)
 
-    def no_fork():
-        raise BlockingIOError("fork: resource temporarily unavailable")
+    def refused():
+        raise OSError(code, os.strerror(code))
 
-    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, call, refused)
     assert _run_split(command, tmp_path / "forked", capsys, items) == serial
 
 

@@ -1,6 +1,8 @@
+import errno
 import io
 import os
 import re
+import time
 from unittest import mock
 
 import numpy as np
@@ -515,16 +517,40 @@ def test_failed_child_gives_the_same_bytes(tmp_path, monkeypatch, forks, failure
     assert forks == [parent]
 
 
-def test_failed_fork_gives_the_same_bytes(tmp_path, monkeypatch):
+# a fork refused for want of processes or memory (EAGAIN), or a pipe for
+# want of file descriptors (EMFILE): no child runs
+@pytest.mark.parametrize("call, code", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)],
+                         ids=["fork", "pipe"])
+def test_failed_fork_gives_the_same_bytes(tmp_path, monkeypatch, call, code):
     monkeypatch.setattr(graph_core, "_CSV_BLOCK_ROWS", _BLOCK)
 
-    def no_fork():
-        raise BlockingIOError("fork: resource temporarily unavailable")
+    def refused():
+        raise OSError(code, os.strerror(code))
 
-    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, call, refused)
     x = _csv_signal(3 * _BLOCK, 2)
     save_signal_csv(tmp_path / "x.csv", x)
     assert (tmp_path / "x.csv").read_bytes() == _savetxt_bytes(x)
+
+
+def test_fork_helper_gives_none_to_a_side_that_stops_reading_early():
+    """The child's 1 MiB outgrows the 64 KiB pipe buffer, so its write blocks
+    until the pipe is closed unread and then fails with EPIPE: a failed
+    child, not a hang."""
+    assert graph_core._forked(lambda: bytes(1 << 20), lambda pipe: "stopped early") is None
+
+
+def test_fork_helper_kills_its_child_and_reraises_an_interrupt():
+    """Ctrl-C in this process's half is not a failed split that one process
+    reruns: it is raised again, and the sleeping child is killed, not
+    waited for."""
+    def interrupted(pipe):
+        raise KeyboardInterrupt
+
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        graph_core._forked(lambda: time.sleep(30) or b"", interrupted)
+    assert time.perf_counter() - start < 10
 
 
 @pytest.mark.parametrize("rows", [1, 3 * _BLOCK])
