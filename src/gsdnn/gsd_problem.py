@@ -104,16 +104,17 @@ def _symmetrized(m, d_name: str) -> np.ndarray:
         raise ValueError(f"{d_name} must be a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{d_name} contains NaN or Inf entries")
-    return 0.5 * (a + a.T)
+    return 0.5 * a + 0.5 * a.T
 
 
 @dataclass(frozen=True)
 class GsdSpec:
     """The tuple (alpha, beta, T_alpha, T_beta, regularizer).
 
-    T matrices are symmetrized as (M + M^T)/2 on construction; callers who
-    pass an asymmetric matrix get the symmetric part, which is the only
-    part the weighted norm can see anyway.
+    T matrices are symmetrized as M/2 + M^T/2 on construction, halved
+    before the sum so that no finite entry overflows; callers who pass an
+    asymmetric matrix get the symmetric part, which is the only part the
+    weighted norm can see anyway.
     """
 
     alpha: float

@@ -15,9 +15,10 @@ both the objective trace and the next gradient. The loop runs in a fixed
 set of n x d buffers that the solve allocates once: the layer step, the
 gradient inside it and the prox write into them, so that with an identity T
 an iterate allocates no n x d array besides the A_hat product. On a large
-graph two processes run the loop in lockstep, each stepping half of the
-rows; H and (I - A_hat) H are then buffers that both processes share, and
-the results are one process's bit for bit. The unrolled
+graph two processes run the same loop in lockstep, each stepping half of the
+rows; H and (I - A_hat) H are then buffers that both processes share, each
+evaluates the objective itself, only one-byte barriers cross between them,
+and the results are one process's bit for bit. The unrolled
 plans run the same step without buffers and get fresh arrays from the same
 code. Objective traces always include the nonsmooth part, so the documented
 descent guarantee at stepsize 1/Lambda is about the true composite
@@ -28,11 +29,9 @@ has diverged, and the report's ``stop_reason`` says so.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import mmap
 import socket
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -127,8 +126,9 @@ class SolveReport:
 def _resolve_stepsize(spec: GsdSpec, cfg: SolveConfig) -> float:
     if cfg.stepsize == "auto":
         lam = smoothness_bound(spec)
-        if lam <= 0:
-            raise ValueError("objective has zero curvature bound; pass an explicit stepsize")
+        if not 0 < lam < math.inf:
+            raise ValueError(f"objective has curvature bound {lam}, which is zero or not finite; "
+                             "pass an explicit --stepsize")
         return 1.0 / lam
     return float(cfg.stepsize)
 
@@ -188,78 +188,6 @@ def _layer_step(
     return v
 
 
-class _OneProcess:
-    """The sync of a descent that one process runs: it steps every row,
-    makes the whole A_hat product and evaluates the objective itself."""
-
-    rows = diff_rows = slice(None)
-    spare = staticmethod(np.empty_like)
-
-    @staticmethod
-    def advance(h: np.ndarray, step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return step, h  # the step is the next H, and the spent H the next step's buffer
-
-    @staticmethod
-    def laplacian(h: np.ndarray, ops: NormalizedOperators, beta: float) -> np.ndarray | None:
-        return _laplacian(h, ops, beta)
-
-    @staticmethod
-    def objective(value: Callable[[], float]) -> float:
-        return value()
-
-
-class _Lockstep:
-    """The sync of one of two processes that step a descent's rows in
-    lockstep over the socket ``sock``: ``rows`` are the rows this process
-    steps, those of block ``half`` of ``NormalizedOperators.row_halves``. H
-    and (I - A_hat) H, ``lap``, are shared; H - X is private, and the parent
-    forms all of its rows, since it evaluates the objective.
-
-    Each process writes its step into its rows of H, says so and waits to
-    hear the same. After its product the child says that its rows of ``lap``
-    are written, and the parent evaluates the objective on the whole arrays
-    and sends it as 8 bytes. EOF means that the other process has stopped,
-    and raises EOFError."""
-
-    def __init__(self, sock: socket.socket, rows: slice, lap: np.ndarray, parent: bool):
-        self.sock, self.rows, self.lap, self.parent = sock, rows, lap, parent
-        self.half, self.diff_rows = (0, slice(None)) if parent else (1, rows)
-
-    def _receive(self, size: int) -> bytes:
-        data = self.sock.recv(size, socket.MSG_WAITALL)
-        if len(data) != size:
-            raise EOFError("the other half of the descent stopped")
-        return data
-
-    @staticmethod
-    def spare(h: np.ndarray) -> None:
-        return None  # each step is a fresh array
-
-    def advance(self, h: np.ndarray, step: np.ndarray) -> tuple[np.ndarray, None]:
-        h[self.rows] = step
-        self.sock.sendall(b"h")
-        self._receive(1)
-        return h, None
-
-    def laplacian(self, h: np.ndarray, ops: NormalizedOperators, beta: float) -> np.ndarray | None:
-        if beta == 0.0:
-            return None
-        np.subtract(h[self.rows], spmm(ops, h, self.half), out=self.lap[self.rows])
-        return self.lap
-
-    def objective(self, value: Callable[[], float]) -> float:
-        if not self.parent:
-            self.sock.sendall(b"l")
-            return struct.unpack("d", self._receive(8))[0]
-        self._receive(1)
-        f = value()
-        self.sock.sendall(struct.pack("d", f))
-        return f
-
-
-_ONE_PROCESS = _OneProcess()
-
-
 def _rows(a: np.ndarray | None, r: slice) -> np.ndarray | None:
     return None if a is None else a[r]
 
@@ -270,37 +198,66 @@ def _descend(
     h: np.ndarray,
     ops: NormalizedOperators,
     cfg: SolveConfig,
-    sync: _OneProcess | _Lockstep,
+    half: int | None = None,
+    barrier: Callable[[], None] | None = None,
+    lap: np.ndarray | None = None,
 ) -> SolveReport:
     """Repeat the layer from H, which this writes, until the objective
-    plateaus or diverges: the one descent loop, stepping ``sync.rows``.
+    plateaus or diverges: the one descent loop.
 
-    The step, the prox and H - X are row-local; ``sync`` puts the step's
-    rows into H and makes (I - A_hat) H and the objective, which read every
-    row. In one process the iterate lives in buffers allocated once per
-    solve: two for H (each step writes the next iterate into the spare one
-    and they swap) and one for H - X, which the objective and the next
-    gradient share. Only the gradient's first term reads H - X, so its later
-    terms are formed in that buffer too. x is never written, and the A_hat
-    product is the one fresh n x d array of a step. In lockstep a step's
-    rows are a fresh array instead, copied into the shared H and freed
-    before the product, which reuses its memory.
+    Alone, the iterate lives in buffers allocated once per solve: two for H
+    (each step writes the next iterate into the spare one and they swap)
+    and one for H - X, which the objective and the next gradient share.
+    Only the gradient's first term reads H - X, so its later terms are
+    formed in that buffer too. x is never written, and the A_hat product,
+    turned into (I - A_hat) H in place, is the one fresh n x d array of a
+    step.
+
+    With a ``barrier``, this is one of two processes that share H and
+    ``lap``, the (I - A_hat) H buffer, and step the rows of block ``half``
+    of ``ops.row_halves`` in lockstep. A step's rows are a fresh array,
+    copied into H and freed before the product, which reuses its memory;
+    this process writes its rows of ``lap`` from its block's product. Each
+    process then forms all of H - X and evaluates the objective on the whole
+    arrays itself, so both get the same bits and stop at the same iterate.
+    ``barrier()`` returns once the other process has called it too: before
+    a process writes its rows of H (the other has read H for its
+    objective), after it has written them, and after it has written its
+    rows of ``lap``.
     """
-    r, rd = sync.rows, sync.diff_rows
-    spare, diff = sync.spare(h), np.empty_like(h)
-    np.subtract(h[rd], x[rd], out=diff[rd])
-    lap_h = sync.laplacian(h, ops, layer.beta)
-    trace = [sync.objective(lambda: _objective_value(layer, h, x, lap_h, diff))]
+    if barrier is None:
+        r, spare = slice(None), np.empty_like(h)
+    else:
+        mid = ops.row_halves[0]
+        r, spare = (slice(0, mid) if half == 0 else slice(mid, None)), None
+
+    def laplacian() -> np.ndarray | None:
+        if barrier is None or layer.beta == 0.0:
+            return _laplacian(h, ops, layer.beta)
+        np.subtract(h[r], spmm(ops, h, half), out=lap[r])
+        barrier()
+        return lap
+
+    diff = np.empty_like(h)
+    np.subtract(h, x, out=diff)
+    lap_h = laplacian()
+    trace = [_objective_value(layer, h, x, lap_h, diff)]
     traj = [h.copy()] if cfg.capture_trajectory else None
     stop_reason = "max_iters"
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        h, spare = sync.advance(h, _layer_step(
-            layer, h[r], x[r], _rows(lap_h, r), diff[r], out=spare, work=diff[r]))
-        np.subtract(h[rd], x[rd], out=diff[rd])  # for this trace entry and the next step
+        step = _layer_step(layer, h[r], x[r], _rows(lap_h, r), diff[r], out=spare, work=diff[r])
+        if barrier is None:
+            h, spare = step, h  # the spent H is the next step's buffer
+        else:
+            barrier()
+            h[r] = step
+            barrier()
+        del step
+        np.subtract(h, x, out=diff)  # for this trace entry and the next step
         lap_h = None  # spent: free it before the next product is made
-        lap_h = sync.laplacian(h, ops, layer.beta)
-        f = sync.objective(lambda: _objective_value(layer, h, x, lap_h, diff))
+        lap_h = laplacian()
+        f = _objective_value(layer, h, x, lap_h, diff)
         trace.append(f)
         if traj is not None:
             traj.append(h.copy())
@@ -327,50 +284,45 @@ def _descend_on_two_cores(
     stepped by a forked child, in lockstep with this process, which steps
     the rows before it; None where ``graph_core._forked`` returns None or
     making the shared buffers or the socket pair before the fork raised an
-    Exception.
+    Exception. The barrier is one byte each way over a socket pair; EOF
+    there means that the other process has stopped, and raises EOFError.
+    This process closes its end once its half returns, so that a child
+    whose stopping test disagreed fails at its next barrier and the solve
+    reruns in one process.
 
-    H and (I - A_hat) H live in anonymous shared ``mmap`` buffers made
-    before the fork and closed before this returns; the report's ``final``
-    is a private copy. Only these two are shared: each shared page counts
-    in this process's peak RSS, where a private buffer may reuse heap pages
-    that an earlier step of the command freed."""
-    bufs: list[mmap.mmap] = []
+    H and (I - A_hat) H are views of anonymous shared ``mmap`` buffers made
+    before the fork, which are unmapped with their last view; the report's
+    ``final`` is a private copy. Only these two are shared: each shared
+    page counts in this process's peak RSS, where a private buffer may
+    reuse heap pages that an earlier step of the command freed."""
     try:
-        bufs += [mmap.mmap(-1, h0.nbytes) for _ in range(2)]
-        report = _lockstep(layer, x, h0, ops, cfg, bufs)
+        h, lap = (np.frombuffer(mmap.mmap(-1, h0.nbytes)).reshape(h0.shape) for _ in range(2))
+        np.copyto(h, h0)
+        here, there = socket.socketpair()
     except Exception:
-        report = None
-    finally:
-        for buf in bufs:
-            # only the traceback of a BaseException on its way out (Ctrl-C)
-            # still holds views; that buffer is unmapped once it is collected
-            with contextlib.suppress(BufferError):
-                buf.close()
-    return report
+        return None
 
+    def barrier_over(sock: socket.socket) -> Callable[[], None]:
+        def barrier() -> None:
+            sock.sendall(b"b")
+            if not sock.recv(1):
+                raise EOFError("the other half of the descent stopped")
+        return barrier
 
-def _lockstep(
-    layer: LayerParams, x: np.ndarray, h0: np.ndarray, ops: NormalizedOperators,
-    cfg: SolveConfig, bufs: list[mmap.mmap],
-) -> SolveReport | None:
-    n, mid = h0.shape[0], ops.row_halves[0]
-    h, lap = (np.frombuffer(buf).reshape(h0.shape) for buf in bufs)
-    np.copyto(h, h0)
-    here, there = socket.socketpair()
     with here, there:
         def child_half() -> bytes:
             here.close()
-            _descend(layer, x, h, ops, cfg, _Lockstep(there, slice(mid, n), lap, parent=False))
+            _descend(layer, x, h, ops, cfg, 1, barrier_over(there), lap)
             return b""
 
         def parent_half(pipe) -> SolveReport:
             there.close()  # so that a child that dies leaves EOF here
-            sync = _Lockstep(here, slice(0, mid), lap, parent=True)
-            return _descend(layer, x, h, ops, cfg, sync)
+            with here:  # closed on return, so that a child that steps on gets EOF
+                return _descend(layer, x, h, ops, cfg, 0, barrier_over(here), lap)
 
         report = _forked(child_half, parent_half)
     if report is not None:
-        report.final, report.forked_rows = report.final.copy(), n - mid
+        report.final, report.forked_rows = report.final.copy(), h0.shape[0] - ops.row_halves[0]
     return report
 
 
@@ -401,7 +353,7 @@ def _solve(
         report = _descend_on_two_cores(layer, x, h0, ops, cfg)
         if report is not None:
             return report
-    return _descend(layer, x, np.array(h0, copy=True), ops, cfg, _ONE_PROCESS)
+    return _descend(layer, x, np.array(h0, copy=True), ops, cfg)
 
 
 def gd_run(

@@ -344,10 +344,13 @@ def _spec(alpha=0.2, beta=1.0, t_alpha=None, t_beta=None, regularizer=None):
         ("gd", _spec(alpha=True)),
         ("proxgd", _spec(regularizer={"kind": "row_l21", "weight": True})),
         ("gd", _spec(t_alpha=[[True, 0.0], [0.0, 1.0]])),
+        ("gd", _spec(t_alpha=[[1e308, 1e308], [1e308, 1e308]])),
+        ("gd", _spec(alpha=1e308, beta=1e308)),
     ],
     ids=["nan-alpha", "nan-t", "dim-mismatch", "gd-nonsmooth", "proxgd-smooth",
          "zero-curvature", "indefinite-t", "nan-weight", "inf-weight", "json-array",
-         "string-regularizer", "no-alpha", "bool-alpha", "bool-weight", "bool-t-entry"],
+         "string-regularizer", "no-alpha", "bool-alpha", "bool-weight", "bool-t-entry",
+         "huge-t", "infinite-curvature"],
 )
 def test_denoise_bad_spec_is_usage_error(tmp_path, capsys, solver, spec):
     (tmp_path / "cycle.txt").write_text("0 1\n1 2\n2 3\n3 0\n")

@@ -1,6 +1,8 @@
 import math
 import os
+import signal
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -60,6 +62,13 @@ class TestGdRun:
         cfg = SolveConfig(max_iters=1)
         report = gd_run(eye_spec(2, alpha=1.0, beta=0.0), x, x, ops, cfg)
         np.testing.assert_allclose(report.final, x)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (1e308, 1e308)], ids=["zero", "inf"])
+    def test_auto_stepsize_needs_a_finite_nonzero_curvature_bound(self, alpha, beta):
+        rng = np.random.default_rng(0)
+        ops, x = er_ops(rng, 5), random_signal(rng, 5, 2)
+        with pytest.raises(ValueError, match="zero or not finite; pass an explicit --stepsize"):
+            gd_run(eye_spec(2, alpha, beta), x, x, ops, SolveConfig(max_iters=3))
 
     def test_nonsmooth_spec_rejected(self):
         rng = np.random.default_rng(1)
@@ -541,15 +550,16 @@ class TestRowSplit:
     @pytest.mark.parametrize("slow", ["child", "parent"])
     def test_a_half_that_lags_is_waited_for(self, monkeypatch, slow):
         """Each process reads the other's rows of H and (I - A_hat) H only
-        once it has heard that they are written: a half that lags by a
-        millisecond before every step and product changes no bit."""
+        once they are written, and writes its rows of H only once the other
+        has read H for its objective: a half that lags by a millisecond
+        before every step, product and objective changes no bit."""
         rng = np.random.default_rng(40)
         ops, x = er_ops(rng, 40), random_signal(rng, 40, 3)
         spec, cfg = eye_spec(3, 0.2, 1.0, RowL21(0.05)), SolveConfig(max_iters=15, rel_tol=0.0)
         with monkeypatch.context() as m:
             m.delattr(os, "fork")
             serial = proxgd_run(spec, x, x, ops, cfg)
-        parent, real_step, real_spmm = os.getpid(), iter_solvers._layer_step, iter_solvers.spmm
+        parent = os.getpid()
 
         def lagging(real):
             def call(*args, **kwargs):
@@ -558,8 +568,8 @@ class TestRowSplit:
                 return real(*args, **kwargs)
             return call
 
-        monkeypatch.setattr(iter_solvers, "_layer_step", lagging(real_step))
-        monkeypatch.setattr(iter_solvers, "spmm", lagging(real_spmm))
+        for name in ("_layer_step", "spmm", "_objective_value"):
+            monkeypatch.setattr(iter_solvers, name, lagging(getattr(iter_solvers, name)))
         report = proxgd_run(spec, x, x, ops, cfg)
         assert report.forked_rows > 0
         assert np.array_equal(report.final, serial.final)
@@ -604,3 +614,77 @@ class TestRowSplit:
         monkeypatch.setattr(iter_solvers, "SolveReport", report_here_only)
         report = gd_run(eye_spec(2, 0.2, 1.0), x, x, ops, SolveConfig(max_iters=6))
         assert report.forked_rows == 0 and report.iterations_used == 6
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_halves_whose_stopping_tests_disagree_rerun_in_one_process(self, monkeypatch,
+                                                                        where):
+        """An objective that drifts in one process only (by a hash of H, so
+        that it never plateaus there) stops the halves at different
+        iterates. The half that steps on meets EOF at its next barrier: the
+        child's half once this process has closed its end of the socket.
+        The solve then reruns here; the alarm fails a run that hangs."""
+        rng = np.random.default_rng(41)
+        ops, x = er_ops(rng, 20), random_signal(rng, 20, 2)
+        spec, cfg = eye_spec(2, 0.2, 1.0), SolveConfig(max_iters=80, rel_tol=1e-6)
+        real, parent = iter_solvers._objective_value, os.getpid()
+
+        def drifting(layer, h, *args):
+            f = real(layer, h, *args)
+            if (os.getpid() != parent) == (where == "child"):
+                f += zlib.crc32(h.tobytes())
+            return f
+
+        def hung(signum, frame):
+            pytest.fail("the split solve hung")
+
+        monkeypatch.setattr(iter_solvers, "_objective_value", drifting)
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            serial = gd_run(spec, x, x, ops, cfg)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            report = gd_run(spec, x, x, ops, cfg)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert serial.stop_reason == ("plateau" if where == "child" else "max_iters")
+        assert report.forked_rows == 0
+        assert np.array_equal(report.final, serial.final)
+        assert report.objective_trace == serial.objective_trace
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+    def test_no_shared_mapping_outlives_a_split_solve(self, monkeypatch):
+        """H and (I - A_hat) H are anonymous shared mappings, which
+        /proc/self/maps lists as /dev/zero (deleted). Each goes with its last
+        view, whether the split finishes, its child fails or its half here
+        raises."""
+        def shared_mappings():
+            with open("/proc/self/maps") as maps:
+                return sum(line.rstrip().endswith("/dev/zero (deleted)") for line in maps)
+
+        rng = np.random.default_rng(42)
+        ops, x = er_ops(rng, 12), random_signal(rng, 12, 2)
+        spec, cfg = eye_spec(2, 0.2, 1.0), SolveConfig(max_iters=6, rel_tol=0.0)
+        real, parent, before, during = iter_solvers._layer_step, os.getpid(), shared_mappings(), []
+
+        def counting(*args, **kwargs):
+            if os.getpid() == parent:
+                during.append(shared_mappings())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(iter_solvers, "_layer_step", counting)
+        assert gd_run(spec, x, x, ops, cfg).forked_rows > 0
+        assert shared_mappings() == before and max(during) == before + 2
+        for where in ("child", "parent"):
+            failed = []
+
+            def fails_once_in(*args, **kwargs):
+                if (os.getpid() != parent) == (where == "child") and not failed:
+                    failed.append(1)
+                    raise MemoryError("one half fails")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(iter_solvers, "_layer_step", fails_once_in)
+            assert gd_run(spec, x, x, ops, cfg).forked_rows == 0
+            assert shared_mappings() == before, where
