@@ -472,6 +472,11 @@ def predict(logits: np.ndarray) -> np.ndarray:
     return np.argmax(logits, axis=-1)
 
 
+def _hit_rate(logits: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
+    """Fraction of rows predicted as ``labels``; one value per seed of a stack."""
+    return np.mean(predict(logits) == labels, axis=-1)
+
+
 def accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float | np.ndarray:
     """Fraction of masked rows predicted right; one value per seed of a stack."""
     mask = np.asarray(mask, dtype=bool)
@@ -480,8 +485,7 @@ def accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float 
         raise ValueError(f"mask has {mask.shape[-1]} entries for {np.shape(logits)[-2]} rows")
     if not mask.any():
         raise ValueError("mask selects no rows")
-    pred = predict(np.compress(mask, logits, axis=-2))
-    return np.mean(pred == labels[mask], axis=-1)
+    return _hit_rate(np.compress(mask, logits, axis=-2), labels[mask])
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +606,16 @@ def _train_seeds(ds: Dataset, cfg: TrainConfig, seeds: Sequence[int]) -> list[Tr
     Each seed draws its initialization and dropout masks from its own
     Generator and keeps its own early-stopping and divergence state; a seed
     that stops leaves the stack, so its report matches a run on its own.
+
+    Each epoch term reads only the rows it needs. The upper-level loss sums
+    over the train rows, so its logit gradient is zero elsewhere, and
+    ``backward``, a sum over rows, runs on the train rows of the powers and
+    of that gradient. Softmax is row-wise: the train loss sees the train
+    rows' logits, the val loss softmaxes the val rows, and the accuracies
+    take one argmax over the val rows and one over the test rows. The clean
+    forward pass covers every row; under feature dropout the dropped
+    features' forward feeds the train loss alone, so it runs on their train
+    rows.
     """
     t_start = time.perf_counter()
     runs = [_SeedRun(np.random.default_rng(seed)) for seed in seeds]
@@ -611,29 +625,36 @@ def _train_seeds(ds: Dataset, cfg: TrainConfig, seeds: Sequence[int]) -> list[Tr
         for run in runs
     ])
     state = AdamState.init(params)
-    val_rows = _masked_rows(ds.val_mask)
+    # an empty val or test mask raises here, before any epoch runs
+    train_rows, val_rows, test_rows = (
+        _masked_rows(mask) for mask in (ds.train_mask, ds.val_mask, ds.test_mask)
+    )
+    train_labels, val_labels, test_labels = (
+        ds.labels[rows] for rows in (train_rows, val_rows, test_rows)
+    )
+    every_train_row = np.ones(train_rows.size, dtype=bool)
+    every_val_row = np.arange(val_rows.size)
     live = runs
     clean = feature_powers(params, ds.ops, ds.x)  # shared by every seed and epoch
+    q_train = clean[train_rows]
 
     for epoch in range(cfg.epochs):
         if cfg.feature_dropout > 0.0:
             keep = 1.0 - cfg.feature_dropout
             dropped = [ds.x * (run.rng.random(ds.x.shape) < keep) / keep for run in live]
-            q = feature_powers(params, ds.ops, np.stack(dropped))
+            q_train = feature_powers(params, ds.ops, np.stack(dropped))[:, train_rows]
+            train_logits, m = forward_logits(params, q_train)
+            logits, _ = forward_logits(params, clean)
         else:
-            q = clean
-        logits, m = forward_logits(params, q)
-        probs = softmax_rows(logits)
-        loss, grad_logits = cross_entropy_masked(probs, ds.labels, ds.train_mask)
-        if cfg.feature_dropout > 0.0:
-            eval_logits, _ = forward_logits(params, clean)
-            eval_probs = softmax_rows(eval_logits)
-        else:
-            eval_logits = logits
-            eval_probs = probs
-        val_acc = accuracy(eval_logits, ds.labels, ds.val_mask)
-        val_loss = _mean_nll(eval_probs, ds.labels, val_rows)
-        test_acc = accuracy(eval_logits, ds.labels, ds.test_mask)
+            logits, m = forward_logits(params, clean)
+            train_logits = logits[..., train_rows, :]
+        loss, grad_logits = cross_entropy_masked(
+            softmax_rows(train_logits), train_labels, every_train_row
+        )
+        val_logits = logits[..., val_rows, :]
+        val_acc = _hit_rate(val_logits, val_labels)
+        val_loss = _mean_nll(softmax_rows(val_logits), val_labels, every_val_row)
+        test_acc = _hit_rate(logits[..., test_rows, :], test_labels)
         stats = zip(live, loss.tolist(), val_acc.tolist(), val_loss.tolist(), test_acc.tolist())
         stopped = [run.observe(epoch, *row, cfg.patience) for run, *row in stats]
         if any(stopped):
@@ -647,8 +668,8 @@ def _train_seeds(ds: Dataset, cfg: TrainConfig, seeds: Sequence[int]) -> list[Tr
             params = replace(params, flat=params.flat[seeds_left])
             state = AdamState(state.t, state.m[seeds_left], state.v[seeds_left])
             grad_logits = grad_logits[seeds_left]
-            q, m = _take(q, seeds_left), _take(m, seeds_left)
-        grads = backward(params, q, m, grad_logits)
+            q_train, m = _take(q_train, seeds_left), _take(m, seeds_left)
+        grads = backward(params, q_train, m, grad_logits)
         adam_step(params, grads, state, cfg.lr, cfg.weight_decay)
 
     for i, run in enumerate(live):

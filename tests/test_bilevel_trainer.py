@@ -638,6 +638,39 @@ def test_backward_matches_the_literal_per_hop_oracle(tie, d_in, per_seed_x):
     assert np.all(grads.w[1, 2] == 0.0)
 
 
+@pytest.mark.parametrize("tie", [True, False])
+@pytest.mark.parametrize("d_in", [3, 5])
+@pytest.mark.parametrize("n_seeds", [1, 3])
+@pytest.mark.parametrize("per_seed_x", [False, True])
+def test_backward_on_the_train_rows_matches_every_row_and_the_oracle(
+    tie, d_in, n_seeds, per_seed_x
+):
+    # a masked loss's logit gradient is zero off its rows, and backward sums
+    # over rows, so the train rows of (q, G) give the gradient of all rows;
+    # d_in = 5 adds a projection, per-seed features are feature dropout's q
+    rng = np.random.default_rng(37)
+    n = 12
+    ops = er_ops(rng, n)
+    members = [make_params(rng, k=3, d_in=d_in, c=3, tie_xi=tie) for _ in range(n_seeds)]
+    for member in members:
+        if member.pre_b is not None:
+            member.pre_b[:] = rng.uniform(-0.5, 0.5, size=3)
+    x = rng.standard_normal((n_seeds, n, d_in) if per_seed_x else (n, d_in))
+    stack = UgdgnnParams.stack(members)
+    q = feature_powers(stack, ops, x)
+    logits, m = forward_logits(stack, q)
+    labels = rng.integers(0, 3, size=n)
+    rows = np.array([1, 4, 5, 9])
+    train_mask = np.isin(np.arange(n), rows)
+    _, g = cross_entropy_masked(softmax_rows(logits), labels, train_mask)
+    got = backward(stack, q[..., rows, :, :], m, g[..., rows, :])
+    every_row = backward(stack, q, m, g)
+    for i, member in enumerate(members):
+        oracle = literal_backward(member, ops, x[i] if per_seed_x else x, g[i])
+        for want in (every_row.flat[i], oracle.flat):
+            assert np.max(np.abs(got.flat[i] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -999,6 +1032,43 @@ def test_feature_dropout_is_seeded_and_skipped_at_evaluation(d):
     assert a.train_losses[0] != clean_loss
 
 
+def _every_row_reference(ds, cfg):
+    """One seed's epochs with the loss, gradient and ``backward`` on every row
+    and accuracy from the public mask function: the trainer's draws, in its
+    order, without its restriction of each term to the rows it reads."""
+    rng = np.random.default_rng(cfg.seed)
+    params = UgdgnnParams.init(rng, cfg.k, ds.x.shape[1], ds.num_classes, cfg.alpha0)
+    state = AdamState.init(params)
+    clean = feature_powers(params, ds.ops, ds.x)
+    losses, val_accs, test_accs = [], [], []
+    for _ in range(cfg.epochs):
+        q = clean
+        if cfg.feature_dropout > 0.0:
+            keep = 1.0 - cfg.feature_dropout
+            q = feature_powers(params, ds.ops, ds.x * (rng.random(ds.x.shape) < keep) / keep)
+        logits, m = forward_logits(params, q)
+        loss, g = cross_entropy_masked(softmax_rows(logits), ds.labels, ds.train_mask)
+        eval_logits, _ = forward_logits(params, clean)
+        losses.append(loss)
+        val_accs.append(accuracy(eval_logits, ds.labels, ds.val_mask))
+        test_accs.append(accuracy(eval_logits, ds.labels, ds.test_mask))
+        adam_step(params, backward(params, q, m, g), state, cfg.lr, cfg.weight_decay)
+    return losses, val_accs, test_accs
+
+
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_training_matches_the_every_row_reference(d, dropout):
+    # only backward's summation order differs: losses agree to 1e-12
+    # relative, accuracies exactly; d = 5 adds a projection
+    ds = sbm_generate(n=140, blocks=2, p_in=0.15, p_out=0.01, d=d, noise_sigma=1.0, seed=2)
+    cfg = TrainConfig(k=3, epochs=8, patience=8, seed=5, lr=0.05, feature_dropout=dropout)
+    rep = train(ds, cfg)
+    losses, val_accs, test_accs = _every_row_reference(ds, cfg)
+    np.testing.assert_allclose(rep.train_losses, losses, rtol=1e-12, atol=0.0)
+    assert rep.val_accs == val_accs and rep.test_accs == test_accs
+
+
 def test_divergence_is_reported_not_raised():
     ds = small_sbm(seed=4)
     huge_x = ds.x * 1e200
@@ -1102,6 +1172,51 @@ def test_stack_matches_each_seed_run_alone(case):
     assert len({len(rep.train_losses) for rep in alone}) > 1
     for got, want in zip(stacked, alone):
         assert got.to_json_dict() == want.to_json_dict()
+
+
+def test_epoch_zero_metrics_equal_the_public_functions_on_every_row(monkeypatch):
+    # each epoch term reads its own rows only; epoch 0 (initial models,
+    # clean features) must give the bits of the public functions on all rows
+    data, cfg = STACK_CASES["early-stopping"]
+    ds = sbm_generate(blocks=2, noise_sigma=1.0, **data)
+    cfg = replace(cfg, epochs=120)
+    seeds = [0, 1, 2, 3, 4]
+    seen = []
+    observe = bilevel_trainer._SeedRun.observe
+
+    def spy(self, epoch, loss, val_acc, val_loss, test_acc, patience):
+        if epoch == 0:
+            seen.append((loss, val_acc, val_loss, test_acc))
+        return observe(self, epoch, loss, val_acc, val_loss, test_acc, patience)
+
+    monkeypatch.setattr(bilevel_trainer._SeedRun, "observe", spy)
+    reports = bilevel_trainer._train_seeds(ds, cfg, seeds)
+    assert "patience" in {rep.stop_reason for rep in reports}
+    assert len(seen) == len(seeds)
+    val_rows = np.flatnonzero(ds.val_mask)
+    for seed, rep, (loss, val_acc, val_loss, test_acc) in zip(seeds, reports, seen):
+        params = UgdgnnParams.init(np.random.default_rng(seed), cfg.k, 2, 2, cfg.alpha0)
+        logits, _ = forward_logits(params, feature_powers(params, ds.ops, ds.x))
+        probs = softmax_rows(logits)
+        assert rep.val_accs[0] == val_acc == accuracy(logits, ds.labels, ds.val_mask)
+        assert rep.test_accs[0] == test_acc == accuracy(logits, ds.labels, ds.test_mask)
+        assert val_loss == bilevel_trainer._mean_nll(probs, ds.labels, val_rows)
+        assert val_loss == cross_entropy_masked(probs, ds.labels, ds.val_mask)[0]
+        assert rep.train_losses[0] == loss
+        assert loss == cross_entropy_masked(probs, ds.labels, ds.train_mask)[0]
+
+
+@pytest.mark.parametrize("empty", ["val_mask", "test_mask"])
+def test_train_rejects_an_empty_val_or_test_mask_before_epoch_zero(monkeypatch, empty):
+    ds = replace(small_sbm(), **{empty: np.zeros(140, dtype=bool)})
+
+    def no_epoch(*args):
+        raise AssertionError("an epoch ran")
+
+    monkeypatch.setattr(bilevel_trainer, "feature_powers", no_epoch)
+    monkeypatch.setattr(bilevel_trainer, "forward_logits", no_epoch)
+    with pytest.raises(ValueError, match="^mask selects no rows$"):
+        train(ds, TrainConfig(epochs=5, patience=5))
 
 
 def test_accuracy_empty_mask_rejected():

@@ -47,9 +47,12 @@ K, D, CLASSES = 3, 7, 3
 
 # Peak over u measured at n = 1000 and 4000: feature_powers 1.77 and 1.75
 # (the powers, written in place, plus [x, 1] and one power's spmm input and
-# output, a quarter u each at K = 3), a 3-epoch projected train 1.79 and
-# 1.76 (an epoch adds only (K+1) d' x c blocks). 2.4 leaves a third over the
-# largest. Stacking a list of powers read 2.02 and 2.00, and a train that
+# output, a quarter u each at K = 3), a 3-epoch projected train 1.85 and
+# 1.82 (an epoch adds only (K+1) d' x c blocks; the run also holds the train
+# rows of the powers, 60 of n, and the val and test rows' indices and labels,
+# 16 bytes a node, which sit beside the powers while they are built). 2.4
+# leaves 30% over the largest. Stacking a list of powers read 2.02 and 2.00,
+# and a train that
 # made (K+1) x n x c class-width powers and gradient terms each epoch 3.04
 # and 2.89.
 PEAK_PER_UNIT = 2.4
