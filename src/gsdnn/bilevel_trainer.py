@@ -22,8 +22,8 @@ A stack of models, one per seed, puts a leading seed axis on that layout:
 ``flat`` has shape (S, P) and every named block gains the axis. The forward
 pass, the loss, ``backward`` and ``adam_step`` are written once over that
 axis, and every seed's numbers are bit-identical to a run of that seed
-alone. ``depth_sweep`` trains all seeds of one depth as one stack; without
-feature dropout they share one set of propagated powers.
+alone. ``depth_sweep`` trains its (depth, seed) pairs as one stack per core,
+each laid out at the largest depth; without dropout they share one set of powers.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph_core import _INT64_MAX, Graph, NormalizedOperators, normalize, spmm
+from .graph_core import _INT64_MAX, Graph, NormalizedOperators, _on_two_cores, normalize, spmm
 
 __all__ = [
     "Dataset",
@@ -183,16 +183,20 @@ class UgdgnnParams:
         num_classes: int,
         alpha0: float,
         tie_xi: bool = True,
+        depth: int | None = None,
     ) -> "UgdgnnParams":
-        """Restart-style hop coefficients, identity mixing, Glorot weights."""
+        """Restart-style hop coefficients, identity mixing, Glorot weights. Laid
+        out at ``depth`` >= k if given: hops past k get gamma, zeta (so the tied xi
+        is 1) and W at 0: zero mixing blocks and gradients, which Adam leaves at 0."""
         if not (0.0 < alpha0 < 1.0):
             raise ValueError("alpha0 must lie strictly in (0, 1)")
         c = num_classes
-        params = cls.zeros(k, c, None if d_in == c else d_in, tie_xi)
-        params.gammas[:] = [alpha0 * (1.0 - alpha0) ** j for j in range(k)] + [(1.0 - alpha0) ** k]
-        params.zetas[:] = 1.0
+        params = cls.zeros(k if depth is None else depth, c, None if d_in == c else d_in, tie_xi)
+        keep = 1.0 - alpha0
+        params.gammas[: k + 1] = [alpha0 * keep**j for j in range(k)] + [keep**k]
+        params.zetas[: k + 1] = 1.0
         limit = math.sqrt(6.0 / (c + c))
-        params.w[:] = rng.uniform(-limit, limit, size=(k + 1, c, c))
+        params.w[: k + 1] = rng.uniform(-limit, limit, size=(k + 1, c, c))
         if params.pre_w is not None:
             pre_limit = math.sqrt(6.0 / (d_in + c))
             params.pre_w[:] = rng.uniform(-pre_limit, pre_limit, size=(d_in, c))
@@ -556,9 +560,10 @@ def adam_step(
 
 @dataclass
 class _SeedRun:
-    """One seed inside a training stack: its Generator, and the report it fills."""
+    """One member of a training stack: its Generator, its depth, and the report it fills."""
 
     rng: np.random.Generator
+    k: int
     best_val_loss: float = math.inf
     report: TrainReport = field(default_factory=lambda: TrainReport(
         train_losses=[], val_accs=[], test_accs=[], best_epoch=-1, best_val_acc=-1.0,
@@ -593,19 +598,21 @@ class _SeedRun:
         return False
 
     def finish(self, gammas: np.ndarray, zetas: np.ndarray, seconds: float) -> None:
-        self.report.final_gammas = gammas.tolist()
-        self.report.final_zetas = zetas.tolist()
+        self.report.final_gammas = gammas[: self.k + 1].tolist()
+        self.report.final_zetas = zetas[: self.k + 1].tolist()
         self.report.wall_clock_seconds = seconds
 
 
 # a diverging seed overflows quietly: _SeedRun.observe reports its loss
 @np.errstate(over="ignore", invalid="ignore")
-def _train_seeds(ds: Dataset, cfg: TrainConfig, seeds: Sequence[int]) -> list[TrainReport]:
-    """Train one model per seed as a stack; reports in the order of ``seeds``.
+def _train_seeds(ds: Dataset, cfg: TrainConfig, members: Sequence) -> list[TrainReport]:
+    """Train one model per member, a (K, seed) pair with K <= ``cfg.k``, as a
+    stack laid out at depth ``cfg.k``; reports in the order of ``members``.
 
-    Each seed draws its initialization and dropout masks from its own
-    Generator and keeps its own early-stopping and divergence state; a seed
-    that stops leaves the stack, so its report matches a run on its own.
+    Each member draws its initialization at its own K and its dropout masks
+    from its own Generator and keeps its own early-stopping and divergence
+    state; a member that stops leaves the stack. Its report has its own K + 1
+    coefficients and matches a run of it alone, under dropout but for the last bits.
 
     Each epoch term reads only the rows it needs. The upper-level loss sums
     over the train rows, so its logit gradient is zero elsewhere, and
@@ -618,10 +625,10 @@ def _train_seeds(ds: Dataset, cfg: TrainConfig, seeds: Sequence[int]) -> list[Tr
     rows.
     """
     t_start = time.perf_counter()
-    runs = [_SeedRun(np.random.default_rng(seed)) for seed in seeds]
+    runs = [_SeedRun(np.random.default_rng(seed), k) for k, seed in members]
     c = ds.num_classes
     params = UgdgnnParams.stack([
-        UgdgnnParams.init(run.rng, cfg.k, ds.x.shape[1], c, cfg.alpha0, tie_xi=True)
+        UgdgnnParams.init(run.rng, run.k, ds.x.shape[1], c, cfg.alpha0, depth=cfg.k)
         for run in runs
     ])
     state = AdamState.init(params)
@@ -685,7 +692,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> TrainReport:
     added only when the input width differs from the class count. This is
     the stack of one seed, ``cfg.seed``.
     """
-    return _train_seeds(ds, cfg, [cfg.seed])[0]
+    return _train_seeds(ds, cfg, [(cfg.k, cfg.seed)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -898,25 +905,27 @@ def depth_sweep(
     ks: Sequence[int],
     n_seeds: int = 10,
 ) -> list[dict]:
-    """Train at each depth over n_seeds seeds; rows of (K, mean, std, accs),
-    plus the depth's ``seed_epochs``, summed over its seeds.
+    """Train at each depth over n_seeds seeds; rows of (K, mean, std, accs), its
+    seeds' summed ``seed_epochs``, and ``forked_members``, those a forked child trained.
 
-    Seeds cfg.seed, cfg.seed + 1, ... of one depth train as one stack.
+    Every (depth, seed) pair, seeds cfg.seed, cfg.seed + 1, ..., is a member of
+    a stack at the largest depth; a forked child trains every other member.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    seeds = [cfg.seed + s for s in range(n_seeds)]
+    if not ks or min(ks) < 0:
+        raise ValueError("ks must list nonnegative depths")
+    members = [(k, cfg.seed + s) for k in ks for s in range(n_seeds)]
+    stack = replace(cfg, k=max(ks))
+    results, forked = _on_two_cores(
+        lambda part: [[r.test_acc_at_best, r.seed_epochs] for r in _train_seeds(ds, stack, part)],
+        members)
     rows = []
-    for k in ks:
-        reports = _train_seeds(ds, replace(cfg, k=k), seeds)
-        chunk = np.array([rep.test_acc_at_best for rep in reports])
-        rows.append(
-            {
-                "k": int(k),
-                "mean_acc": float(chunk.mean()),
-                "std_acc": float(chunk.std()),
-                "accs": [float(a) for a in chunk],
-                "seed_epochs": sum(rep.seed_epochs for rep in reports),
-            }
-        )
+    for i, k in enumerate(ks):
+        depth = range(i * n_seeds, (i + 1) * n_seeds)
+        chunk = np.array([results[j][0] for j in depth])
+        rows.append({"k": int(k), "mean_acc": float(chunk.mean()), "std_acc": float(chunk.std()),
+                     "accs": [float(a) for a in chunk],
+                     "seed_epochs": sum(results[j][1] for j in depth),
+                     "forked_members": sum(j % 2 for j in depth) if forked else 0})
     return rows

@@ -9,7 +9,7 @@ sha256 digests of the files read, the files written, per-phase timing,
 the problem sizes where the command has one graph, counters of the work
 done (``denoise``: solver or conjugate-gradient iterations; ``equiv``: the
 checks run; ``train`` and ``sweep``: seed-epochs; ``equiv``, ``sweep``, the
-closed form, gd and proxgd: the checks, depths, columns or rows run in a
+closed form, gd and proxgd: the checks, members, columns or rows run in a
 forked child), the peak and private memory, and the software and machine it
 ran on.
 
@@ -39,7 +39,6 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence
 
 import numpy as np
 import scipy
@@ -57,8 +56,8 @@ from gsdnn.bilevel_trainer import (
 from gsdnn.graph_core import (
     Graph,
     NormalizedOperators,
-    _forked,
     _loadtxt_rows,
+    _on_two_cores,
     load_edge_list,
     load_signal_csv,
     normalize,
@@ -232,33 +231,6 @@ def _random_er_ops(rng: np.random.Generator, n: int, p: float = 0.2):
     mask = rng.random((n, n)) < p
     np.fill_diagonal(mask, True)
     return normalize(Graph(num_nodes=n, edges=np.argwhere(np.triu(mask))))
-
-
-# ---------------------------------------------------------------------------
-# a second core
-
-
-def _on_two_cores(work: Callable[[Sequence], list], items: Sequence) -> tuple[list, int]:
-    """``(work(items), forked)`` for a ``work`` that maps each item on its
-    own, with ``work(items[1::2])`` run in a forked child while this process
-    runs ``work(items[0::2])``; ``forked`` is the number of items the child
-    handled. The child's results come back as JSON, which holds a Python
-    float exactly (NaN and inf included), and are interleaved back into
-    place, so the results are the serial ones. ``work(items)`` runs here
-    instead, and ``forked`` is 0, when there are fewer than two items or
-    ``graph_core._forked`` returns None, so errors and exit codes are those
-    of one process."""
-    if len(items) > 1:
-        def interleaved(pipe) -> list:
-            results = [None] * len(items)
-            results[0::2] = work(items[0::2])
-            results[1::2] = json.loads(pipe.read())
-            return results
-
-        results = _forked(lambda: json.dumps(work(items[1::2])).encode(), interleaved)
-        if results is not None:
-            return results, len(items[1::2])
-    return work(items), 0
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +484,10 @@ def cmd_sweep(args, run: _Run) -> int:
     if not ks or any(k < 0 for k in ks):
         raise ValueError("--ks must list nonnegative depths")
     run.lap("load")
-    # each depth is seeded and trained on its own
-    rows, forked = _on_two_cores(lambda part: depth_sweep(ds, cfg, part, args.n_seeds), ks)
+    rows = depth_sweep(ds, cfg, ks, args.n_seeds)
     run.lap("train")
     run.counters["seed_epochs"] = sum(r["seed_epochs"] for r in rows)
-    run.counters["forked_depths"] = forked
+    run.counters["forked_members"] = sum(r["forked_members"] for r in rows)
     lines = ["k,mean_acc,std_acc"]
     lines += [f"{r['k']},{r['mean_acc']:.17g},{r['std_acc']:.17g}" for r in rows]
     run.path("sweep.csv").write_text("\n".join(lines) + "\n")

@@ -39,6 +39,7 @@ pipes, reaps and falls back to one process; its docstring names its users.
 from __future__ import annotations
 
 import io
+import json
 import operator
 import os
 import shutil
@@ -447,8 +448,8 @@ def _forked(theirs: Callable[[], bytes], mine: Callable[[BinaryIO], _T]) -> _T |
     stops reading before the end of the pipe makes the child fail on its
     write. The one way the program uses a second core; its users are
     :func:`save_signal_csv`, ``gsd_problem.closed_form_ppnp``,
-    ``iter_solvers``' gd and proxgd, and through ``cli._on_two_cores`` the
-    ``equiv`` and ``sweep`` commands.
+    ``iter_solvers``' gd and proxgd, and through :func:`_on_two_cores` the
+    ``equiv`` command and ``bilevel_trainer.depth_sweep``.
 
     The pipe is closed and the child reaped before this returns or raises.
     If ``mine`` raises, the child is killed first, so an error or Ctrl-C
@@ -508,6 +509,25 @@ def _forked(theirs: Callable[[], bytes], mine: Callable[[BinaryIO], _T]) -> _T |
     finally:
         ok = os.waitpid(pid, 0)[1] == 0
     return result if ok else None
+
+
+def _on_two_cores(work: Callable[[Sequence], list], items: Sequence) -> tuple[list, int]:
+    """``(work(items), forked)`` for a ``work`` that maps each item on its own,
+    so the results are the serial ones: a forked child runs ``work(items[1::2])``
+    and sends them as JSON (exact for any float) while this process runs the rest,
+    and ``forked`` counts the child's items. With fewer than two items, or where
+    :func:`_forked` returns None, all run here, with one process's errors."""
+    if len(items) > 1:
+        def interleaved(pipe) -> list:
+            results = [None] * len(items)
+            results[0::2] = work(items[0::2])
+            results[1::2] = json.loads(pipe.read())
+            return results
+
+        results = _forked(lambda: json.dumps(work(items[1::2])).encode(), interleaved)
+        if results is not None:
+            return results, len(items[1::2])
+    return work(items), 0
 
 
 def _csv_bytes(x: np.ndarray) -> memoryview:

@@ -1,6 +1,7 @@
 """Loss plumbing, hand-written gradients, Adam, toy datasets, training."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -1137,47 +1138,102 @@ def test_depth_sweep_shape_and_baseline():
             depth_sweep(ds, cfg, ks=(1,), n_seeds=n_seeds)
 
 
-def test_depth_sweep_shares_powers_across_seeds(spmm_calls):
-    # no projection and no dropout: each depth's K powers serve all seeds
+def test_depth_sweep_shares_powers_across_seeds(spmm_calls, monkeypatch):
+    # no projection and no dropout: the K_max powers serve every depth and
+    # seed; without os.fork the whole sweep runs in this process
+    monkeypatch.delattr(os, "fork")
     ds = small_sbm(seed=8)
     depth_sweep(ds, TrainConfig(epochs=30, patience=30), ks=(1, 3), n_seeds=3)
-    assert len(spmm_calls) == 1 + 3
+    assert len(spmm_calls) == 3
 
 
-def test_depth_sweep_shares_projected_powers_across_seeds(spmm_calls):
-    # the powers of [X, 1] serve every seed of a depth whatever its projection
+def test_depth_sweep_shares_projected_powers_across_seeds(spmm_calls, monkeypatch):
+    # the powers of [X, 1] serve every member whatever its depth and projection
+    monkeypatch.delattr(os, "fork")
     ds = sbm_generate(n=140, blocks=2, p_in=0.15, p_out=0.01, d=5, noise_sigma=1.0, seed=8)
     depth_sweep(ds, TrainConfig(epochs=30, patience=30), ks=(1, 3), n_seeds=3)
-    assert spmm_calls == [(140, 6)] * (1 + 3)
+    assert spmm_calls == [(140, 6)] * 3
 
 
+@pytest.mark.parametrize("dropout, n_seeds", [(0.0, 2), (0.3, 2), (0.3, 1)])
+def test_depth_sweep_on_two_cores_gives_the_one_process_rows(monkeypatch, dropout, n_seeds):
+    # a forked child trains every other member; each stack is laid out at the
+    # largest depth, as the one-process stack is, even a half that holds no
+    # member of that depth (one seed: this process trains depths 0 and 1)
+    ds = small_sbm(seed=8)
+    cfg = TrainConfig(epochs=40, patience=10, feature_dropout=dropout)
+    layouts, real = [], bilevel_trainer._train_seeds
+
+    def spy(ds, cfg, members):
+        layouts.append(cfg.k)
+        return real(ds, cfg, members)
+
+    monkeypatch.setattr(bilevel_trainer, "_train_seeds", spy)
+    forked = depth_sweep(ds, cfg, ks=(0, 3, 1), n_seeds=n_seeds)
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        serial = depth_sweep(ds, cfg, ks=(0, 3, 1), n_seeds=n_seeds)
+    assert layouts == [3, 3]
+    assert [r.pop("forked_members") for r in serial] == [0, 0, 0]
+    assert sum(r.pop("forked_members") for r in forked) == 3 * n_seeds // 2
+    assert forked == serial
+
+
+def test_depth_sweep_rejects_an_empty_or_negative_depth_list():
+    for ks in ((), (1, -1)):
+        with pytest.raises(ValueError, match="nonnegative depths"):
+            depth_sweep(small_sbm(), TrainConfig(epochs=5, patience=5), ks=ks, n_seeds=2)
+
+
+_EARLY_STOPPING_SBM = dict(n=200, p_in=0.1, p_out=0.01, d=2, seed=0)
+_PROJECTION_SBM = dict(n=300, p_in=0.05, p_out=0.005, d=6, seed=3)
+_DROPOUT_SBM = dict(n=200, p_in=0.1, p_out=0.01, d=2, seed=1)
+
+# case -> (SBM, config, the depths of the stack's members, seeds 0-4 each);
+# the stack is laid out at the config's K, the largest of those depths
 STACK_CASES = {
     # patience 50: one seed runs to epoch 480, the others stop near epoch 60
-    "early-stopping": (dict(n=200, p_in=0.1, p_out=0.01, d=2, seed=0),
-                       TrainConfig(k=4, patience=50)),
-    "projection": (dict(n=300, p_in=0.05, p_out=0.005, d=6, seed=3),
-                   TrainConfig(k=3, epochs=200, patience=30)),
-    "dropout": (dict(n=200, p_in=0.1, p_out=0.01, d=2, seed=1),
-                TrainConfig(k=3, epochs=150, patience=20, feature_dropout=0.3)),
+    "early-stopping": (_EARLY_STOPPING_SBM, TrainConfig(k=4, patience=50), (4,)),
+    "projection": (_PROJECTION_SBM, TrainConfig(k=3, epochs=200, patience=30), (3,)),
+    "dropout": (_DROPOUT_SBM,
+                TrainConfig(k=3, epochs=150, patience=20, feature_dropout=0.3), (3,)),
+    # members of several depths, the shallower ones zero-padded
+    "mixed-early-stopping": (_EARLY_STOPPING_SBM, TrainConfig(k=4, patience=50), (0, 4, 1, 2)),
+    "mixed-projection": (_PROJECTION_SBM, TrainConfig(k=3, epochs=200, patience=30), (3, 0, 1)),
+    "mixed-dropout": (_DROPOUT_SBM,
+                      TrainConfig(k=3, epochs=150, patience=20, feature_dropout=0.3), (0, 3, 2)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(STACK_CASES))
 def test_stack_matches_each_seed_run_alone(case):
-    data, cfg = STACK_CASES[case]
+    data, cfg, ks = STACK_CASES[case]
+    assert cfg.k == max(ks)
     ds = sbm_generate(blocks=2, noise_sigma=1.0, **data)
     seeds = [0, 1, 2, 3, 4]
-    stacked = bilevel_trainer._train_seeds(ds, cfg, seeds)
-    alone = [train(ds, replace(cfg, seed=s)) for s in seeds]
+    stacked = bilevel_trainer._train_seeds(ds, cfg, [(k, s) for k in ks for s in seeds])
+    if len(ks) == 1:
+        alone = [train(ds, replace(cfg, seed=s)) for s in seeds]
+    else:  # one stack per depth, which the one-depth cases match with runs alone
+        alone = [rep for k in ks for rep in bilevel_trainer._train_seeds(
+            ds, replace(cfg, k=k), [(k, s) for s in seeds])]
     assert len({len(rep.train_losses) for rep in alone}) > 1
-    for got, want in zip(stacked, alone):
-        assert got.to_json_dict() == want.to_json_dict()
+    for got, want in zip(stacked, alone, strict=True):
+        got, want = got.to_json_dict(), want.to_json_dict()
+        if len(ks) == 1 or cfg.feature_dropout == 0.0:
+            assert got == want
+            continue
+        # under dropout each member's dropped powers run to the stack's K, and
+        # its products may round differently in the last bits
+        for key in ("train_losses", "final_gammas", "final_zetas"):
+            np.testing.assert_allclose(got.pop(key), want.pop(key), rtol=1e-14, atol=0.0)
+        assert got == want
 
 
 def test_epoch_zero_metrics_equal_the_public_functions_on_every_row(monkeypatch):
     # each epoch term reads its own rows only; epoch 0 (initial models,
     # clean features) must give the bits of the public functions on all rows
-    data, cfg = STACK_CASES["early-stopping"]
+    data, cfg, _ = STACK_CASES["early-stopping"]
     ds = sbm_generate(blocks=2, noise_sigma=1.0, **data)
     cfg = replace(cfg, epochs=120)
     seeds = [0, 1, 2, 3, 4]
@@ -1190,7 +1246,7 @@ def test_epoch_zero_metrics_equal_the_public_functions_on_every_row(monkeypatch)
         return observe(self, epoch, loss, val_acc, val_loss, test_acc, patience)
 
     monkeypatch.setattr(bilevel_trainer._SeedRun, "observe", spy)
-    reports = bilevel_trainer._train_seeds(ds, cfg, seeds)
+    reports = bilevel_trainer._train_seeds(ds, cfg, [(cfg.k, s) for s in seeds])
     assert "patience" in {rep.stop_reason for rep in reports}
     assert len(seen) == len(seeds)
     val_rows = np.flatnonzero(ds.val_mask)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gsdnn import cli, graph_core, gsd_problem, iter_solvers
+from gsdnn import bilevel_trainer, cli, graph_core, gsd_problem, iter_solvers
 from gsdnn.bilevel_trainer import TrainConfig
 from gsdnn.cli import EQUIV_GRAPHS, build_parser, main
 from gsdnn.graph_core import add_self_loops, load_edge_list, load_signal_csv, normalize
@@ -657,8 +657,8 @@ def test_sweep_nonpositive_seed_count_is_usage_error(tmp_path, capsys, n_seeds):
     assert not out.exists()
 
 
-# five commands on two cores: a forked child trains every other depth of a
-# sweep, runs every other check of equiv, solves the trailing half of the
+# five commands on two cores: a forked child trains every other (depth,
+# seed) member of a sweep, runs every other check of equiv, solves the trailing half of the
 # closed form's columns, or steps gd's or proxgd's trailing rows
 
 SPLIT_SWEEP = ["sweep", "--dataset", "sbm", "--sbm-n", "140", "--n-seeds", "2",
@@ -676,7 +676,7 @@ SPLIT_PROXGD = ["denoise", "--graph", "ring.txt", "--solver", "proxgd", "--spec"
 # command -> (argv without its items, its outputs, the module and name of the
 # function that gets the items, the counter of items run in the child)
 FORK_USERS = {
-    "sweep": (SPLIT_SWEEP, ("sweep.csv",), cli, "depth_sweep", "forked_depths"),
+    "sweep": (SPLIT_SWEEP, ("sweep.csv",), bilevel_trainer, "_train_seeds", "forked_members"),
     "equiv": (["equiv", "--seed", "5"], ("equiv_report.json",), cli, "_equiv_cell",
               "forked_checks"),
     "closed-form": (SPLIT_CLOSED_FORM, ("denoised.csv", "solve_report.json"), gsd_problem,
@@ -686,14 +686,15 @@ FORK_USERS = {
     "proxgd": (SPLIT_PROXGD, ("denoised.csv", "solve_report.json"), iter_solvers,
                "_layer_step", "forked_rows"),
 }
-# a few items per command: the depths 1, 2, 4, the trials 0, 1, 2, the
-# four feature columns 0 to 3, of which the child solves 2 and 3, or the
-# rows of gd's and proxgd's iterates
+# a few items per command: the members (1, 0), (1, 1), (2, 0), ... of depths
+# 1, 2, 4 and seeds 0, 1, the trials 0, 1, 2, the four feature columns 0 to
+# 3, of which the child solves 2 and 3, or the rows of gd's and proxgd's
+# iterates
 FEW_ITEMS = {"sweep": ["--ks", "1,2,4"], "equiv": ["--model", "sgc", "--trials", "3"],
              "closed-form": ["--features", "ring.csv"], "gd": ["--features", "ring.csv"],
              "proxgd": ["--features", "ring.csv"]}
 # three of those items: the child gets the middle one
-ITEM_VALUES = {"sweep": (1, 2, 4), "equiv": (0, 1, 2), "closed-form": (0, 2, 1),
+ITEM_VALUES = {"sweep": ((1, 0), (1, 1), (2, 0)), "equiv": (0, 1, 2), "closed-form": (0, 2, 1),
                "gd": (0, 299, 1), "proxgd": (0, 299, 1)}
 
 
@@ -729,8 +730,9 @@ def _run_serial(command, out, capsys, monkeypatch, items):
 
 def _before_each_item(monkeypatch, command, act):
     """Calls ``act(item)`` on each item that the command's mapped function
-    gets (a depth of the sweep, a trial of equiv, a feature column of the
-    closed form, a row of a gd or proxgd step) before the real function."""
+    gets (a (depth, seed) member of the sweep, a trial of equiv, a feature
+    column of the closed form, a row of a gd or proxgd step) before the real
+    function."""
     module, name = FORK_USERS[command][2:4]
     real, parent = getattr(module, name), os.getpid()
 
@@ -744,6 +746,8 @@ def _before_each_item(monkeypatch, command, act):
             rows = args[1].shape[0]
             start = 0 if os.getpid() == parent else SPLIT_NODES - rows
             items = range(start, start + rows)
+        elif command == "sweep":
+            items = args[2]
         else:
             items = np.atleast_1d(args[2]).tolist()
         for item in items:
@@ -775,7 +779,7 @@ def _check_split_is_serial(tmp_path, capsys, monkeypatch, command, items, in_chi
 
 def test_two_process_map_returns_every_float_bit_for_bit():
     items = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1 / 3, 1e308, 7.0]
-    results, forked = cli._on_two_cores(lambda part: [{"v": v, "ok": v < 1} for v in part],
+    results, forked = graph_core._on_two_cores(lambda part: [{"v": v, "ok": v < 1} for v in part],
                                         items)
     assert forked == 4
     assert [r["ok"] for r in results] == [v < 1 for v in items]
@@ -784,9 +788,10 @@ def test_two_process_map_returns_every_float_bit_for_bit():
 
 @pytest.mark.parametrize("ks", ["1,3", "0,1,3", "1,2,4,8"])
 def test_split_sweep_gives_the_serial_outputs(tmp_path, capsys, monkeypatch, ks):
+    # two seeds a depth: the child trains seed 1 of every depth
     count = len(ks.split(","))
     forked = _check_split_is_serial(tmp_path, capsys, monkeypatch, "sweep", ["--ks", ks],
-                                    count // 2)
+                                    count)
     assert forked[1][0].count(b"\n") == 1 + count
 
 
@@ -939,7 +944,7 @@ def test_every_user_of_the_fork_helper_forks_despite_the_threads_warning(tmp_pat
     np.savetxt(want, x, delimiter=",", fmt="%.17g")
     assert (tmp_path / "x.csv").read_bytes() == want.getvalue()
     assert len(forks) == 1
-    assert _run_split("sweep", tmp_path / "sw", capsys, ["--ks", "1,3"])[3]["forked_depths"] == 1
+    assert _run_split("sweep", tmp_path / "sw", capsys, ["--ks", "1,3"])[3]["forked_members"] == 2
     assert len(forks) == 2
     equiv = _run_split("equiv", tmp_path / "eq", capsys, FEW_ITEMS["equiv"])
     assert equiv[3]["forked_checks"] == 1
@@ -1210,8 +1215,8 @@ MANIFEST_CASES = {
         # 34 members, 78 ties stored both ways plus the loops; one-hot
         # degree features up to the largest degree, 17
         {"n": 34, "nnz": 2 * 78 + 34, "d": 18},
-        # two depths of two seeds; the forked child trains depth 1
-        {"seed_epochs": 2 * 2 * 3, "forked_depths": 1},
+        # two depths of two seeds; the forked child trains seed 1 of each
+        {"seed_epochs": 2 * 2 * 3, "forked_members": 2},
     ),
 }
 

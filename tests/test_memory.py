@@ -11,7 +11,10 @@ process's side alone.
 
 - The trainer path: ``feature_powers`` and a 3-epoch projected ``train``,
   with u = 8 (K+1) n (d+1) bytes, one set of projected feature powers (see
-  ``feature_powers``).
+  ``feature_powers``). A 3-epoch projected depth sweep under feature
+  dropout in one process, whose members all train laid out at the largest
+  depth K_max, with u = 8 members n (K_max+1) (d+1) bytes, one epoch's
+  dropped powers.
 - The denoising path: the edge-list parse plus ``normalize``, ``gd_run``,
   ``proxgd_run`` and the conjugate-gradient ``closed_form_ppnp``, with
   u = 12 nnz + 8 n d bytes, A_hat's CSR arrays plus one signal. The
@@ -24,6 +27,7 @@ process's side alone.
   same u of the dataset it returns.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -35,6 +39,7 @@ from gsdnn.bilevel_trainer import (
     TrainConfig,
     UgdgnnParams,
     _split_masks,
+    depth_sweep,
     feature_powers,
     sbm_generate,
     train,
@@ -123,6 +128,28 @@ def test_peak_memory_scales_with_feature_powers(case, n):
     unit = 8 * (K + 1) * n * (D + 1)
     peak = _traced_peak(lambda: CASES[case](ds))
     assert peak <= PEAK_PER_UNIT * unit, f"peak {peak} B is {peak / unit:.2f} u"
+
+
+# Peak over u = 8 members n (K_max+1) (d+1) of a dropout sweep over depths 1
+# and K, two seeds each, measured at n = 1000 and 4000 (and 8000): 2.66 and
+# 2.57 (2.56). An epoch holds the members' dropped powers, u, beside the
+# shared clean powers, a quarter u here, and its dropped features and one
+# power's spmm input and output, about a quarter u each. One stack per depth
+# held at most one depth's seeds and read 1.47 and 1.42 in these units. 3.2
+# leaves a fifth over the largest; a stack that also built each member's
+# clean powers would hold about one u more.
+SWEEP_DROPOUT_PEAK_PER_UNIT = 3.2
+
+
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_peak_memory_of_a_dropout_sweep_scales_with_its_members_powers(monkeypatch, n):
+    monkeypatch.delattr(os, "fork")  # every member in this process, one stack
+    ds = _dataset(n)
+    ks, n_seeds = (1, K), 2
+    unit = 8 * len(ks) * n_seeds * n * (K + 1) * (D + 1)
+    cfg = TrainConfig(epochs=3, patience=3, feature_dropout=0.3)
+    peak = _traced_peak(lambda: depth_sweep(ds, cfg, ks, n_seeds))
+    assert peak <= SWEEP_DROPOUT_PEAK_PER_UNIT * unit, f"peak {peak} B is {peak / unit:.2f} u"
 
 
 _SOLVE = SolveConfig(max_iters=50, rel_tol=0.0)
