@@ -59,6 +59,13 @@ __all__ = [
 ]
 
 
+def _check_labels(labels: np.ndarray) -> None:
+    """Reject a negative label, which would index the class axis from its end."""
+    bad = np.flatnonzero(labels < 0)
+    if bad.size:
+        raise ValueError(f"node {bad[0]} has negative label {labels[bad[0]]}")
+
+
 @dataclass
 class Dataset:
     ops: NormalizedOperators
@@ -74,6 +81,7 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.x.shape[0] != n or self.labels.shape != (n,):
             raise ValueError("features/labels must cover every node")
+        _check_labels(self.labels)
         for name in ("train_mask", "val_mask", "test_mask"):
             m = np.asarray(getattr(self, name), dtype=bool)
             if m.shape != (n,):
@@ -703,6 +711,7 @@ def _split_masks(
     labels: np.ndarray, per_class_train: int, per_class_val: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lowest node ids per class go to train, the next block to val."""
+    _check_labels(labels)
     if per_class_train < 1 or per_class_val < 1:
         raise ValueError(
             f"per-class train and val counts must be at least 1, "
@@ -909,7 +918,8 @@ def depth_sweep(
     seeds' summed ``seed_epochs``, and ``forked_members``, those a forked child trained.
 
     Every (depth, seed) pair, seeds cfg.seed, cfg.seed + 1, ..., is a member of
-    a stack at the largest depth; a forked child trains every other member.
+    a stack at the largest depth. A forked child trains every other member; on
+    two cores that saves no time, but it halves the stack this process holds.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")

@@ -318,8 +318,6 @@ def _check_tol(tol: float) -> None:
 
 
 def cmd_equiv(args, run: _Run) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     _check_tol(args.tol)
     run.config["graph_distribution"] = EQUIV_GRAPHS
     names = list(MODEL_KINDS) if args.model == "all" else [args.model]
@@ -478,11 +476,11 @@ def cmd_train(args, run: _Run) -> int:
 
 
 def cmd_sweep(args, run: _Run) -> int:
-    ds = _load_dataset(args, run)
-    cfg = _train_config(args)
     ks = _parse_list(args.ks, "--ks", int)
     if not ks or any(k < 0 for k in ks):
         raise ValueError("--ks must list nonnegative depths")
+    ds = _load_dataset(args, run)
+    cfg = _train_config(args)
     run.lap("load")
     rows = depth_sweep(ds, cfg, ks, args.n_seeds)
     run.lap("train")
@@ -526,9 +524,9 @@ def _int_at_least(low: int, what: str):
 
 # --seed and --data-seed: numpy takes only nonnegative seeds. The split
 # counts index each class's nodes, where a negative count would count back
-# from the end.
+# from the end; --trials and --n-seeds count the items a command runs.
 _seed = _int_at_least(0, "nonnegative")
-_per_class = _int_at_least(1, "positive")
+_positive = _int_at_least(1, "positive")
 
 
 def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
@@ -540,8 +538,8 @@ def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sbm-d", type=int, default=2)
     p.add_argument("--sbm-noise", type=float, default=1.0)
     p.add_argument("--data-seed", type=_seed, default=0)
-    p.add_argument("--train-per-class", type=_per_class, help="files: datasets only (default 20)")
-    p.add_argument("--val-per-class", type=_per_class, help="files: datasets only (default 30)")
+    p.add_argument("--train-per-class", type=_positive, help="files: datasets only (default 20)")
+    p.add_argument("--val-per-class", type=_positive, help="files: datasets only (default 30)")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -586,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equiv", help="randomized propagation-vs-unrolling checks")
     p.add_argument("--model", default="all", choices=[*MODEL_KINDS, "all"])
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_positive, default=50)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
 
@@ -604,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_flags(p)
     _add_train_flags(p)
     p.add_argument("--ks", default="1,2,4,6,8,10")
-    p.add_argument("--n-seeds", type=int, default=10)
+    p.add_argument("--n-seeds", type=_positive, default=10)
 
     for p in sub.choices.values():
         p.add_argument("--out", default=".", help="output directory, created on first write")

@@ -45,7 +45,8 @@ import os
 import shutil
 import signal
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import BinaryIO, Callable, Sequence, TypeVar
 
 import numpy as np
@@ -282,59 +283,50 @@ class NormalizedOperators:
     ``a_hat`` is stored as CSR with both triangles so row iteration never
     branches on orientation; its values are d_u^{-1/2} d_v^{-1/2}, which
     makes the stored matrix exactly symmetric (float multiplication
-    commutes). ``b_hat`` and ``row_halves`` are built lazily on first
-    access.
+    commutes). ``b_hat`` and ``row_halves`` are built on first access and
+    cached.
     """
 
     graph: Graph
     a_hat: sp.csr_matrix
     degrees: np.ndarray
-    _b_hat: sp.csr_matrix | None = field(default=None, repr=False)
-    _row_halves: tuple[int, sp.csr_matrix, sp.csr_matrix] | None = field(
-        default=None, repr=False)
 
     @property
     def num_nodes(self) -> int:
         return self.graph.num_nodes
 
-    @property
+    @cached_property
     def b_hat(self) -> sp.csr_matrix:
         """Oriented normalized incidence over non-loop edges, one row per
         edge: +d_u^{-1/2} at the smaller index u, -d_v^{-1/2} at v."""
-        if self._b_hat is None:
-            dinv = 1.0 / np.sqrt(self.degrees)
-            g = self.graph
-            off = g.us != g.vs
-            us, vs = g.us[off], g.vs[off]
-            rows = np.repeat(np.arange(us.size), 2)
-            cols = np.column_stack((us, vs)).ravel()
-            vals = np.column_stack((dinv[us], -dinv[vs])).ravel()
-            self._b_hat = sp.csr_matrix(
-                (vals, (rows, cols)), shape=(us.size, self.num_nodes)
-            )
-        return self._b_hat
+        dinv = 1.0 / np.sqrt(self.degrees)
+        g = self.graph
+        off = g.us != g.vs
+        us, vs = g.us[off], g.vs[off]
+        rows = np.repeat(np.arange(us.size), 2)
+        cols = np.column_stack((us, vs)).ravel()
+        vals = np.column_stack((dinv[us], -dinv[vs])).ravel()
+        return sp.csr_matrix((vals, (rows, cols)), shape=(us.size, self.num_nodes))
 
-    @property
+    @cached_property
     def row_halves(self) -> tuple[int, sp.csr_matrix, sp.csr_matrix]:
         """(mid, rows before mid, rows from mid on) of A_hat, split at the row
         that holds its nnz midpoint, kept within 1 <= mid <= n - 1 (so n >= 2).
         Both blocks have all n columns and are views of A_hat's ``data`` and
         ``indices``; only the upper block's ``indptr`` is a new, shifted
         array. A block's product is A_hat's product on its rows, bit for bit."""
-        if self._row_halves is None:
-            a, n = self.a_hat, self.num_nodes
-            mid = int(np.searchsorted(a.indptr, a.nnz // 2, side="right")) - 1
-            mid = min(max(mid, 1), n - 1)
-            cut = a.indptr[mid]
-            lower, upper = sp.csr_matrix((mid, n)), sp.csr_matrix((n - mid, n))
-            # set, not passed to the constructor, which copies a view of under
-            # half of its base array
-            lower.data, lower.indices = a.data[:cut], a.indices[:cut]
-            lower.indptr = a.indptr[: mid + 1]
-            upper.data, upper.indices = a.data[cut:], a.indices[cut:]
-            upper.indptr = a.indptr[mid:] - cut
-            self._row_halves = (mid, lower, upper)
-        return self._row_halves
+        a, n = self.a_hat, self.num_nodes
+        mid = int(np.searchsorted(a.indptr, a.nnz // 2, side="right")) - 1
+        mid = min(max(mid, 1), n - 1)
+        cut = a.indptr[mid]
+        lower, upper = sp.csr_matrix((mid, n)), sp.csr_matrix((n - mid, n))
+        # set, not passed to the constructor, which copies a view of under
+        # half of its base array
+        lower.data, lower.indices = a.data[:cut], a.indices[:cut]
+        lower.indptr = a.indptr[: mid + 1]
+        upper.data, upper.indices = a.data[cut:], a.indices[cut:]
+        upper.indptr = a.indptr[mid:] - cut
+        return mid, lower, upper
 
     def laplacian_apply(self, x: np.ndarray) -> np.ndarray:
         """Apply L_hat = I - A_hat to a signal."""

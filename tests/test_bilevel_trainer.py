@@ -970,6 +970,17 @@ def test_split_masks_reject_counts_below_one(per_train, per_val):
         _split_masks(labels, per_train, per_val)
 
 
+@pytest.mark.parametrize("split", ["val_mask", "test_mask"])
+def test_dataset_rejects_a_negative_label(split):
+    # the val loss and the accuracies would read -1 as the last class
+    ds = sbm_generate(n=200, blocks=2, p_in=0.1, p_out=0.01, d=2, noise_sigma=1.0, seed=0)
+    node = int(np.flatnonzero(getattr(ds, split))[3])
+    labels = ds.labels.copy()
+    labels[node] = -1
+    with pytest.raises(ValueError, match=f"^node {node} has negative label -1$"):
+        Dataset(ds.ops, ds.x, labels, ds.train_mask, ds.val_mask, ds.test_mask)
+
+
 def test_dataset_requires_all_classes_in_train():
     ds = karate_dataset()
     only_zero = ds.train_mask & (ds.labels == 0)

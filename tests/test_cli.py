@@ -653,7 +653,7 @@ def test_sweep_nonpositive_seed_count_is_usage_error(tmp_path, capsys, n_seeds):
          "--n-seeds", n_seeds, "--epochs", "5", "--out", str(out)]
     )
     assert code == 2
-    assert "n_seeds" in capsys.readouterr().err
+    assert "--n-seeds" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1352,6 +1352,38 @@ def test_parse_error_is_one_error_line(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["equiv", "--trials", "0"], "argument --trials: must be a positive integer, got '0'"),
+        (["sweep", "--dataset", "sbm", "--n-seeds", "0"],
+         "argument --n-seeds: must be a positive integer, got '0'"),
+        (["sweep", "--dataset", "sbm", "--ks", "1,x"],
+         "--ks must be a comma-separated int list, got '1,x'"),
+    ],
+    ids=["trials", "n-seeds", "ks"],
+)
+def test_count_and_depth_flags_fail_before_any_work(tmp_path, capsys, monkeypatch, argv,
+                                                    message):
+    monkeypatch.setattr(cli, "sbm_generate", lambda **kw: pytest.fail("the SBM was drawn"))
+    monkeypatch.setattr(cli, "_equiv_cell", lambda *a: pytest.fail("a check ran"))
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_files_dataset_negative_label_is_usage_error(workdir, capsys):
+    # rejected before the split, which would count -1 as a class of its own
+    (workdir / "labels.csv").write_text("0\n0\n-1\n1\n1\n1\n")
+    spec = f"files:{workdir / 'edges.txt'},{workdir / 'feats.csv'},{workdir / 'labels.csv'}"
+    out = workdir / "x"
+    assert main(["train", "--dataset", spec, "--train-per-class", "1", "--val-per-class", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: node 2 has negative label -1\n"
+    assert not out.exists()
+
+
 def test_help_and_version_still_exit_zero(capsys):
     assert main(["--version"]) == 0
     assert capsys.readouterr().out.strip() == cli.__version__
@@ -1392,28 +1424,31 @@ def test_commands_share_one_parser_and_look_up_their_handler(workdir, capsys, mo
 
 
 # ---------------------------------------------------------------------------
-# the experiment scripts
+# the two standing experiments, as README's "Command line" runs them
 
 
 @pytest.mark.parametrize(
-    "script, flags, outputs",
+    "argv, output",
     [
-        ("run_equiv_suite.py", ["--trials", "2"], ["equiv_report.json"]),
-        ("run_depth_sweep.py", ["--ks", "1,2", "--n-seeds", "2", "--epochs", "5"],
-         ["sweep.csv"]),
+        (["equiv", "--model", "all", "--trials", "50"], "equiv_report.json"),
+        (["sweep", "--dataset", "sbm", "--ks", "1,2,4,6,8,10"], "sweep.csv"),
     ],
+    ids=["equiv", "sweep"],
 )
-def test_script_runs_end_to_end(tmp_path, script, flags, outputs):
-    # in a fresh interpreter, as a user runs it, with the package on PYTHONPATH;
-    # -W error keeps pyproject's warnings-as-errors for the child process
+def test_readme_experiment_runs_through_the_module_entry_point(tmp_path, argv, output):
+    # the README's command with only --out changed, in a fresh interpreter
+    # through the module's `sys.exit(main())`; -W error keeps pyproject's
+    # warnings-as-errors for the child process
     root = Path(__file__).resolve().parents[1]
+    command = " ".join(["gsdnn", *argv, "--out", f"artifacts/{argv[0]}"])
+    assert command in (root / "README.md").read_text()
     out = tmp_path / "out"
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    done = subprocess.run([sys.executable, "-W", "error", str(root / "scripts" / script),
-                           *flags, "--out", str(out)], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "gsdnn.cli", *argv,
+                           "--out", str(out)], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "manifest.json"])
+    assert sorted(p.name for p in out.iterdir()) == sorted([output, "manifest.json"])
 
 
 def _denoise(workdir, solver):

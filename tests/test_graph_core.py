@@ -360,6 +360,14 @@ def test_row_halves_are_views_whose_products_are_a_hats_rows(seed, n, d, p):
     assert np.array_equal(np.vstack((spmm(ops, x, 0), spmm(ops, x, 1))), spmm(ops, x))
 
 
+def test_b_hat_and_row_halves_are_built_once_per_graph(monkeypatch):
+    # a solver reads row_halves once per iterate; each read must be a lookup
+    ops = er_ops(np.random.default_rng(0), 20)
+    first = (ops.b_hat, ops.row_halves)
+    monkeypatch.setattr(graph_core.sp, "csr_matrix", lambda *a, **k: pytest.fail("rebuilt"))
+    assert ops.b_hat is first[0] and ops.row_halves is first[1]
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
 def test_smooth_eigenvector_is_fixed(seed, n):
