@@ -919,7 +919,7 @@ def depth_sweep(
 
     Every (depth, seed) pair, seeds cfg.seed, cfg.seed + 1, ..., is a member of
     a stack at the largest depth. A forked child trains every other member; on
-    two cores that saves no time, but it halves the stack this process holds.
+    two cores that saves no time, and the two processes hold more than one (README).
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
