@@ -226,11 +226,12 @@ def _load_graph_signal(
 
 
 def _random_er_ops(rng: np.random.Generator, n: int, p: float = 0.2):
-    # with the loops drawn into the mask, argwhere of its upper triangle
-    # yields canonical, sorted, loop-complete edges: one Graph, no re-sort
+    # with the loops drawn into the mask, the flat indices of its upper
+    # triangle are the sorted keys u * n + v of canonical, loop-complete
+    # edges: a graph that needs neither Graph's checks nor a re-sort
     mask = rng.random((n, n)) < p
     np.fill_diagonal(mask, True)
-    return normalize(Graph(num_nodes=n, edges=np.argwhere(np.triu(mask))))
+    return normalize(Graph._trusted(n, *np.divmod(np.flatnonzero(np.triu(mask)), n)))
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,21 @@ class TestGraph:
         assert (type(g.num_nodes), g.edges) == (int, ((1, 2),))
         assert Graph(num_nodes=2, edges=[]).num_edges == 0
 
+    def test_takes_integers_that_numpy_holds_as_float64(self):
+        # numpy makes float64 of a uint64 beside an int64; both are integers
+        g = Graph(num_nodes=3, edges=[(np.uint64(2), np.int64(1))])
+        assert (g.edges, g.us.dtype) == (((1, 2),), np.int64)
+
+    @pytest.mark.parametrize("edges, named", [
+        (np.array([[0, 2**64 - 1]], dtype=np.uint64), "(0, 18446744073709551615)"),
+        ([(0, 2**63)], "(0, 9223372036854775808)"),  # numpy's float64
+        ([(0, 2**64)], "(0, 18446744073709551616)"),  # numpy's object
+        ([(1, 2), (2**63, -1)], "(-1, 9223372036854775808)"),
+    ])
+    def test_integers_beyond_int64_are_out_of_range_as_given(self, edges, named):
+        with pytest.raises(ValueError, match=re.escape(f"edge {named} out of range for 3 nodes")):
+            Graph(num_nodes=3, edges=edges)
+
     def test_rejects_array_that_is_not_pairs(self):
         with pytest.raises(ValueError, match="pairs"):
             Graph(num_nodes=3, edges=np.zeros((2, 3), dtype=np.int64))
@@ -286,6 +301,12 @@ class TestSpmm:
         with pytest.raises(ValueError, match="rows"):
             spmm(ops, np.zeros((5, 2)))
 
+    @pytest.mark.parametrize("x", [np.float64(1.0), 2.5, np.zeros((6, 2, 1))])
+    def test_rejects_a_signal_that_is_not_1d_or_2d(self, x):
+        ops = er_ops(np.random.default_rng(0), 6)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(x)}")):
+            spmm(ops, x)
+
 
 class TestSignalValidation:
     def test_rejects_nan(self):
@@ -358,6 +379,33 @@ def test_row_halves_are_views_whose_products_are_a_hats_rows(seed, n, d, p):
         assert np.shares_memory(block.indices, a.indices)
     assert np.shares_memory(lower.indptr, a.indptr)
     assert np.array_equal(np.vstack((spmm(ops, x, 0), spmm(ops, x, 1))), spmm(ops, x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       d=st.sampled_from([None, 0, 1, 2, 3, 4, 5, 6]),
+       layout=st.sampled_from(["C", "F", "strided"]), p=st.sampled_from([0.0, 0.25, 1.0]))
+def test_spmm_is_scipys_product_bit_for_bit(seed, n, d, layout, p):
+    # spmm calls the kernel that @ ends in; d None is a 1-D signal, which @
+    # gives the one-vector kernel csr_matvec, as it does a single column
+    rng = np.random.default_rng(seed)
+    ops = er_ops(rng, n, p)
+    shape = (n,) if d is None else (n, d)
+    x = rng.standard_normal(shape)
+    x[rng.random(shape) < 0.2] = -0.0
+    if d:
+        x[:, rng.random(d) < 0.3] = rng.choice([0.0, -0.0])
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "strided":
+        every_other = np.full((2 * n, *shape[1:]), np.nan)
+        every_other[::2] = x
+        x = every_other[::2]
+    blocks = [(None, ops.a_hat)]
+    if n >= 2:
+        blocks += [(0, ops.row_halves[1]), (1, ops.row_halves[2])]
+    for half, block in blocks:
+        _assert_bit_equal(spmm(ops, x, half), block @ x)
 
 
 def test_b_hat_and_row_halves_are_built_once_per_graph(monkeypatch):
@@ -447,6 +495,24 @@ def test_loop_drawn_er_mask_gives_the_added_loop_graph(seed, n):
         _assert_bit_equal(drawn.us, want.us)
         _assert_bit_equal(drawn.vs, want.vs)
         assert drawn.has_self_loops
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50))
+def test_random_er_ops_is_the_checked_graphs_normalization(seed, n):
+    # the CLI's graphs skip Graph's checks; they must be the graph and the
+    # operators that the checked build of the same mask gives
+    got = _random_er_ops(np.random.default_rng(seed), n)
+    mask = np.random.default_rng(seed).random((n, n)) < 0.2
+    np.fill_diagonal(mask, True)
+    want = normalize(Graph(num_nodes=n, edges=np.argwhere(np.triu(mask))))
+    _assert_bit_equal(got.graph.us, want.graph.us)
+    _assert_bit_equal(got.graph.vs, want.graph.vs)
+    assert got.graph.has_self_loops and want.graph.has_self_loops
+    assert not (got.graph.us.flags.writeable or got.graph.vs.flags.writeable)
+    for name in ("indptr", "indices", "data"):
+        _assert_bit_equal(getattr(got.a_hat, name), getattr(want.a_hat, name))
+    _assert_bit_equal(got.degrees, want.degrees)
 
 
 # ---------------------------------------------------------------------------
